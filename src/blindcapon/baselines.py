@@ -20,7 +20,6 @@ _TIE_TOL = 1e-9
 class DoaMethod(Enum):
     ROOT_MUSIC = "root_music"
     TLS_ESPRIT = "tls_esprit"
-    SRP_PHAT = "srp_phat"
 
 
 @dataclass(frozen=True)

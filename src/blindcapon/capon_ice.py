@@ -7,6 +7,7 @@ statistics, then takes a safeguarded Newton step computed from the analytic
 first derivative and the at-solution approximation of the second derivative.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +23,10 @@ from .core import (
     c_constants,
     covariance_factor,
     sample_covariance,
-    steering,
 )
-from .errors import Diverged, ScoreDegenerate
+from .errors import Diverged
 
-# runaway guard for non-periodic steering weights (see `run`)
+# runaway guard for non-periodic steering weights (see `_runaway_guard`)
 _RUNAWAY_SPAN = 2.0 * np.pi ** 2
 
 
@@ -104,14 +104,10 @@ def contrast(
         raise ValueError(f"nonlinearity {phi.name!r} has no log_pdf")
     if model is None:
         model = core.ula(x.d)
-    a = steering(model, lam)
-    factor = covariance_factor(sample_covariance(x))
-    w, _ = core.mpdr_weights(None, a, factor=factor)
-    s = w.conj() @ x.data
-    sigma2 = float(np.mean(np.abs(s) ** 2))
-    u = s / np.sqrt(sigma2)
-    m = float(np.mean(phi.log_pdf(u)))
-    cz_lam = background_covariance(x, a)
+    state = core.extraction_state(x, model, lam, phi)
+    sigma2 = state.stats.sigma2
+    m = float(np.mean(phi.log_pdf(state.s / np.sqrt(sigma2))))
+    cz_lam = background_covariance(x, state.a)
     if nu is not None:
         m = m / nu
     if c_z is not None:
@@ -119,8 +115,50 @@ def contrast(
     else:
         sign, logdet = np.linalg.slogdet(cz_lam)
         bg = -logdet - (x.d - 1)
-    gam2 = float(np.abs(a[0]) ** 2)
+    gam2 = float(np.abs(state.a[0]) ** 2)
     return m - np.log(sigma2) + bg + (x.d - 2) * np.log(gam2)
+
+
+def _mpdr_derivatives(data, c_x, factor, a, v, w, phi_u, sigma2, sigma2_solve, nu, c1):
+    """``(grad_w, d1, d2)`` of one MPDR problem, by the formulas of
+    :func:`grad_w`, :func:`first_derivative` and :func:`second_derivative_approx`.
+
+    ``data``, ``c_x`` and ``factor`` are the problem's snapshots, covariance
+    and loaded Cholesky factor; ``a``, ``w`` and ``phi_u`` are the steering
+    vector, MPDR weights and output scores at the current parameter, and
+    ``sigma2_solve`` is the ``1 / (a^H C^-1 a)`` of the solve that gave
+    ``w``.  The statistics ``sigma2``, ``nu`` and ``c1`` are inputs, so that
+    a broadband bin can supply those of the joint nonlinearity.
+    """
+    av = a * v
+    ci_av = scipy.linalg.cho_solve(factor, av)
+    a_w = (c_x @ w) / sigma2
+    score_mean = (data * phi_u).mean(axis=1) / np.sqrt(sigma2)
+    gw = a_w - score_mean / nu
+    d1 = -2.0 * sigma2 * np.imag(np.vdot(gw, ci_av))
+    # solve-consistent sigma^2 in the bracket keeps it >= 0 exactly
+    bracket = sigma2_solve * np.real(np.vdot(av, ci_av)) - np.abs(np.vdot(w, av)) ** 2
+    d2 = 2.0 * c1 * sigma2 * bracket
+    return gw, float(d1), float(d2)
+
+
+def _derivatives(x, state, phi, c_x=None, factor=None):
+    """:func:`_mpdr_derivatives` of the narrowband problem at ``state``.
+
+    ``c_x`` and ``factor`` are the sample covariance of ``x`` and its
+    :func:`covariance_factor`, computed here when not given.
+    """
+    if c_x is None:
+        c_x = sample_covariance(x)
+        factor = covariance_factor(c_x)
+    stats = state.stats
+    c1, _, _ = c_constants(stats)
+    u = state.s / np.sqrt(stats.sigma2)
+    _, sigma2_solve = core.mpdr_weights(None, state.a, factor=factor)
+    return _mpdr_derivatives(
+        x.data, c_x, factor, state.a, state.model.v, state.w, phi.phi(u),
+        stats.sigma2, sigma2_solve, stats.nu, c1,
+    )
 
 
 def grad_w(x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearity) -> np.ndarray:
@@ -130,14 +168,7 @@ def grad_w(x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearity) -> np.n
 
     with ``a(w) = C_x w / sigma^2``.  Vanishes at the exact solution.
     """
-    if abs(state.stats.nu) < 1e-12:
-        raise ScoreDegenerate("nu is numerically zero")
-    sigma2 = state.stats.sigma2
-    c_x = sample_covariance(x)
-    a_w = (c_x @ state.w) / sigma2
-    u = state.s / np.sqrt(sigma2)
-    score_mean = (x.data * phi.phi(u)).mean(axis=1) / np.sqrt(sigma2)
-    return a_w - score_mean / state.stats.nu
+    return _derivatives(x, state, phi)[0]
 
 
 def first_derivative(x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearity) -> float:
@@ -145,14 +176,7 @@ def first_derivative(x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearit
 
         dC/dlam = -2 sigma^2 Im{ grad_w^H C_x^-1 (a * v) }
     """
-    av = state.a * state.model.v
-    factor = covariance_factor(sample_covariance(x))
-    gw = grad_w(x, state, phi)
-    return float(
-        -2.0
-        * state.stats.sigma2
-        * np.imag(np.vdot(gw, scipy.linalg.cho_solve(factor, av)))
-    )
+    return _derivatives(x, state, phi)[1]
 
 
 def first_derivative_via_grad_a(
@@ -181,16 +205,58 @@ def second_derivative_approx(
     bracket is nonnegative by Cauchy-Schwarz exactly, making the sign the
     sign of ``c1`` (negative for super-Gaussian extracted signals).
     """
-    c1, _, _ = c_constants(state.stats)
-    prefactor = 2.0 * c1 * state.stats.sigma2
-    av = state.a * state.model.v
-    factor = covariance_factor(sample_covariance(x))
-    sigma2_solve = 1.0 / float(
-        np.real(np.vdot(state.a, scipy.linalg.cho_solve(factor, state.a)))
-    )
-    quad = float(np.real(np.vdot(av, scipy.linalg.cho_solve(factor, av))))
-    proj = float(np.abs(np.vdot(state.w, av)) ** 2)
-    return prefactor * (sigma2_solve * quad - proj)
+    return _derivatives(x, state, phi)[2]
+
+
+def _safeguarded_newton(start, build, derivatives, step_cap, project, cfg):
+    """Safeguarded Newton iteration over one scalar parameter.
+
+    ``build(param)`` returns a state with separating weights ``.w`` (one
+    vector, or one per bin); ``derivatives(state)`` returns the first and
+    approximate second derivative ``(d1, d2)`` along the parameter.  The
+    Newton step is taken only when ``d2`` is negative (a maximum); otherwise
+    a small gradient step of magnitude ``0.1 * step_cap`` in the ascent
+    direction is used (a fallback).  Steps are clipped to ``step_cap``,
+    scaled by ``cfg.damping`` and mapped back into the admissible region by
+    ``project``.  Convergence is declared when the max-norm change of the
+    weights between consecutive iterations falls to ``cfg.tol_w`` or below.
+
+    Returns ``(state, visited, iterations, converged, fallbacks)``, where
+    ``visited`` lists the parameter values from the start to ``state``.
+    """
+    param = start
+    state = build(param)
+    visited = [param]
+    converged = False
+    fallbacks = 0
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        d1, d2 = derivatives(state)
+        if not (np.isfinite(d1) and np.isfinite(d2)):
+            raise Diverged(f"non-finite derivatives at parameter {param}")
+        if d2 < 0.0:
+            delta = -d1 / d2
+        else:
+            # wrong curvature (c1 >= 0 mid-iteration): safeguarded ascent step
+            delta = np.sign(d1) * 0.1 * step_cap
+            fallbacks += 1
+        delta = float(np.clip(delta, -step_cap, step_cap)) * cfg.damping
+        param = project(param + delta)
+        new_state = build(param)
+        dw = float(np.max(np.abs(new_state.w - state.w)))
+        state = new_state
+        visited.append(param)
+        if dw <= cfg.tol_w:
+            converged = True
+            break
+    return state, visited, iterations, converged, fallbacks
+
+
+def _runaway_guard(lambda_ini: float, lam: float) -> float:
+    """Reject a non-periodic iterate more than ``2 pi^2`` from the start."""
+    if abs(lam - lambda_ini) > _RUNAWAY_SPAN:
+        raise Diverged(f"lam={lam} left the admissible region around lambda_ini")
+    return lam
 
 
 def run(
@@ -202,86 +268,32 @@ def run(
 ) -> CaponResult:
     """Safeguarded Newton iteration over ``lam``.
 
-    Each iteration: rebuild ``a(lam)``, ``w(lam)``, ``s`` and the sample
-    statistics, evaluate the first derivative and the approximate second
-    derivative, then update ``lam``.  The Newton step is taken only when the
-    second derivative is negative (a maximum); otherwise a small gradient
-    step of magnitude ``0.1 * step_cap`` in the ascent direction is used.
-    Steps are clipped to ``step_cap`` and scaled by ``damping``.  For
-    integer steering weights ``lam`` is wrapped into (-pi, pi] after every
-    update; for non-periodic weights the iterate must stay within
-    ``2 pi^2`` of the start or :class:`Diverged` is raised.
-
-    Convergence is declared when the max-norm change of ``w`` between
-    consecutive iterations falls to ``tol_w`` or below.
+    Each iteration rebuilds ``a(lam)``, ``w(lam)``, ``s`` and the sample
+    statistics with :func:`core.extraction_state`, evaluates the first
+    derivative and the approximate second derivative, then updates ``lam``
+    (see :func:`_safeguarded_newton` for the step rule and the stopping
+    test).  For integer steering weights ``lam`` is wrapped into (-pi, pi]
+    after every update; for non-periodic weights the iterate must stay
+    within ``2 pi^2`` of the start or :class:`Diverged` is raised.  With
+    ``keep_trace`` the profile contrast of every visited ``lam`` is
+    returned as ``contrast_trace``.
     """
     c_x = sample_covariance(x)
     factor = covariance_factor(c_x)
-    data = x.data
-    v = model.v
-    periodic = model.is_integer
-
-    def build(lam):
-        a = steering(model, lam)
-        w, _ = core.mpdr_weights(None, a, factor=factor)
-        s = w.conj() @ data
-        stats = core.soi_statistics(s, phi)
-        return ExtractionState(lam=float(lam), a=a, w=w, s=s, stats=stats, model=model)
-
-    def derivatives(st):
-        sigma2 = st.stats.sigma2
-        av = st.a * v
-        ci_av = scipy.linalg.cho_solve(factor, av)
-        a_w = (c_x @ st.w) / sigma2
-        u = st.s / np.sqrt(sigma2)
-        score_mean = (data * phi.phi(u)).mean(axis=1) / np.sqrt(sigma2)
-        gw = a_w - score_mean / st.stats.nu
-        d1 = -2.0 * sigma2 * np.imag(np.vdot(gw, ci_av))
-        c1, _, _ = c_constants(st.stats)
-        # solve-consistent sigma^2 in the bracket keeps it >= 0 exactly
-        sigma2_solve = 1.0 / np.real(np.vdot(st.a, scipy.linalg.cho_solve(factor, st.a)))
-        bracket = (
-            sigma2_solve * np.real(np.vdot(av, ci_av)) - np.abs(np.vdot(st.w, av)) ** 2
-        )
-        d2 = 2.0 * c1 * sigma2 * bracket
-        return float(d1), float(d2)
-
-    lam = wrap_angle(cfg.lambda_ini) if periodic else float(cfg.lambda_ini)
-    state = build(lam)
-    trace = []
-    converged = False
-    fallbacks = 0
-    iterations = 0
-
-    for iterations in range(1, cfg.max_iters + 1):
-        if keep_trace:
-            trace.append(contrast(x, state.lam, phi, model))
-        d1, d2 = derivatives(state)
-        if not (np.isfinite(d1) and np.isfinite(d2)):
-            raise Diverged(f"non-finite derivatives at lam={state.lam}")
-        if d2 < 0.0:
-            delta = -d1 / d2
-        else:
-            # wrong curvature (c1 >= 0 mid-iteration): safeguarded ascent step
-            delta = np.sign(d1) * 0.1 * cfg.step_cap
-            fallbacks += 1
-        delta = float(np.clip(delta, -cfg.step_cap, cfg.step_cap)) * cfg.damping
-        lam_new = state.lam + delta
-        if periodic:
-            lam_new = wrap_angle(lam_new)
-        elif abs(lam_new - cfg.lambda_ini) > _RUNAWAY_SPAN:
-            raise Diverged(
-                f"lam={lam_new} left the admissible region around lambda_ini"
-            )
-        new_state = build(lam_new)
-        dw = float(np.max(np.abs(new_state.w - state.w)))
-        state = new_state
-        if dw <= cfg.tol_w:
-            converged = True
-            break
-
-    if keep_trace:
-        trace.append(contrast(x, state.lam, phi, model))
+    if model.is_integer:
+        start, project = wrap_angle(cfg.lambda_ini), wrap_angle
+    else:
+        start = float(cfg.lambda_ini)
+        project = functools.partial(_runaway_guard, cfg.lambda_ini)
+    state, visited, iterations, converged, fallbacks = _safeguarded_newton(
+        start,
+        functools.partial(core.extraction_state, x, model, phi=phi, factor=factor),
+        lambda st: _derivatives(x, st, phi, c_x, factor)[1:],
+        cfg.step_cap,
+        project,
+        cfg,
+    )
+    trace = [contrast(x, lam, phi, model) for lam in visited] if keep_trace else []
     return CaponResult(
         state=state,
         iterations=iterations,

@@ -16,13 +16,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.io.wavfile
-import scipy.linalg
 import scipy.optimize
 import scipy.signal
 
-from .capon_ice import CaponConfig
-from .core import COVARIANCE_EPS
-from .errors import Diverged, SingularCovariance, SpatialAliasWarning
+from .capon_ice import CaponConfig, _mpdr_derivatives, _safeguarded_newton
+from .core import (
+    COVARIANCE_EPS,
+    SnapshotMatrix,
+    covariance_factor,
+    mpdr_weights,
+    sample_covariance,
+)
+from .errors import SingularCovariance, SpatialAliasWarning
 
 SIR_CAP_DB = 150.0
 
@@ -181,6 +186,7 @@ class IveResult:
     included_bins: np.ndarray
     alias_bins: np.ndarray
     flagged_bins: np.ndarray            # bins whose covariance needed extra care
+    gradient_fallbacks: int             # Newton steps taken as ascent steps
 
 
 def _included_bins(tensor: StftTensor, fmin_hz: float, exclude_nyquist: bool) -> np.ndarray:
@@ -189,112 +195,6 @@ def _included_bins(tensor: StftTensor, fmin_hz: float, exclude_nyquist: bool) ->
     if exclude_nyquist:
         mask[-1] = False
     return np.flatnonzero(mask)
-
-
-class _BinContext:
-    """Per-bin covariance factors and derivative machinery shared by
-    :func:`run_ive` and :func:`derivatives_at`."""
-
-    def __init__(self, tensor, geom, fmin_hz, exclude_nyquist, bins=None):
-        if geom.d != tensor.n_channels:
-            raise ValueError("geometry channel count does not match the tensor")
-        if bins is None:
-            bins = _included_bins(tensor, fmin_hz, exclude_nyquist)
-        bins = np.asarray(bins, dtype=int)
-        if bins.size == 0:
-            raise ValueError("no frequency bins left after exclusions")
-        self.tensor = tensor
-        self.geom = geom
-        self.v = np.arange(geom.d, dtype=float)
-        self.omegas_all = 2.0 * np.pi * tensor.bin_frequencies()
-        frames = tensor.n_frames
-
-        factors, flagged, usable = {}, [], []
-        for k in bins:
-            xk = tensor.data[k]
-            ck = xk @ xk.conj().T / frames
-            ck = 0.5 * (ck + ck.conj().T)
-            eps = COVARIANCE_EPS
-            fac = None
-            while fac is None:
-                try:
-                    fac = scipy.linalg.cho_factor(
-                        ck + (eps * np.real(np.trace(ck)) / geom.d + 1e-300)
-                        * np.eye(geom.d),
-                        lower=True,
-                    )
-                except scipy.linalg.LinAlgError:
-                    eps *= 1e3
-                    if eps > 1e-1:
-                        break
-            if fac is None:
-                flagged.append(int(k))
-                continue
-            if eps != COVARIANCE_EPS:
-                flagged.append(int(k))
-            factors[int(k)] = fac
-            usable.append(int(k))
-        self.bins = np.asarray(usable, dtype=int)
-        if self.bins.size == 0:
-            raise SingularCovariance("every included bin has a singular covariance")
-        self.factors = factors
-        self.flagged = np.asarray(flagged, dtype=int)
-        self.omegas = self.omegas_all[self.bins]
-
-    def states(self, tau: float):
-        """Steering, weights, source samples and powers for all bins."""
-        frames = self.tensor.n_frames
-        a = np.exp(1j * np.outer(self.omegas * tau, self.v))      # (B, d)
-        w = np.empty_like(a)
-        s = np.empty((self.bins.size, frames), dtype=complex)
-        sig2 = np.empty(self.bins.size)
-        sig2_solve = np.empty(self.bins.size)
-        for i, k in enumerate(self.bins):
-            ci_a = scipy.linalg.cho_solve(self.factors[k], a[i])
-            denom = np.real(np.vdot(a[i], ci_a))
-            w[i] = ci_a / denom
-            s[i] = w[i].conj() @ self.tensor.data[k]
-            sig2[i] = np.mean(np.abs(s[i]) ** 2)
-            sig2_solve[i] = 1.0 / denom
-        return a, w, s, sig2, sig2_solve
-
-    def derivatives(self, a, w, s, sig2, sig2_solve):
-        """Per-bin first/second derivatives with the joint nonlinearity."""
-        frames = self.tensor.n_frames
-        u = s / np.sqrt(sig2)[:, None]
-        s_tot = 1.0 + np.sum(np.abs(u) ** 2, axis=0)              # (frames,)
-        phi = np.conj(u) / s_tot
-        nu = np.real(np.mean(phi * u, axis=1))                    # (B,)
-        rho = np.real(np.mean((s_tot - np.abs(u) ** 2) / s_tot ** 2, axis=1))
-        d1 = np.empty(self.bins.size)
-        d2 = np.empty(self.bins.size)
-        for i, k in enumerate(self.bins):
-            av = a[i] * self.v
-            ci_av = scipy.linalg.cho_solve(self.factors[k], av)
-            xk = self.tensor.data[k]
-            a_w = (xk @ (xk.conj().T @ w[i])) / frames / sig2[i]
-            score_mean = (xk * phi[i]).mean(axis=1) / np.sqrt(sig2[i])
-            gw = a_w - score_mean / nu[i]
-            d1[i] = -2.0 * sig2[i] * np.imag(np.vdot(gw, ci_av))
-            c1 = (nu[i] - rho[i]) / (nu[i] * sig2[i])
-            # solve-consistent sigma^2 keeps the bracket >= 0 exactly
-            bracket = (
-                sig2_solve[i] * np.real(np.vdot(av, ci_av))
-                - np.abs(np.vdot(w[i], av)) ** 2
-            )
-            d2[i] = 2.0 * c1 * sig2[i] * bracket
-        return d1, d2, nu
-
-    def joint_log_pdf_term(self, tau: float) -> float:
-        """Sample mean of the joint model log-pdf ``-log(1 + sum_k |u_k|^2)``.
-
-        Exact relation used by tests: its derivative with respect to the
-        k-th bin phase equals ``nu_k`` times that bin's first derivative,
-        so d/dtau = sum_k omega_k nu_k d1_k.
-        """
-        _, _, s, sig2, _ = self.states(tau)
-        u = s / np.sqrt(sig2)[:, None]
-        return float(np.mean(-np.log1p(np.sum(np.abs(u) ** 2, axis=0))))
 
 
 @dataclass(frozen=True)
@@ -308,6 +208,104 @@ class BinDerivatives:
     nus: np.ndarray
     omegas: np.ndarray
     bins: np.ndarray
+
+
+@dataclass(frozen=True)
+class _BinStates:
+    """Steering vectors, weights, source samples and powers of all bins;
+    ``sig2_solve`` holds the ``1 / (a^H C^-1 a)`` of each MPDR solve."""
+
+    a: np.ndarray           # (B, d)
+    w: np.ndarray           # (B, d)
+    s: np.ndarray           # (B, n_frames)
+    sig2: np.ndarray        # (B,)
+    sig2_solve: np.ndarray  # (B,)
+
+
+class _BinContext:
+    """The included bins of a tensor, each one MPDR problem whose sample
+    covariance and loaded Cholesky factor are computed once; shared by
+    :func:`run_ive` and :func:`derivatives_at`."""
+
+    def __init__(self, tensor, geom, fmin_hz, exclude_nyquist, bins=None):
+        if geom.d != tensor.n_channels:
+            raise ValueError("geometry channel count does not match the tensor")
+        if bins is None:
+            bins = _included_bins(tensor, fmin_hz, exclude_nyquist)
+        bins = np.asarray(bins, dtype=int)
+        if bins.size == 0:
+            raise ValueError("no frequency bins left after exclusions")
+        self.v = np.arange(geom.d, dtype=float)
+        self.omegas_all = 2.0 * np.pi * tensor.bin_frequencies()
+
+        self.problems, usable, flagged = [], [], []
+        for k in bins:
+            xk = tensor.data[k]
+            ck = sample_covariance(SnapshotMatrix(xk))
+            eps, fac = COVARIANCE_EPS, None
+            while fac is None and eps <= 1e-1:
+                try:
+                    fac = covariance_factor(ck, eps)
+                except SingularCovariance:
+                    eps *= 1e3
+            if fac is None or eps != COVARIANCE_EPS:
+                flagged.append(int(k))
+            if fac is None:
+                continue
+            self.problems.append((xk, ck, fac))
+            usable.append(int(k))
+        self.bins = np.asarray(usable, dtype=int)
+        if self.bins.size == 0:
+            raise SingularCovariance("every included bin has a singular covariance")
+        self.flagged = np.asarray(flagged, dtype=int)
+        self.omegas = self.omegas_all[self.bins]
+        self.n_frames = tensor.n_frames
+
+    def states(self, tau: float) -> _BinStates:
+        """MPDR weights, source samples and powers of all bins at ``tau``."""
+        a = np.exp(1j * np.outer(self.omegas * tau, self.v))
+        w = np.empty_like(a)
+        s = np.empty((self.bins.size, self.n_frames), dtype=complex)
+        sig2_solve = np.empty(self.bins.size)
+        for i, (xk, _, fac) in enumerate(self.problems):
+            w[i], sig2_solve[i] = mpdr_weights(None, a[i], factor=fac)
+            s[i] = w[i].conj() @ xk
+        return _BinStates(a, w, s, np.mean(np.abs(s) ** 2, axis=1), sig2_solve)
+
+    def derivatives(self, st: _BinStates) -> BinDerivatives:
+        """Per-bin and joint derivatives with the joint nonlinearity
+
+            phi_k(u) = conj(u_k) / (1 + sum_k |u_k|^2)
+
+        whose normalizer ``nu_k`` and ``rho_k`` replace the per-bin ones.
+        """
+        u = st.s / np.sqrt(st.sig2)[:, None]
+        s_tot = 1.0 + np.sum(np.abs(u) ** 2, axis=0)              # (frames,)
+        phi = np.conj(u) / s_tot
+        nu = np.real(np.mean(phi * u, axis=1))                    # (B,)
+        rho = np.real(np.mean((s_tot - np.abs(u) ** 2) / s_tot ** 2, axis=1))
+        c1 = (nu - rho) / (nu * st.sig2)
+        d1 = np.empty(self.bins.size)
+        d2 = np.empty(self.bins.size)
+        for i, (xk, ck, fac) in enumerate(self.problems):
+            _, d1[i], d2[i] = _mpdr_derivatives(
+                xk, ck, fac, st.a[i], self.v, st.w[i], phi[i],
+                st.sig2[i], st.sig2_solve[i], nu[i], c1[i],
+            )
+        return BinDerivatives(
+            d1_tau=float(np.mean(self.omegas * d1)),
+            d2_tau=float(np.mean(self.omegas ** 2 * d2)),
+            per_bin_first=d1,
+            per_bin_second=d2,
+            nus=nu,
+            omegas=self.omegas,
+            bins=self.bins,
+        )
+
+    def joint_derivatives(self, st: _BinStates):
+        """``(d1, d2)`` along ``tau``, as the Newton search takes them."""
+        der = self.derivatives(st)
+        return der.d1_tau, der.d2_tau
 
 
 def derivatives_at(
@@ -324,17 +322,7 @@ def derivatives_at(
     with chain-rule factors ``omega_k`` and ``omega_k^2``.
     """
     ctx = _BinContext(tensor, geom, fmin_hz, exclude_nyquist, bins)
-    a, w, s, sig2, sig2_solve = ctx.states(tau_s)
-    d1, d2, nu = ctx.derivatives(a, w, s, sig2, sig2_solve)
-    return BinDerivatives(
-        d1_tau=float(np.mean(ctx.omegas * d1)),
-        d2_tau=float(np.mean(ctx.omegas ** 2 * d2)),
-        per_bin_first=d1,
-        per_bin_second=d2,
-        nus=nu,
-        omegas=ctx.omegas,
-        bins=ctx.bins,
-    )
+    return ctx.derivatives(ctx.states(tau_s))
 
 
 def run_ive(
@@ -355,40 +343,24 @@ def run_ive(
 
     couples the bins.  The delay update averages the per-bin first and
     second derivatives with chain-rule factors ``omega_k`` and
-    ``omega_k^2``; steps are capped so the top included bin moves at most
-    ``step_cap`` radians, and the delay stays in the physical range
-    ``|tau| <= spacing/c``.  Convergence is the max-norm change of the
-    weights across all bins.  Bins below ``fmin_hz`` and the Nyquist bin
-    are excluded by default; pass ``bins`` to override.
+    ``omega_k^2`` and follows the narrowband step rule
+    (:func:`capon_ice._safeguarded_newton`); steps are capped so the top
+    included bin moves at most ``step_cap`` radians, and the delay stays in
+    the physical range ``|tau| <= spacing/c``.  Convergence is the max-norm
+    change of the weights across all bins.  Bins below ``fmin_hz`` and the
+    Nyquist bin are excluded by default; pass ``bins`` to override.
     """
     ctx = _BinContext(tensor, geom, fmin_hz, exclude_nyquist, bins)
     tau_max = geom.spacing_m / geom.c
-    step_cap_tau = cfg.step_cap / float(np.max(ctx.omegas))
-
-    tau = float(np.clip(theta_to_tau(geom, cfg.lambda_ini), -tau_max, tau_max))
-    a, w, s, sig2, sig2_solve = ctx.states(tau)
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        d1_b, d2_b, _ = ctx.derivatives(a, w, s, sig2, sig2_solve)
-        d1 = float(np.mean(ctx.omegas * d1_b))
-        d2 = float(np.mean(ctx.omegas ** 2 * d2_b))
-        if not (np.isfinite(d1) and np.isfinite(d2)):
-            raise Diverged(f"non-finite derivatives at tau={tau}")
-        if d2 < 0.0:
-            delta = -d1 / d2
-        else:
-            delta = np.sign(d1) * 0.1 * step_cap_tau
-        delta = float(np.clip(delta, -step_cap_tau, step_cap_tau)) * cfg.damping
-        tau_new = float(np.clip(tau + delta, -tau_max, tau_max))
-        a_new, w_new, s_new, sig2_new, sig2_solve_new = ctx.states(tau_new)
-        dw = float(np.max(np.abs(w_new - w)))
-        tau, a, w, s, sig2, sig2_solve = (
-            tau_new, a_new, w_new, s_new, sig2_new, sig2_solve_new)
-        if dw <= cfg.tol_w:
-            converged = True
-            break
-
+    _, visited, iterations, converged, fallbacks = _safeguarded_newton(
+        float(np.clip(theta_to_tau(geom, cfg.lambda_ini), -tau_max, tau_max)),
+        ctx.states,
+        ctx.joint_derivatives,
+        cfg.step_cap / float(np.max(ctx.omegas)),
+        lambda tau: float(np.clip(tau, -tau_max, tau_max)),
+        cfg,
+    )
+    tau = visited[-1]
     weights, extracted = beamform_at(tensor, geom, tau_to_theta(geom, tau))
     alias = np.flatnonzero(np.abs(ctx.omegas_all * tau) > np.pi)
     return IveResult(
@@ -401,6 +373,7 @@ def run_ive(
         included_bins=ctx.bins,
         alias_bins=alias,
         flagged_bins=ctx.flagged,
+        gradient_fallbacks=fallbacks,
     )
 
 
@@ -421,8 +394,8 @@ def beamform_at(
     parameter search: a broadband source spreads over each STFT bin, so the
     bin-center steering vector is slightly mismatched and an unloaded MPDR
     would partially cancel the target (superdirective self-nulling).  Bins
-    whose covariance cannot be factorized fall back to passing channel 0
-    through unchanged.
+    whose MPDR problem is singular fall back to passing channel 0 through
+    unchanged.
     """
     k_all, d, frames = tensor.data.shape
     if geom.d != d:
@@ -434,22 +407,14 @@ def beamform_at(
     extracted = np.zeros((k_all, frames), dtype=complex)
     for k in range(k_all):
         xk = tensor.data[k]
-        ck = xk @ xk.conj().T / frames
-        ck = 0.5 * (ck + ck.conj().T)
         try:
-            fac = scipy.linalg.cho_factor(
-                ck + (loading * np.real(np.trace(ck)) / d + 1e-300) * np.eye(d),
-                lower=True,
-            )
-        except scipy.linalg.LinAlgError:
+            fac = covariance_factor(sample_covariance(SnapshotMatrix(xk)), loading)
+            weights[k], _ = mpdr_weights(None, np.exp(1j * omegas[k] * tau * v), factor=fac)
+        except SingularCovariance:
             weights[k, 0] = 1.0
             extracted[k] = xk[0]
             continue
-        ak = np.exp(1j * omegas[k] * tau * v)
-        ci_a = scipy.linalg.cho_solve(fac, ak)
-        wk_vec = ci_a / np.real(np.vdot(ak, ci_a))
-        weights[k] = wk_vec
-        extracted[k] = wk_vec.conj() @ xk
+        extracted[k] = weights[k].conj() @ xk
     return weights, extracted
 
 

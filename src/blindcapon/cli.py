@@ -23,13 +23,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy
 
+from . import __version__
 from . import bounds as bounds_mod
 from . import capon_ive, monte_carlo
 from .capon_ice import CaponConfig
 from .core import complex_laplacean, laplacean_score
 from .errors import BlindCaponError, DomainError
-
-__version__ = "0.1.0"
 
 
 @dataclass
@@ -72,7 +71,7 @@ def _write_json(payload: dict, path):
 def _write_manifest(command, args_ns, seed, outputs, t0, out_dir):
     manifest = RunManifest(
         command=command,
-        argv=sys.argv[1:],
+        argv=args_ns.argv,
         master_seed=seed,
         versions=_versions(),
         outputs=[str(p) for p in outputs],
@@ -181,6 +180,7 @@ def cmd_extract(args) -> int:
             theta_hat_deg=result.theta_deg,
             iterations=result.iterations,
             converged=result.converged,
+            gradient_fallbacks=result.gradient_fallbacks,
             per_bin_flags={
                 "included": [int(k) for k in result.included_bins],
                 "aliased": [int(k) for k in result.alias_bins],
@@ -308,9 +308,9 @@ def _join_dash_values(argv):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_dash_values(list(argv)))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(_join_dash_values(argv))
+    args.argv = argv
     if args.command == "bounds" and args.kappa_bar is None and args.estimate_kappa is None:
         parser.error("bounds needs --kappa-bar or --estimate-kappa")
     try:

@@ -194,13 +194,6 @@ def laplacean_score(s: np.ndarray) -> np.ndarray:
     return np.sign(np.real(s)) - 1j * np.sign(np.imag(s))
 
 
-def gaussian_score_fn(sigma2: float = 1.0):
-    """True score of a circular Gaussian with variance ``sigma2``."""
-    def score(s):
-        return np.conj(s) / sigma2
-    return score
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -319,10 +312,7 @@ def blocking_matrix(a: np.ndarray) -> np.ndarray:
 
 def background_covariance(x: SnapshotMatrix, a: np.ndarray) -> np.ndarray:
     """Sample covariance of the background signals ``z = B x``."""
-    b = blocking_matrix(a)
-    z = b @ x.data
-    c = z @ z.conj().T / x.N
-    return 0.5 * (c + c.conj().T)
+    return sample_covariance(SnapshotMatrix(blocking_matrix(a) @ x.data))
 
 
 def extraction_state(

@@ -29,10 +29,6 @@ class RankDeficient(BlindCaponError):
     """Subspace method cannot proceed because of a rank deficiency."""
 
 
-class NotConverged(BlindCaponError):
-    """Iterative method exhausted its iteration budget."""
-
-
 class Diverged(BlindCaponError):
     """Iterate left the admissible parameter region."""
 

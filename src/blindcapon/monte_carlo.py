@@ -123,11 +123,6 @@ def output_sir(
     return float(np.clip(10.0 * np.log10(soi / interference), -SIR_CAP_DB, SIR_CAP_DB))
 
 
-def output_isr(w: np.ndarray, a: np.ndarray, powers: np.ndarray, soi_index: int = 0) -> float:
-    """Linear interference-to-signal ratio of the beamformer output."""
-    return 10.0 ** (-output_sir(w, a, powers, soi_index) / 10.0)
-
-
 def measured_isir_db(spec: MixtureSpec) -> float:
     """Channel-averaged input SIR of the actually generated data."""
     _, a, powers = generate_mixture(spec)

@@ -4,7 +4,7 @@ SRP-PHAT on the anechoic two-source fixture."""
 import numpy as np
 import pytest
 
-from blindcapon import capon_ive, core
+from blindcapon import capon_ice, capon_ive, core
 from blindcapon.capon_ice import CaponConfig
 from blindcapon.errors import SpatialAliasWarning
 
@@ -147,6 +147,23 @@ def test_tau_chain_rule_matches_fd(small_tensor):
     assert abs(fd - analytic) < 1e-4 * max(abs(analytic), 1e-9)
 
 
+def test_one_bin_is_the_narrowband_problem(small_tensor):
+    # a single bin under the joint nonlinearity is narrowband CaponICE at
+    # lam = omega_k tau with the rational nonlinearity
+    tensor, geom = small_tensor
+    tau = capon_ive.theta_to_tau(geom, 80.0)
+    omegas = 2 * np.pi * tensor.bin_frequencies()
+    phi = core.rational_nonlinearity()
+    for k in (20, 40, 60, 80):
+        der = capon_ive.derivatives_at(tensor, geom, tau, bins=[k])
+        x = core.SnapshotMatrix(tensor.data[k])
+        state = core.extraction_state(x, core.ula(geom.d), omegas[k] * tau, phi)
+        d1 = capon_ice.first_derivative(x, state, phi)
+        d2 = capon_ice.second_derivative_approx(x, state, phi)
+        assert abs(der.per_bin_first[0] - d1) <= 1e-9 * abs(d1)
+        assert abs(der.per_bin_second[0] - d2) <= 1e-9 * abs(d2)
+
+
 def test_bin_order_invariance(small_tensor):
     tensor, geom = small_tensor
     bins = np.arange(10, 90)
@@ -167,6 +184,7 @@ def test_run_ive_recovers_both_speakers(broadband_fixture):
         cfg = CaponConfig(lambda_ini=theta_true + 5.0)
         res = capon_ive.run_ive(tensor, geom, cfg)
         assert res.converged
+        assert res.gradient_fallbacks == 0
         assert abs(res.theta_deg - theta_true) < 0.5
 
 

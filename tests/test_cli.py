@@ -113,6 +113,15 @@ def test_bounds_estimate_kappa(capsys, tmp_path):
     assert (tmp_path / "bounds.manifest.json").exists()
 
 
+def test_manifest_records_argv_passed_to_main(tmp_path):
+    args = [
+        "bounds", "--kappa-bar", "2", "--d", "5", "--n", "500",
+        "--out", str(tmp_path / "bounds.json"),
+    ]
+    assert cli.main(args) == 0
+    assert read_json(tmp_path / "bounds.manifest.json")["argv"] == args
+
+
 def test_bounds_requires_kappa_source():
     with pytest.raises(SystemExit):
         cli.main(["bounds", "--d", "5", "--n", "500"])
