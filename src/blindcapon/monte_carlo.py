@@ -10,14 +10,14 @@ trial see identical data and an identical initialization.
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import baselines, bounds, capon_ice, core
-from .core import SnapshotMatrix, complex_gaussian, complex_laplacean, laplacean_score
+from .core import SnapshotMatrix, complex_gaussian, complex_laplacean
+from .errors import BlindCaponError
 
 SUCCESS_SIR_DB = 3.0
 SIR_CAP_DB = 150.0
@@ -29,6 +29,8 @@ CSV_HEADER = (
 KNOWN_METHODS = ("caponice", "fastica", "musicmpdr", "espritmpdr", "ini")
 # number of plane-wave sources in the mixture model (SOI + structured competitor)
 STRUCTURED_SOURCES = 2
+# source laws a mixture can draw from, with their exact kappa_bar
+SOURCE_LAWS = {"laplacean": 2.0, "gaussian": 1.0}
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class MixtureSpec:
             raise ValueError("competitor construction needs d >= 3")
         if not math.isfinite(self.isir_db):
             raise ValueError("isir_db must be finite")
-        if self.source_law not in ("laplacean", "gaussian"):
+        if self.source_law not in SOURCE_LAWS:
             raise ValueError(f"unknown source law {self.source_law!r}")
 
 
@@ -68,16 +70,18 @@ class TrialRecord:
     converged: bool = True
 
 
-def _source_sampler(law: str):
-    return complex_laplacean if law == "laplacean" else complex_gaussian
+def _draw(spec: MixtureSpec):
+    """The draw order of ``spec.seed``: the ``d x d`` mixing phases in
+    [0, 1), then the unit-variance ``d x N`` sources of the spec's law."""
+    rng = np.random.default_rng(spec.seed)
+    phases = rng.random((spec.d, spec.d))
+    sample = complex_laplacean if spec.source_law == "laplacean" else complex_gaussian
+    return phases, np.vstack([sample(rng, spec.N) for _ in range(spec.d)])
 
 
 def draw_sources(spec: MixtureSpec) -> np.ndarray:
     """Unit-variance source matrix ``d x N`` for the spec's seed and law."""
-    rng = np.random.default_rng(spec.seed)
-    rng.random((spec.d, spec.d))  # consume the mixing-matrix draw
-    sample = _source_sampler(spec.source_law)
-    return np.vstack([sample(rng, spec.N) for _ in range(spec.d)])
+    return _draw(spec)[1]
 
 
 def source_powers(spec: MixtureSpec) -> np.ndarray:
@@ -94,13 +98,11 @@ def generate_mixture(spec: MixtureSpec):
     Channel-wise input SIR equals ``spec.isir_db`` exactly in expectation
     because all mixing entries have unit modulus.
     """
-    rng = np.random.default_rng(spec.seed)
+    phases, u = _draw(spec)
     model = core.ula(spec.d)
-    a = np.exp(2j * np.pi * rng.random((spec.d, spec.d)))
+    a = np.exp(2j * np.pi * phases)
     a[:, 0] = core.steering(model, spec.lambda_star)
     a[:, 1] = core.steering(model, spec.lambda_competitor)
-    sample = _source_sampler(spec.source_law)
-    u = np.vstack([sample(rng, spec.N) for _ in range(spec.d)])
     powers = source_powers(spec)
     x = a @ (np.sqrt(powers)[:, None] * u)
     return SnapshotMatrix(x), a, powers
@@ -146,7 +148,7 @@ def trial_seed_sequence(master_seed: int, grid_index: int, trial_index: int):
     return seed, ini_ss
 
 
-def _run_method(method, x, a, powers, model, phi, lam_star, lam_ini):
+def _run_method(method, x, model, phi, lam_ini):
     """Execute one method; returns (lambda_hat, w, iterations, converged)."""
     if method == "caponice":
         cfg = capon_ice.CaponConfig(lambda_ini=lam_ini)
@@ -180,7 +182,11 @@ def run_trial(
     ini_seed,
     ini_radius: float = 0.1,
 ):
-    """Run all methods on one mixture; failures are recorded, never raised."""
+    """Run all methods on one mixture.
+
+    A method that raises a package error or a linear-algebra error is
+    recorded as a failed row (lambda_hat nan, -150 dB, not converged); any
+    other exception is a bug and propagates."""
     x, a, powers = generate_mixture(spec)
     model = core.ula(spec.d)
     phi = core.rational_nonlinearity()
@@ -190,11 +196,9 @@ def run_trial(
     for method in methods:
         t0 = time.perf_counter()
         try:
-            lam_hat, w, iters, conv = _run_method(
-                method, x, a, powers, model, phi, spec.lambda_star, lam_ini
-            )
+            lam_hat, w, iters, conv = _run_method(method, x, model, phi, lam_ini)
             sir = output_sir(w, a, powers)
-        except Exception:
+        except (BlindCaponError, np.linalg.LinAlgError):
             lam_hat, sir, iters, conv = float("nan"), -SIR_CAP_DB, 0, False
         runtime = time.perf_counter() - t0
         records.append(
@@ -222,13 +226,12 @@ def run_sweep(
     trials: int,
     master_seed: int = 0,
     ini_radius: float = 0.1,
-    threads: int = 1,
 ):
     """Sweep ``grid_param`` (``lambda_star`` or ``isir_db``) over
     ``grid_values``; every grid point runs ``trials`` independent mixtures.
 
-    Returns records sorted by (grid index, trial, method) regardless of the
-    execution order, so output is deterministic for any thread count.
+    Runs serially and returns the records in (grid index, trial, method)
+    order; the same arguments give the same records.
     """
     if grid_param not in ("lambda_star", "isir_db"):
         raise ValueError(f"unknown grid parameter {grid_param!r}")
@@ -238,38 +241,13 @@ def run_sweep(
     if not methods:
         return []
 
-    tasks = []
+    records = []
     for gi, gv in enumerate(grid_values):
         for ti in range(trials):
             seed, ini_ss = trial_seed_sequence(master_seed, gi, ti)
-            spec = MixtureSpec(
-                d=base.d,
-                N=base.N,
-                lambda_star=float(gv) if grid_param == "lambda_star" else base.lambda_star,
-                isir_db=float(gv) if grid_param == "isir_db" else base.isir_db,
-                lambda_competitor=base.lambda_competitor,
-                source_law=base.source_law,
-                seed=seed,
-            )
-            tasks.append((gi, ti, gv, spec, ini_ss))
-
-    def execute(task):
-        gi, ti, gv, spec, ini_ss = task
-        return gi, run_trial(spec, methods, float(gv), ti, ini_ss, ini_radius)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(execute, tasks))
-    else:
-        results = [execute(t) for t in tasks]
-
-    flat = []
-    method_order = {m: i for i, m in enumerate(methods)}
-    for gi, recs in results:
-        for r in recs:
-            flat.append((gi, r.trial, method_order[r.method], r))
-    flat.sort(key=lambda item: item[:3])
-    return [item[3] for item in flat]
+            spec = replace(base, seed=seed, **{grid_param: float(gv)})
+            records.extend(run_trial(spec, methods, float(gv), ti, ini_ss, ini_radius))
+    return records
 
 
 def _fmt(value) -> str:
@@ -303,25 +281,13 @@ def write_csv(records: Iterable[TrialRecord], path):
             )
 
 
-def generator_kappa_bar(n: int = 1_000_000, seed: int = 12345):
-    """Empirical kappa_bar of the Laplacean source generator (exact value 2)."""
-    samples = complex_laplacean(np.random.default_rng(seed), n)
-    value = bounds.empirical_kappa_bar(samples, laplacean_score)
-    stderr = bounds.empirical_kappa_bar_stderr(samples, laplacean_score)
-    return value, stderr
-
-
-def aggregate(records: Sequence[TrialRecord], d: int, N: int, kappa_bar: Optional[float] = None):
+def aggregate(records: Sequence[TrialRecord], d: int, N: int, kappa_bar: float):
     """Per (grid point, method) success rate and mean successful-trial SIR,
-    with the reference bounds attached.
+    with the reference bounds for ``kappa_bar`` attached.
 
-    ``kappa_bar`` defaults to the empirical value of the Laplacean
-    generator; the exact value for that law is 2.
+    ``kappa_bar`` is the exact value of the source law
+    (:data:`SOURCE_LAWS`); at 1 the bounds are null (not identifiable).
     """
-    if kappa_bar is None:
-        kappa_bar, kb_stderr = generator_kappa_bar()
-    else:
-        kb_stderr = 0.0
     report = bounds.crib_report(kappa_bar, d, N)
     by_point = {}
     for r in records:
@@ -347,7 +313,7 @@ def aggregate(records: Sequence[TrialRecord], d: int, N: int, kappa_bar: Optiona
         "d": d,
         "N": N,
         "kappa_bar": kappa_bar,
-        "kappa_bar_stderr": kb_stderr,
+        "kappa_bar_stderr": 0.0,
         "crib_ice": report.crib_ice,
         "crib_capon": report.crib_capon,
         "crib_ice_db": report.crib_ice_db,

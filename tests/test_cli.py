@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from blindcapon import cli
+from blindcapon import bounds, cli
 
 
 def read_csv(path):
@@ -38,6 +38,9 @@ def test_simulate_row_count_and_manifest(tmp_path):
     agg = read_json(tmp_path / "sweep.json")
     assert agg["grid_param"] == "lambda_star"
     assert agg["crib_capon"] < agg["crib_ice"]
+    assert agg["kappa_bar"] == 2
+    assert agg["kappa_bar_stderr"] == 0
+    assert agg["crib_capon"] == bounds.crib_report(2, 5, 200).crib_capon
     manifest = read_json(tmp_path / "simulate.manifest.json")
     assert manifest["master_seed"] == 7
     assert len(manifest["outputs"]) == 2
@@ -47,11 +50,26 @@ def test_simulate_row_count_and_manifest(tmp_path):
 def test_simulate_deterministic_modulo_runtime(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(simulate_args(out1)) == 0
-    assert cli.main(simulate_args(out2)) == 0
+    # --threads is ignored; outputs never depended on it
+    assert cli.main(simulate_args(out2, ["--threads", "4"])) == 0
     rows1, rows2 = read_csv(out1 / "sweep.csv"), read_csv(out2 / "sweep.csv")
     runtime_col = rows1[0].index("runtime_s")
     for r1, r2 in zip(rows1, rows2):
         assert r1[:runtime_col] == r2[:runtime_col]
+
+
+def test_simulate_gaussian_law_has_no_bounds(tmp_path):
+    assert cli.main(simulate_args(tmp_path, ["--source-law", "gaussian"])) == 0
+    agg = read_json(tmp_path / "sweep.json")
+    assert agg["kappa_bar"] == 1
+    for name in ("crib_ice", "crib_capon", "crib_ice_db", "crib_capon_db"):
+        assert agg[name] is None
+
+
+def test_simulate_help_hides_threads(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    assert "--threads" not in capsys.readouterr().out
 
 
 def test_simulate_music_reports_lambda_hat(tmp_path):

@@ -5,7 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from blindcapon import core, monte_carlo
+from blindcapon import capon_ice, core, monte_carlo
+from blindcapon.errors import Diverged
 from blindcapon.monte_carlo import MixtureSpec
 
 RNG = np.random.default_rng
@@ -101,23 +102,14 @@ def test_sweep_deterministic_and_complete():
     r1 = monte_carlo.run_sweep(base, "lambda_star", grid, ["caponice", "ini"], trials=3, master_seed=9)
     r2 = monte_carlo.run_sweep(base, "lambda_star", grid, ["caponice", "ini"], trials=3, master_seed=9)
     assert len(r1) == 2 * 3 * 2
+    assert [(r.grid_value, r.trial, r.method) for r in r1] == [
+        (g, t, m) for g in grid for t in range(3) for m in ("caponice", "ini")
+    ]
     for a, b in zip(r1, r2):
         assert a.spec == b.spec
         assert a.method == b.method
         assert a.sir_out_db == b.sir_out_db
         assert a.lambda_hat == b.lambda_hat or (np.isnan(a.lambda_hat) and np.isnan(b.lambda_hat))
-
-
-def test_sweep_threaded_matches_serial():
-    base = spec(N=200)
-    grid = [0.5]
-    serial = monte_carlo.run_sweep(base, "lambda_star", grid, ["caponice"], trials=4, master_seed=3)
-    threaded = monte_carlo.run_sweep(
-        base, "lambda_star", grid, ["caponice"], trials=4, master_seed=3, threads=4
-    )
-    for a, b in zip(serial, threaded):
-        assert a.sir_out_db == b.sir_out_db
-        assert a.lambda_hat == b.lambda_hat
 
 
 def test_methods_share_data_within_trial():
@@ -145,6 +137,30 @@ def test_trial_failure_recorded_not_raised():
     recs = monte_carlo.run_sweep(base, "lambda_star", [0.5], ["fastica"], trials=2, master_seed=6)
     assert len(recs) == 2
     assert all(isinstance(r.sir_out_db, float) for r in recs)
+
+
+def test_trial_records_package_errors_and_raises_bugs(monkeypatch):
+    def raiser(exc):
+        def run(*args, **kwargs):
+            raise exc
+        return run
+
+    def sweep():
+        return monte_carlo.run_sweep(
+            spec(N=200), "lambda_star", [0.5], ["caponice", "ini"], trials=1, master_seed=6
+        )
+
+    monkeypatch.setattr(capon_ice, "run", raiser(Diverged("forced")))
+    failed, ini = sweep()
+    assert failed.method == "caponice"
+    assert np.isnan(failed.lambda_hat)
+    assert failed.sir_out_db == -monte_carlo.SIR_CAP_DB
+    assert not failed.success and not failed.converged
+    assert ini.method == "ini" and ini.converged
+
+    monkeypatch.setattr(capon_ice, "run", raiser(TypeError("programming error")))
+    with pytest.raises(TypeError):
+        sweep()
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +195,3 @@ def test_aggregate_structure():
         m = point["methods"][method]
         assert m["trials"] == 4
         assert 0.0 <= m["success_rate"] <= 1.0
-
-
-def test_generator_kappa_bar_near_two():
-    kb, se = monte_carlo.generator_kappa_bar(n=200_000, seed=3)
-    assert abs(kb - 2.0) < 4 * se + 0.01
