@@ -5,8 +5,7 @@ The DOA estimators assume a uniform linear array (integer steering weights
 ``exp(1j lam)``.
 """
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,11 +14,8 @@ from .core import ExtractionState, Nonlinearity, SnapshotMatrix, sample_covarian
 from .errors import RankDeficient
 
 _TIE_TOL = 1e-9
-
-
-class DoaMethod(Enum):
-    ROOT_MUSIC = "root_music"
-    TLS_ESPRIT = "tls_esprit"
+# FastICA stops when 1 - |<w_new, w>| falls to this
+_FASTICA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -28,14 +24,11 @@ class DoaEstimate:
 
     ``lambda_hat`` is the preferred estimate; ``candidates`` holds one angle
     per assumed source so callers can select e.g. the candidate nearest an
-    initial guess.  ``diagnostics`` carries method-specific numbers (root
-    moduli for Root MUSIC, rotation-eigenvalue moduli for TLS ESPRIT).
+    initial guess.
     """
 
     lambda_hat: float
-    method: DoaMethod
-    candidates: np.ndarray = field(default_factory=lambda: np.empty(0))
-    diagnostics: np.ndarray = field(default_factory=lambda: np.empty(0))
+    candidates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,6 @@ def fastica_one_unit(
     phi: Nonlinearity,
     w_ini: np.ndarray,
     max_iters: int = 200,
-    tol: float = 1e-6,
 ) -> FasticaResult:
     """One-unit complex FastICA on symmetrically prewhitened data.
 
@@ -74,7 +66,7 @@ def fastica_one_unit(
         w <- E[x~ conj(y) g(|y|^2)] - E[g(|y|^2) + |y|^2 g'(|y|^2)] w
 
     followed by renormalization, where ``y = w^H x~`` on whitened ``x~``.
-    Convergence is ``1 - |<w_new, w>| <= tol``.  The returned state is in
+    Convergence is ``1 - |<w_new, w>| <= 1e-6``.  The returned state is in
     the original (unwhitened) coordinates with ``a = C_x w / sigma^2`` and
     ``w`` rescaled so that ``w^H a = 1``.
     """
@@ -105,7 +97,7 @@ def fastica_one_unit(
         w_new = w_new / norm
         crit = 1.0 - abs(np.vdot(w_new, w))
         w = w_new
-        if crit <= tol:
+        if crit <= _FASTICA_TOL:
             converged = True
             break
 
@@ -148,12 +140,7 @@ def root_music(c_x: np.ndarray, num_sources: int) -> DoaEstimate:
     chosen = inside[order[:num_sources]]
     candidates = np.angle(chosen)
     closeness = 1.0 - np.abs(chosen)
-    return DoaEstimate(
-        lambda_hat=_pick(candidates, closeness),
-        method=DoaMethod.ROOT_MUSIC,
-        candidates=candidates,
-        diagnostics=np.abs(chosen),
-    )
+    return DoaEstimate(lambda_hat=_pick(candidates, closeness), candidates=candidates)
 
 
 def tls_esprit(c_x: np.ndarray, num_sources: int) -> DoaEstimate:
@@ -183,9 +170,4 @@ def tls_esprit(c_x: np.ndarray, num_sources: int) -> DoaEstimate:
     rot = np.linalg.eigvals(psi)
     candidates = np.angle(rot)
     closeness = np.abs(1.0 - np.abs(rot))
-    return DoaEstimate(
-        lambda_hat=_pick(candidates, closeness),
-        method=DoaMethod.TLS_ESPRIT,
-        candidates=candidates,
-        diagnostics=np.abs(rot),
-    )
+    return DoaEstimate(lambda_hat=_pick(candidates, closeness), candidates=candidates)

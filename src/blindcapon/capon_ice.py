@@ -9,7 +9,7 @@ first derivative and the at-solution approximation of the second derivative.
 
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,10 +26,15 @@ from .core import (
     covariance_factor,
     sample_covariance,
 )
-from .errors import Diverged
+from .errors import Diverged, DomainError
 
 # runaway guard for non-periodic steering weights (see `_runaway_guard`)
 _RUNAWAY_SPAN = 2.0 * np.pi ** 2
+
+# the Newton search stops when the max-norm change of ``w`` between
+# iterations falls to _TOL_W; one step moves ``lam`` by at most _STEP_CAP
+_TOL_W = 1e-6
+_STEP_CAP = 0.5
 
 # A start whose MPDR output power keeps less than this share of the
 # delay-and-sum power at the same steering is cancelling the source it is
@@ -42,38 +47,11 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class CaponConfig:
-    """Settings of the Newton search.
-
-    ``tol_w`` is the stopping threshold on the max-norm change of ``w``
-    between iterations; ``step_cap`` bounds ``|delta lam|`` per iteration;
-    ``damping`` scales every accepted step.
-    """
-
-    lambda_ini: float
-    max_iters: int = 100
-    tol_w: float = 1e-6
-    step_cap: float = 0.5
-    damping: float = 1.0
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol_w <= 0.0:
-            raise ValueError("tol_w must be positive")
-        if self.step_cap <= 0.0:
-            raise ValueError("step_cap must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
-
-
-@dataclass(frozen=True)
 class CaponResult:
     state: ExtractionState
     iterations: int
     converged: bool
-    contrast_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-    gradient_fallbacks: int = 0
+    gradient_fallbacks: int             # Newton steps taken as ascent steps
 
 
 def wrap_angle(lam: float) -> float:
@@ -86,7 +64,7 @@ def contrast(
     x: SnapshotMatrix,
     lam: float,
     phi: Nonlinearity,
-    model: SteeringModel = None,
+    model: SteeringModel,
     *,
     nu: float = None,
     c_z: np.ndarray = None,
@@ -100,7 +78,7 @@ def contrast(
       background covariance is concentrated out, contributing
       ``-log det C_z(lam) - (d-1)``, and the model-pdf term enters unscaled
       (exact-score convention).  This is the form whose grid maximum locates
-      the source and which feeds ``CaponResult.contrast_trace``.
+      the source.
     * Frozen plug-ins: with ``nu`` and ``c_z`` fixed at a reference state,
       the model-pdf term is scaled by ``1/nu`` (the effective score used by
       the optimizer is ``phi/nu``) and the background term is the Mahalanobis
@@ -113,8 +91,6 @@ def contrast(
     """
     if phi.log_pdf is None:
         raise ValueError(f"nonlinearity {phi.name!r} has no log_pdf")
-    if model is None:
-        model = core.ula(x.d)
     state = core.extraction_state(x, model, lam, phi)
     sigma2 = state.stats.sigma2
     m = float(np.mean(phi.log_pdf(state.s / np.sqrt(sigma2))))
@@ -165,7 +141,7 @@ def _derivatives(x, state, phi, c_x=None, factor=None):
     stats = state.stats
     c1, _, _ = c_constants(stats)
     u = state.s / np.sqrt(stats.sigma2)
-    _, sigma2_solve = core.mpdr_weights(None, state.a, factor=factor)
+    _, sigma2_solve = core.mpdr_weights(factor, state.a)
     return _mpdr_derivatives(
         x.data, c_x, factor, state.a, state.model.v, state.w, phi.phi(u),
         stats.sigma2, sigma2_solve, stats.nu, c1,
@@ -190,19 +166,6 @@ def first_derivative(x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearit
     return _derivatives(x, state, phi)[1]
 
 
-def first_derivative_via_grad_a(
-    x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearity
-) -> float:
-    """Equivalent form ``-2 Im{ grad_a^H (a * v) }`` with
-    ``grad_a = sigma^2 C_x^-1 grad_w`` (used for cross-checks)."""
-    av = state.a * state.model.v
-    factor = covariance_factor(sample_covariance(x))
-    grad_a = state.stats.sigma2 * scipy.linalg.cho_solve(
-        factor, grad_w(x, state, phi)
-    )
-    return float(-2.0 * np.imag(np.vdot(grad_a, av)))
-
-
 def second_derivative_approx(
     x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearity
 ) -> float:
@@ -219,29 +182,31 @@ def second_derivative_approx(
     return _derivatives(x, state, phi)[2]
 
 
-def _safeguarded_newton(start, build, derivatives, step_cap, project, cfg):
+def _safeguarded_newton(start, build, derivatives, max_step, project, max_iters):
     """Safeguarded Newton iteration over one scalar parameter.
 
     ``build(param)`` returns a state with separating weights ``.w`` (one
     vector, or one per bin); ``derivatives(state)`` returns the first and
     approximate second derivative ``(d1, d2)`` along the parameter.  The
     Newton step is taken only when ``d2`` is negative (a maximum); otherwise
-    a small gradient step of magnitude ``0.1 * step_cap`` in the ascent
-    direction is used (a fallback).  Steps are clipped to ``step_cap``,
-    scaled by ``cfg.damping`` and mapped back into the admissible region by
-    ``project``.  Convergence is declared when the max-norm change of the
-    weights between consecutive iterations falls to ``cfg.tol_w`` or below.
+    a small gradient step of magnitude ``0.1 * max_step`` in the ascent
+    direction is used (a fallback).  Steps are clipped to ``max_step`` and
+    mapped back into the admissible region by ``project``.  Convergence is
+    declared when the max-norm change of the weights between consecutive
+    iterations falls to ``_TOL_W`` or below; at most ``max_iters``
+    iterations are taken, and ``max_iters < 1`` raises :class:`DomainError`.
 
-    Returns ``(state, visited, iterations, converged, fallbacks)``, where
-    ``visited`` lists the parameter values from the start to ``state``.
+    Returns ``(state, param, iterations, converged, fallbacks)``, where
+    ``param`` is the parameter of ``state``.
     """
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     param = start
     state = build(param)
-    visited = [param]
     converged = False
     fallbacks = 0
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         d1, d2 = derivatives(state)
         if not (np.isfinite(d1) and np.isfinite(d2)):
             raise Diverged(f"non-finite derivatives at parameter {param}")
@@ -249,21 +214,20 @@ def _safeguarded_newton(start, build, derivatives, step_cap, project, cfg):
             delta = -d1 / d2
         else:
             # wrong curvature (c1 >= 0 mid-iteration): safeguarded ascent step
-            delta = np.sign(d1) * 0.1 * step_cap
+            delta = np.sign(d1) * 0.1 * max_step
             fallbacks += 1
-        delta = float(np.clip(delta, -step_cap, step_cap)) * cfg.damping
+        delta = float(np.clip(delta, -max_step, max_step))
         param = project(param + delta)
         new_state = build(param)
         dw = float(np.max(np.abs(new_state.w - state.w)))
         state = new_state
-        visited.append(param)
-        if dw <= cfg.tol_w:
+        if dw <= _TOL_W:
             converged = True
             break
-    return state, visited, iterations, converged, fallbacks
+    return state, param, iterations, converged, fallbacks
 
 
-def _capon_start(c_x, factor, model, start, step_cap, project):
+def _capon_start(c_x, factor, model, start, project):
     """Move a self-cancelling start to the Capon-spectrum peak nearby.
 
     At a start close to, but not on, a dominant source the MPDR weights
@@ -272,7 +236,7 @@ def _capon_start(c_x, factor, model, start, step_cap, project):
     Capon power ``1 / (a^H C^-1 a)`` to the delay-and-sum power
     ``a^H C a / d^2`` detects this; below ``_SELF_CANCELLATION`` the start
     is replaced by the maximizer of the Capon spectrum in
-    ``[start - step_cap, start + step_cap]``: a coarse grid, then a bounded
+    ``[start - _STEP_CAP, start + _STEP_CAP]``: a coarse grid, then a bounded
     scalar search inside the bracket of the best grid point.  Any other
     start is returned unchanged.
     """
@@ -285,9 +249,9 @@ def _capon_start(c_x, factor, model, start, step_cap, project):
     ratio = model.d ** 2 / (inverse_power(start) * np.real(np.vdot(a, c_x @ a)))
     if ratio >= _SELF_CANCELLATION:
         return start
-    # spacing step_cap / 32: 1/64 at the default, well inside the 2 pi / d
-    # main lobe of a d-sensor ULA, so the best point brackets the peak
-    grid = start + np.linspace(-step_cap, step_cap, 65)
+    # spacing _STEP_CAP / 32 = 1/64, well inside the 2 pi / d main lobe of
+    # a d-sensor ULA, so the best point brackets the peak
+    grid = start + np.linspace(-_STEP_CAP, _STEP_CAP, 65)
     k = int(np.argmin(inverse_power(grid)))
     bracket = (grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
     peak = scipy.optimize.minimize_scalar(
@@ -313,46 +277,43 @@ def run(
     x: SnapshotMatrix,
     model: SteeringModel,
     phi: Nonlinearity,
-    cfg: CaponConfig,
-    keep_trace: bool = True,
+    lambda_ini: float,
+    max_iters: int = 100,
 ) -> CaponResult:
-    """Safeguarded Newton iteration over ``lam``.
+    """Safeguarded Newton iteration over ``lam`` from ``lambda_ini``
+    (radians), at most ``max_iters`` iterations.
 
     A start at which the MPDR weights cancel the source they are steered
-    near (a lone source over a quiet floor, a little way from the start) is first
-    moved to the Capon-spectrum peak within ``step_cap`` of it; every other
+    near (a lone source over a quiet floor, a little way from the start) is
+    first moved to the Capon-spectrum peak within 0.5 of it; every other
     start is used as given (see :func:`_capon_start`).  Each iteration
     rebuilds ``a(lam)``, ``w(lam)``, ``s`` and the sample statistics with
     :func:`core.extraction_state`, evaluates the first derivative and the
-    approximate second derivative, then updates ``lam``
+    approximate second derivative, then updates ``lam`` by at most 0.5
     (see :func:`_safeguarded_newton` for the step rule and the stopping
     test).  For integer steering weights ``lam`` is wrapped into (-pi, pi]
     after every update; for non-periodic weights the iterate must stay
-    within ``2 pi^2`` of the start or :class:`Diverged` is raised.  With
-    ``keep_trace`` the profile contrast of every visited ``lam`` is
-    returned as ``contrast_trace``.
+    within ``2 pi^2`` of the start or :class:`Diverged` is raised.
     """
     c_x = sample_covariance(x)
     factor = covariance_factor(c_x)
     if model.is_integer:
-        start, project = wrap_angle(cfg.lambda_ini), wrap_angle
+        start, project = wrap_angle(lambda_ini), wrap_angle
     else:
-        start = float(cfg.lambda_ini)
-        project = functools.partial(_runaway_guard, cfg.lambda_ini)
-    start = _capon_start(c_x, factor, model, start, cfg.step_cap, project)
-    state, visited, iterations, converged, fallbacks = _safeguarded_newton(
+        start = float(lambda_ini)
+        project = functools.partial(_runaway_guard, lambda_ini)
+    start = _capon_start(c_x, factor, model, start, project)
+    state, _, iterations, converged, fallbacks = _safeguarded_newton(
         start,
         functools.partial(core.extraction_state, x, model, phi=phi, factor=factor),
         lambda st: _derivatives(x, st, phi, c_x, factor)[1:],
-        cfg.step_cap,
+        _STEP_CAP,
         project,
-        cfg,
+        max_iters,
     )
-    trace = [contrast(x, lam, phi, model) for lam in visited] if keep_trace else []
     return CaponResult(
         state=state,
         iterations=iterations,
         converged=converged,
-        contrast_trace=np.asarray(trace),
         gradient_fallbacks=fallbacks,
     )

@@ -19,7 +19,7 @@ import scipy.io.wavfile
 import scipy.optimize
 import scipy.signal
 
-from .capon_ice import CaponConfig, _mpdr_derivatives, _safeguarded_newton
+from .capon_ice import _STEP_CAP, _mpdr_derivatives, _safeguarded_newton
 from .core import (
     COVARIANCE_EPS,
     SnapshotMatrix,
@@ -28,8 +28,7 @@ from .core import (
     sample_covariance,
 )
 from .errors import SingularCovariance, SpatialAliasWarning
-
-SIR_CAP_DB = 150.0
+from .monte_carlo import SIR_CAP_DB
 
 
 @dataclass(frozen=True)
@@ -189,17 +188,16 @@ class IveResult:
     gradient_fallbacks: int             # Newton steps taken as ascent steps
 
 
-def _included_bins(tensor: StftTensor, fmin_hz: float, exclude_nyquist: bool) -> np.ndarray:
-    freqs = tensor.bin_frequencies()
-    mask = freqs >= fmin_hz
-    if exclude_nyquist:
-        mask[-1] = False
+def _included_bins(tensor: StftTensor, fmin_hz: float) -> np.ndarray:
+    """The bins at or above ``fmin_hz``, Nyquist excluded."""
+    mask = tensor.bin_frequencies() >= fmin_hz
+    mask[-1] = False
     return np.flatnonzero(mask)
 
 
 @dataclass(frozen=True)
 class BinDerivatives:
-    """Joint and per-bin derivative diagnostics at a fixed delay."""
+    """Joint and per-bin derivatives at a fixed delay."""
 
     d1_tau: float
     d2_tau: float
@@ -227,11 +225,11 @@ class _BinContext:
     covariance and loaded Cholesky factor are computed once; shared by
     :func:`run_ive` and :func:`derivatives_at`."""
 
-    def __init__(self, tensor, geom, fmin_hz, exclude_nyquist, bins=None):
+    def __init__(self, tensor, geom, fmin_hz, bins=None):
         if geom.d != tensor.n_channels:
             raise ValueError("geometry channel count does not match the tensor")
         if bins is None:
-            bins = _included_bins(tensor, fmin_hz, exclude_nyquist)
+            bins = _included_bins(tensor, fmin_hz)
         bins = np.asarray(bins, dtype=int)
         if bins.size == 0:
             raise ValueError("no frequency bins left after exclusions")
@@ -268,7 +266,7 @@ class _BinContext:
         s = np.empty((self.bins.size, self.n_frames), dtype=complex)
         sig2_solve = np.empty(self.bins.size)
         for i, (xk, _, fac) in enumerate(self.problems):
-            w[i], sig2_solve[i] = mpdr_weights(None, a[i], factor=fac)
+            w[i], sig2_solve[i] = mpdr_weights(fac, a[i])
             s[i] = w[i].conj() @ xk
         return _BinStates(a, w, s, np.mean(np.abs(s) ** 2, axis=1), sig2_solve)
 
@@ -313,7 +311,6 @@ def derivatives_at(
     geom: ArrayGeometry,
     tau_s: float,
     fmin_hz: float = 100.0,
-    exclude_nyquist: bool = True,
     bins=None,
 ) -> BinDerivatives:
     """Evaluate the joint first/second derivatives at a fixed delay.
@@ -321,21 +318,22 @@ def derivatives_at(
     The joint derivatives are the frequency averages of the per-bin values
     with chain-rule factors ``omega_k`` and ``omega_k^2``.
     """
-    ctx = _BinContext(tensor, geom, fmin_hz, exclude_nyquist, bins)
+    ctx = _BinContext(tensor, geom, fmin_hz, bins)
     return ctx.derivatives(ctx.states(tau_s))
 
 
 def run_ive(
     tensor: StftTensor,
     geom: ArrayGeometry,
-    cfg: CaponConfig,
+    theta_ini_deg: float,
+    max_iters: int = 100,
     fmin_hz: float = 100.0,
-    exclude_nyquist: bool = True,
     bins=None,
 ) -> IveResult:
-    """Joint Newton search over the single delay parameter.
+    """Joint Newton search over the single delay parameter, from the DOA
+    ``theta_ini_deg`` (degrees), at most ``max_iters`` iterations.
 
-    ``cfg.lambda_ini`` is the initial DOA in degrees.  Per iteration each
+    Per iteration each
     included bin rebuilds its steering vector, distortionless weights and
     normalized source samples; the joint rational nonlinearity
 
@@ -345,22 +343,21 @@ def run_ive(
     second derivatives with chain-rule factors ``omega_k`` and
     ``omega_k^2`` and follows the narrowband step rule
     (:func:`capon_ice._safeguarded_newton`); steps are capped so the top
-    included bin moves at most ``step_cap`` radians, and the delay stays in
-    the physical range ``|tau| <= spacing/c``.  Convergence is the max-norm
+    included bin moves at most 0.5 radians, and the delay stays in the
+    physical range ``|tau| <= spacing/c``.  Convergence is the max-norm
     change of the weights across all bins.  Bins below ``fmin_hz`` and the
-    Nyquist bin are excluded by default; pass ``bins`` to override.
+    Nyquist bin are excluded; pass ``bins`` to choose the bins instead.
     """
-    ctx = _BinContext(tensor, geom, fmin_hz, exclude_nyquist, bins)
+    ctx = _BinContext(tensor, geom, fmin_hz, bins)
     tau_max = geom.spacing_m / geom.c
-    _, visited, iterations, converged, fallbacks = _safeguarded_newton(
-        float(np.clip(theta_to_tau(geom, cfg.lambda_ini), -tau_max, tau_max)),
+    _, tau, iterations, converged, fallbacks = _safeguarded_newton(
+        float(np.clip(theta_to_tau(geom, theta_ini_deg), -tau_max, tau_max)),
         ctx.states,
         ctx.joint_derivatives,
-        cfg.step_cap / float(np.max(ctx.omegas)),
+        _STEP_CAP / float(np.max(ctx.omegas)),
         lambda tau: float(np.clip(tau, -tau_max, tau_max)),
-        cfg,
+        max_iters,
     )
-    tau = visited[-1]
     weights, extracted = beamform_at(tensor, geom, tau_to_theta(geom, tau))
     alias = np.flatnonzero(np.abs(ctx.omegas_all * tau) > np.pi)
     return IveResult(
@@ -409,7 +406,7 @@ def beamform_at(
         xk = tensor.data[k]
         try:
             fac = covariance_factor(sample_covariance(SnapshotMatrix(xk)), loading)
-            weights[k], _ = mpdr_weights(None, np.exp(1j * omegas[k] * tau * v), factor=fac)
+            weights[k], _ = mpdr_weights(fac, np.exp(1j * omegas[k] * tau * v))
         except SingularCovariance:
             weights[k, 0] = 1.0
             extracted[k] = xk[0]
@@ -422,7 +419,6 @@ def beamform_at(
 class SrpPhatResult:
     theta_deg: float
     stalled: bool
-    power: float
 
 
 def srp_phat(
@@ -441,7 +437,7 @@ def srp_phat(
     """
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
-    included = _included_bins(tensor, fmin_hz, True)
+    included = _included_bins(tensor, fmin_hz)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()[included]
     xn = tensor.data[included]
     mag = np.abs(xn)
@@ -462,16 +458,14 @@ def srp_phat(
         options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 200},
     )
     theta = float(np.clip(res.x[0], 0.0, 180.0))
-    p_best = power(theta)
     # the PHAT-normalized diagonal contributes exactly K*d; the off-diagonal
     # mass measures spatial coherence.  No coherence -> flagged stall.
     baseline = included.size * geom.d
-    structure = (p_best - baseline) / (baseline * (geom.d - 1))
+    structure = (power(theta) - baseline) / (baseline * (geom.d - 1))
     stalled = structure < 0.01
     if stalled:
         theta = float(theta_ini_deg)
-        p_best = power(theta)
-    return SrpPhatResult(theta_deg=theta, stalled=stalled, power=p_best)
+    return SrpPhatResult(theta_deg=theta, stalled=stalled)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +561,7 @@ def projected_sir_db(y: np.ndarray, ref: np.ndarray) -> float:
 def sir_improvement_db(y: np.ndarray, mix_channel: np.ndarray, refs: np.ndarray):
     """Output-minus-input SIR against the best-matching reference.
 
-    Returns ``(improvement_db, soi_index, sir_in_db, sir_out_db)``; the SOI
+    Returns ``(improvement_db, soi, sir_in_db, sir_out_db)``; the SOI
     is the reference with the highest projected SIR in the output.
     """
     refs = np.atleast_2d(refs)

@@ -26,7 +26,6 @@ import scipy
 from . import __version__
 from . import bounds as bounds_mod
 from . import capon_ive, monte_carlo
-from .capon_ice import CaponConfig
 from .core import complex_laplacean, laplacean_score
 from .errors import BlindCaponError, DomainError
 
@@ -101,13 +100,6 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    out_dir = _default_outdir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if args.lambda_grid is not None:
-        grid_param, grid_values = "lambda_star", _parse_grid(args.lambda_grid)
-    else:
-        grid_param, grid_values = "isir_db", _parse_grid(args.isir_grid)
     base = monte_carlo.MixtureSpec(
         d=args.d,
         N=args.n,
@@ -115,6 +107,13 @@ def cmd_simulate(args) -> int:
         isir_db=args.isir_db,
         source_law=args.source_law,
     )
+    out_dir = _default_outdir(args.out)
+    os.makedirs(out_dir, exist_ok=True)
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if args.lambda_grid is not None:
+        grid_param, grid_values = "lambda_star", args.lambda_grid
+    else:
+        grid_param, grid_values = "isir_db", args.isir_grid
     records = monte_carlo.run_sweep(
         base,
         grid_param,
@@ -174,8 +173,9 @@ def cmd_extract(args) -> int:
 
     report = {"method": args.method, "theta_ini_deg": args.theta_ini}
     if args.method == "ive":
-        cfg = CaponConfig(lambda_ini=args.theta_ini, max_iters=args.max_iters)
-        result = capon_ive.run_ive(tensor, geom, cfg, fmin_hz=args.fmin_hz)
+        result = capon_ive.run_ive(
+            tensor, geom, args.theta_ini, max_iters=args.max_iters, fmin_hz=args.fmin_hz
+        )
         extracted_spec = result.extracted
         report.update(
             theta_hat_deg=result.theta_deg,
@@ -242,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=500)
     sim.add_argument("--trials", type=int, default=100)
     grid = sim.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--lambda-grid", help="lo:hi:steps sweep of lambda*")
-    grid.add_argument("--isir-grid", help="lo:hi:steps sweep of input SIR (dB)")
+    grid.add_argument("--lambda-grid", type=_parse_grid,
+                      help="lo:hi:steps sweep of lambda*")
+    grid.add_argument("--isir-grid", type=_parse_grid,
+                      help="lo:hi:steps sweep of input SIR (dB)")
     sim.add_argument("--lambda-star", type=float, default=0.7,
                      help="fixed lambda* for iSIR sweeps")
     sim.add_argument("--isir-db", type=float, default=0.0,

@@ -226,20 +226,14 @@ def covariance_factor(c: np.ndarray, eps: float = COVARIANCE_EPS):
         ) from exc
 
 
-def mpdr_weights(c_x: np.ndarray, a: np.ndarray, factor=None):
+def mpdr_weights(factor, a: np.ndarray):
     """Minimum-power distortionless weights under the orthogonal constraint.
 
-    Returns ``(w, sigma2)`` with ``w = C^-1 a / (a^H C^-1 a)`` and
-    ``sigma2 = 1 / (a^H C^-1 a) = w^H C w``.
-
-    Parameters
-    ----------
-    c_x : complex Hermitian covariance matrix.
-    a : steering vector.
-    factor : optional precomputed :func:`covariance_factor` of ``c_x``.
+    ``factor`` is the :func:`covariance_factor` of the covariance ``C`` and
+    ``a`` the steering vector.  Returns ``(w, sigma2)`` with
+    ``w = C^-1 a / (a^H C^-1 a)`` and ``sigma2 = 1 / (a^H C^-1 a) = w^H C w``
+    on the loaded ``C``.
     """
-    if factor is None:
-        factor = covariance_factor(c_x)
     ci_a = scipy.linalg.cho_solve(factor, a)
     denom = np.real(np.vdot(a, ci_a))
     if not np.isfinite(denom) or denom <= 0.0:
@@ -326,7 +320,7 @@ def extraction_state(
     a = steering(model, lam)
     if factor is None:
         factor = covariance_factor(sample_covariance(x))
-    w, _ = mpdr_weights(None, a, factor=factor)
+    w, _ = mpdr_weights(factor, a)
     s = w.conj() @ x.data
     stats = soi_statistics(s, phi)
     return ExtractionState(lam=float(lam), a=a, w=w, s=s, stats=stats, model=model)

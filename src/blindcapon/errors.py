@@ -17,7 +17,7 @@ class ScoreDegenerate(BlindCaponError):
     """Score normalizer nu is too close to zero to be usable."""
 
 
-class DomainError(BlindCaponError):
+class DomainError(BlindCaponError, ValueError):
     """Parameter outside its mathematically valid domain."""
 
 

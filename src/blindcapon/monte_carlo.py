@@ -17,14 +17,14 @@ import numpy as np
 
 from . import baselines, bounds, capon_ice, core
 from .core import SnapshotMatrix, complex_gaussian, complex_laplacean
-from .errors import BlindCaponError
+from .errors import BlindCaponError, DomainError
 
 SUCCESS_SIR_DB = 3.0
 SIR_CAP_DB = 150.0
 DEFAULT_COMPETITOR = 0.25
 CSV_HEADER = (
     "grid_param,method,trial,seed,lambda_star,isir_db,lambda_hat,"
-    "sir_out_db,success,iterations,runtime_s"
+    "sir_out_db,success,iterations,runtime_s,converged"
 )
 KNOWN_METHODS = ("caponice", "fastica", "musicmpdr", "espritmpdr", "ini")
 # number of plane-wave sources in the mixture model (SOI + structured competitor)
@@ -47,11 +47,13 @@ class MixtureSpec:
 
     def __post_init__(self):
         if self.d < 3:
-            raise ValueError("competitor construction needs d >= 3")
+            raise DomainError(f"competitor construction needs d >= 3, got d={self.d}")
+        if self.N < self.d:
+            raise DomainError(f"need N >= d snapshots, got d={self.d}, N={self.N}")
         if not math.isfinite(self.isir_db):
-            raise ValueError("isir_db must be finite")
+            raise DomainError("isir_db must be finite")
         if self.source_law not in SOURCE_LAWS:
-            raise ValueError(f"unknown source law {self.source_law!r}")
+            raise DomainError(f"unknown source law {self.source_law!r}")
 
 
 @dataclass(frozen=True)
@@ -108,33 +110,19 @@ def generate_mixture(spec: MixtureSpec):
     return SnapshotMatrix(x), a, powers
 
 
-def output_sir(
-    w: np.ndarray, a: np.ndarray, powers: np.ndarray, soi_index: int = 0
-) -> float:
-    """Beamformer output SIR in dB, capped to +-150:
+def output_sir(w: np.ndarray, a: np.ndarray, powers: np.ndarray) -> float:
+    """Beamformer output SIR in dB of the source in column 0, capped to +-150:
 
-        10 log10( |w^H a_soi|^2 p_soi / sum_{j != soi} |w^H a_j|^2 p_j )
+        10 log10( |w^H a_0|^2 p_0 / sum_{j != 0} |w^H a_j|^2 p_j )
     """
     gains = np.abs(w.conj() @ a) ** 2 * powers
-    soi = gains[soi_index]
+    soi = gains[0]
     interference = float(np.sum(gains) - soi)
     if soi <= 0.0:
         return -SIR_CAP_DB
     if interference <= 0.0:
         return SIR_CAP_DB
     return float(np.clip(10.0 * np.log10(soi / interference), -SIR_CAP_DB, SIR_CAP_DB))
-
-
-def measured_isir_db(spec: MixtureSpec) -> float:
-    """Channel-averaged input SIR of the actually generated data."""
-    _, a, powers = generate_mixture(spec)
-    u = draw_sources(spec)
-    sample_var = np.mean(np.abs(u) ** 2, axis=1)
-    per_source = powers * sample_var
-    gains = np.abs(a) ** 2 * per_source  # d x d channel/source powers
-    soi = gains[:, 0]
-    interference = gains[:, 1:].sum(axis=1)
-    return float(np.mean(10.0 * np.log10(soi / interference)))
 
 
 def trial_seed_sequence(master_seed: int, grid_index: int, trial_index: int):
@@ -148,28 +136,29 @@ def trial_seed_sequence(master_seed: int, grid_index: int, trial_index: int):
     return seed, ini_ss
 
 
-def _run_method(method, x, model, phi, lam_ini):
-    """Execute one method; returns (lambda_hat, w, iterations, converged)."""
+def _run_method(method, x, model, phi, lam_ini, covariance):
+    """Execute one method; returns (lambda_hat, w, iterations, converged).
+
+    ``covariance()`` gives the trial's sample covariance and its
+    :func:`core.covariance_factor`; CaponICE computes its own."""
     if method == "caponice":
-        cfg = capon_ice.CaponConfig(lambda_ini=lam_ini)
-        res = capon_ice.run(x, model, phi, cfg, keep_trace=False)
+        res = capon_ice.run(x, model, phi, lam_ini)
         return res.state.lam, res.state.w, res.iterations, res.converged
     if method == "fastica":
-        c_x = core.sample_covariance(x)
-        w_ini, _ = core.mpdr_weights(c_x, core.steering(model, lam_ini))
+        _, factor = covariance()
+        w_ini, _ = core.mpdr_weights(factor, core.steering(model, lam_ini))
         res = baselines.fastica_one_unit(x, phi, w_ini)
         return float("nan"), res.state.w, res.iterations, res.converged
     if method in ("musicmpdr", "espritmpdr"):
-        c_x = core.sample_covariance(x)
+        c_x, factor = covariance()
         estimator = baselines.root_music if method == "musicmpdr" else baselines.tls_esprit
-        est = estimator(c_x, STRUCTURED_SOURCES)
-        cands = est.candidates if est.candidates.size else np.array([est.lambda_hat])
+        cands = estimator(c_x, STRUCTURED_SOURCES).candidates
         lam_hat = float(cands[np.argmin(np.abs(cands - lam_ini))])
-        w, _ = core.mpdr_weights(c_x, core.steering(model, lam_hat))
+        w, _ = core.mpdr_weights(factor, core.steering(model, lam_hat))
         return lam_hat, w, 0, True
     if method == "ini":
-        c_x = core.sample_covariance(x)
-        w, _ = core.mpdr_weights(c_x, core.steering(model, lam_ini))
+        _, factor = covariance()
+        w, _ = core.mpdr_weights(factor, core.steering(model, lam_ini))
         return lam_ini, w, 0, True
     raise ValueError(f"unknown method {method!r}")
 
@@ -184,19 +173,29 @@ def run_trial(
 ):
     """Run all methods on one mixture.
 
-    A method that raises a package error or a linear-algebra error is
-    recorded as a failed row (lambda_hat nan, -150 dB, not converged); any
-    other exception is a bug and propagates."""
+    The methods other than CaponICE share one sample covariance and one
+    factor of it, computed when the first of them runs.  A method that
+    raises a package error or a linear-algebra error, the shared factor's
+    included, is recorded as a failed row (lambda_hat nan, -150 dB, not
+    converged); any other exception is a bug and propagates."""
     x, a, powers = generate_mixture(spec)
     model = core.ula(spec.d)
     phi = core.rational_nonlinearity()
     rng_ini = np.random.default_rng(ini_seed)
     lam_ini = spec.lambda_star + rng_ini.uniform(-ini_radius, ini_radius)
+    shared = []
+
+    def covariance():
+        if not shared:
+            c_x = core.sample_covariance(x)
+            shared.append((c_x, core.covariance_factor(c_x)))
+        return shared[0]
+
     records = []
     for method in methods:
         t0 = time.perf_counter()
         try:
-            lam_hat, w, iters, conv = _run_method(method, x, model, phi, lam_ini)
+            lam_hat, w, iters, conv = _run_method(method, x, model, phi, lam_ini, covariance)
             sir = output_sir(w, a, powers)
         except (BlindCaponError, np.linalg.LinAlgError):
             lam_hat, sir, iters, conv = float("nan"), -SIR_CAP_DB, 0, False
@@ -234,10 +233,10 @@ def run_sweep(
     order; the same arguments give the same records.
     """
     if grid_param not in ("lambda_star", "isir_db"):
-        raise ValueError(f"unknown grid parameter {grid_param!r}")
+        raise DomainError(f"unknown grid parameter {grid_param!r}")
     for m in methods:
         if m not in KNOWN_METHODS:
-            raise ValueError(f"unknown method {m!r}")
+            raise DomainError(f"unknown method {m!r}")
     if not methods:
         return []
 
@@ -277,6 +276,7 @@ def write_csv(records: Iterable[TrialRecord], path):
                     _fmt(r.success),
                     r.iterations,
                     _fmt(r.runtime_s),
+                    _fmt(r.converged),
                 ]
             )
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from blindcapon import baselines, bounds, capon_ice, capon_ive, core, monte_carlo
-from blindcapon.capon_ice import CaponConfig
 from blindcapon.monte_carlo import MixtureSpec
 
 from conftest import random_mixture
@@ -243,10 +242,7 @@ def test_criterion_6_caponice_oracle():
     s = core.complex_laplacean(rng, n)
     floor = 1e-5 * np.vstack([core.complex_gaussian(rng, n) for _ in range(5)])
     x = core.SnapshotMatrix(np.outer(core.steering(model, lam_star), s) + floor)
-    res = capon_ice.run(
-        x, model, PHI, CaponConfig(lambda_ini=lam_star + 0.1, max_iters=300),
-        keep_trace=False,
-    )
+    res = capon_ice.run(x, model, PHI, lam_star + 0.1, max_iters=300)
     err = abs(res.state.lam - lam_star)
     ok = err <= 1e-6
     report(6, ok, f"CaponICE single-source recovery error {err:.2e} (target 1e-6)")
@@ -269,7 +265,7 @@ def test_criterion_7_broadband_fixture(broadband_fixture):
     worst_improvement = np.inf
     worst_srp = 0.0
     for theta_true in fx.thetas_deg:
-        res = capon_ive.run_ive(tensor, fx.geom, CaponConfig(lambda_ini=theta_true + 5.0))
+        res = capon_ive.run_ive(tensor, fx.geom, theta_true + 5.0)
         worst_theta = max(worst_theta, abs(res.theta_deg - theta_true))
         y = capon_ive.istft_mono(res.extracted, tensor, length=fx.mix.shape[1])
         improvement, _, _, _ = capon_ive.sir_improvement_db(y, fx.mix[0], fx.sources)
@@ -298,7 +294,7 @@ def test_criterion_8_properties():
     # distortionless after every iteration: rebuild each visited state
     x, _, _, model = random_mixture(RNG(108), 5, 500, 0.6, competitor=COMPETITOR)
     factor = core.covariance_factor(core.sample_covariance(x))
-    res = capon_ice.run(x, model, PHI, CaponConfig(lambda_ini=0.65), keep_trace=False)
+    res = capon_ice.run(x, model, PHI, 0.65)
     worst_dl = abs(np.vdot(res.state.w, res.state.a) - 1.0)
     for lam in np.linspace(-1, 1, 7):
         st = core.extraction_state(x, model, float(lam), PHI, factor=factor)

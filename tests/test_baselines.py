@@ -38,7 +38,7 @@ def test_fastica_extracts_nongaussian_source():
     x, a, powers, model = random_mixture(
         rng, d, n, 0.5, laws=["laplacean"] + ["gaussian"] * (d - 1)
     )
-    w_ini, _ = core.mpdr_weights(core.sample_covariance(x), core.steering(model, 0.55))
+    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x)), core.steering(model, 0.55))
     res = baselines.fastica_one_unit(x, PHI, w_ini)
     assert res.converged
     gains = np.abs(res.state.w.conj() @ a) ** 2 * powers
@@ -50,7 +50,7 @@ def test_fastica_gaussian_only_is_flagged_not_raised():
     rng = RNG(11)
     d, n = 4, 5000
     x, a, powers, model = random_mixture(rng, d, n, 0.3, laws=["gaussian"] * d)
-    w_ini, _ = core.mpdr_weights(core.sample_covariance(x), core.steering(model, 0.3))
+    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x)), core.steering(model, 0.3))
     res = baselines.fastica_one_unit(x, PHI, w_ini, max_iters=50)
     gains = np.abs(res.state.w.conj() @ a) ** 2 * powers
     sir_db = 10 * np.log10(gains[0] / (np.sum(gains) - gains[0]))
@@ -60,7 +60,7 @@ def test_fastica_gaussian_only_is_flagged_not_raised():
 def test_fastica_output_satisfies_orthogonal_constraint():
     rng = RNG(12)
     x, _, _, model = random_mixture(rng, 5, 8000, 0.7)
-    w_ini, _ = core.mpdr_weights(core.sample_covariance(x), core.steering(model, 0.72))
+    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x)), core.steering(model, 0.72))
     res = baselines.fastica_one_unit(x, PHI, w_ini)
     z = core.blocking_matrix(res.state.a) @ x.data
     s = res.state.s
@@ -72,7 +72,7 @@ def test_fastica_output_satisfies_orthogonal_constraint():
 def test_fastica_distortionless_convention():
     rng = RNG(13)
     x, _, _, model = random_mixture(rng, 4, 4000, -0.2)
-    w_ini, _ = core.mpdr_weights(core.sample_covariance(x), core.steering(model, -0.18))
+    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x)), core.steering(model, -0.18))
     res = baselines.fastica_one_unit(x, PHI, w_ini)
     assert abs(np.vdot(res.state.w, res.state.a) - 1.0) < 1e-10
 
@@ -90,7 +90,6 @@ def test_fastica_rejects_zero_init():
 def test_root_music_noiseless_oracle():
     est = baselines.root_music(noiseless_covariance(0.5, 4), 1)
     assert abs(est.lambda_hat - 0.5) < 1e-5
-    assert est.method is baselines.DoaMethod.ROOT_MUSIC
 
 
 def test_root_music_zero_angle():

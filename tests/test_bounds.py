@@ -161,7 +161,7 @@ def test_laplacean_bound_respected_by_fastica():
         rng = RNG(800 + t)
         x, a, powers, model = random_mixture(rng, d, n, 0.6)
         c_x = core.sample_covariance(x)
-        w_ini, _ = core.mpdr_weights(c_x, core.steering(model, 0.6 + rng.uniform(-0.05, 0.05)))
+        w_ini, _ = core.mpdr_weights(core.covariance_factor(c_x), core.steering(model, 0.6 + rng.uniform(-0.05, 0.05)))
         res = baselines.fastica_one_unit(x, phi, w_ini)
         gains = np.abs(res.state.w.conj() @ a) ** 2 * powers
         sir = gains[0] / (np.sum(gains) - gains[0])

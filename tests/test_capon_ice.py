@@ -4,9 +4,10 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blindcapon import capon_ice, core
-from blindcapon.capon_ice import CaponConfig
+from blindcapon.errors import DomainError
 
 from conftest import random_mixture
 
@@ -37,6 +38,17 @@ def plugin_functional(x, w, nu0, cz0, log_pdf):
     cz = z @ z.conj().T / n
     mah = np.real(np.trace(np.linalg.solve(cz0, cz)))
     return m / nu0 - np.log(sig2) - mah + (d - 2) * np.log(np.abs(gam) ** 2)
+
+
+def first_derivative_via_grad_a(x, state, phi):
+    """Equivalent form ``-2 Im{ grad_a^H (a * v) }`` of the first
+    derivative, with ``grad_a = sigma^2 C_x^-1 grad_w``."""
+    av = state.a * state.model.v
+    factor = core.covariance_factor(core.sample_covariance(x))
+    grad_a = state.stats.sigma2 * scipy.linalg.cho_solve(
+        factor, capon_ice.grad_w(x, state, phi)
+    )
+    return float(-2.0 * np.imag(np.vdot(grad_a, av)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +140,7 @@ def test_first_derivative_forms_agree():
     x, _, _, model = random_mixture(RNG(44), 5, 1500, 0.3)
     state = core.extraction_state(x, model, -0.7, PHI)
     d1 = capon_ice.first_derivative(x, state, PHI)
-    d2 = capon_ice.first_derivative_via_grad_a(x, state, PHI)
+    d2 = first_derivative_via_grad_a(x, state, PHI)
     assert abs(d1 - d2) < 1e-10 * max(1.0, abs(d1))
 
 
@@ -186,12 +198,9 @@ def test_second_derivative_negative_near_truth():
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CaponConfig(lambda_ini=0.0, max_iters=0)
-    with pytest.raises(ValueError):
-        CaponConfig(lambda_ini=0.0, tol_w=0.0)
-    with pytest.raises(ValueError):
-        CaponConfig(lambda_ini=0.0, damping=0.0)
+    x, _, _, model = random_mixture(RNG(59), 3, 100, 0.2)
+    with pytest.raises(DomainError):
+        capon_ice.run(x, model, PHI, 0.0, max_iters=0)
 
 
 def rank1_plus_floor_instance(rng, model, lam_star, n, eps):
@@ -219,7 +228,7 @@ def test_run_single_source_fast_convergence():
     lam_star = 0.8
     model = core.ula(5)
     x = rank1_plus_floor_instance(RNG(60), model, lam_star, 10_000, eps=0.5)
-    res = capon_ice.run(x, model, PHI, CaponConfig(lambda_ini=lam_star + 0.1))
+    res = capon_ice.run(x, model, PHI, lam_star + 0.1)
     assert res.converged
     assert res.iterations <= 10
     assert abs(res.state.lam - lam_star) < 5e-3
@@ -255,10 +264,7 @@ def test_run_recovers_lone_source_over_quiet_floor(seed, v, lam_star, offset):
     # only the move to the Capon-spectrum peak brings Newton within 1e-6
     model = core.ula(5) if v is None else core.SteeringModel(np.array(v))
     x = lone_source_instance(RNG(seed), model, lam_star)
-    res = capon_ice.run(
-        x, model, PHI, CaponConfig(lambda_ini=lam_star + offset, max_iters=300),
-        keep_trace=False,
-    )
+    res = capon_ice.run(x, model, PHI, lam_star + offset, max_iters=300)
     assert abs(capon_ice.wrap_angle(res.state.lam - lam_star)) <= 1e-6
 
 
@@ -268,7 +274,7 @@ def test_capon_start_moves_only_self_cancelling_starts(caplog):
     x, _, _, model = random_mixture(RNG(61), 5, 500, 0.5)
     c_x = core.sample_covariance(x)
     start = capon_ice._capon_start(
-        c_x, core.covariance_factor(c_x), model, 0.55, 0.5, capon_ice.wrap_angle
+        c_x, core.covariance_factor(c_x), model, 0.55, capon_ice.wrap_angle
     )
     assert start == 0.55
     assert not caplog.records
@@ -277,7 +283,7 @@ def test_capon_start_moves_only_self_cancelling_starts(caplog):
     x = lone_source_instance(RNG(606), model, 0.8)
     c_x = core.sample_covariance(x)
     start = capon_ice._capon_start(
-        c_x, core.covariance_factor(c_x), model, 0.9, 0.5, capon_ice.wrap_angle
+        c_x, core.covariance_factor(c_x), model, 0.9, capon_ice.wrap_angle
     )
     assert abs(start - 0.8) <= 1e-6
     assert len(caplog.records) == 1
@@ -285,18 +291,16 @@ def test_capon_start_moves_only_self_cancelling_starts(caplog):
 
 def test_run_distortionless_after_iterations():
     x, _, _, model = random_mixture(RNG(61), 5, 500, 0.5)
-    res = capon_ice.run(x, model, PHI, CaponConfig(lambda_ini=0.55))
+    res = capon_ice.run(x, model, PHI, 0.55)
     assert abs(np.vdot(res.state.w, res.state.a) - 1.0) < 1e-10
 
 
 def test_run_restart_at_fixed_point_stays_put():
     # restarting at a converged iterate must take a (numerically) zero step
     x, _, _, model = random_mixture(RNG(62), 4, 800, 0.3)
-    first = capon_ice.run(x, model, PHI, CaponConfig(lambda_ini=0.35), keep_trace=False)
+    first = capon_ice.run(x, model, PHI, 0.35)
     assert first.converged
-    again = capon_ice.run(
-        x, model, PHI, CaponConfig(lambda_ini=first.state.lam), keep_trace=False
-    )
+    again = capon_ice.run(x, model, PHI, first.state.lam)
     assert again.converged
     assert again.iterations <= 2
     assert abs(again.state.lam - first.state.lam) < 1e-6
@@ -304,10 +308,21 @@ def test_run_restart_at_fixed_point_stays_put():
 
 def test_run_trace_monotone_tail():
     x, _, _, model = random_mixture(RNG(63), 5, 2000, -0.3)
-    res = capon_ice.run(x, model, PHI, CaponConfig(lambda_ini=-0.25))
-    assert res.contrast_trace.size == res.iterations + 1
-    # converged run ends at a (local) maximum: last value >= first value
-    assert res.contrast_trace[-1] >= res.contrast_trace[0] - 1e-12
+    res = capon_ice.run(x, model, PHI, -0.25)
+    # converged run ends at a (local) maximum: final value >= start value
+    start = capon_ice.contrast(x, -0.25, PHI, model)
+    assert capon_ice.contrast(x, res.state.lam, PHI, model) >= start - 1e-12
+
+
+def test_run_never_evaluates_contrast(monkeypatch):
+    # the search needs only the derivatives; the contrast is for checks
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run evaluated the contrast")
+
+    monkeypatch.setattr(capon_ice, "contrast", forbidden)
+    x, _, _, model = random_mixture(RNG(64), 5, 500, 0.5)
+    res = capon_ice.run(x, model, PHI, 0.55)
+    assert res.converged
 
 
 def test_run_success_rate_near_truth():
@@ -318,8 +333,7 @@ def test_run_success_rate_near_truth():
     for t in range(trials):
         rng = RNG(1000 + t)
         x, a, powers, model = random_mixture(rng, d, n, lam_star, competitor=0.25)
-        cfg = CaponConfig(lambda_ini=lam_star + 0.05)
-        res = capon_ice.run(x, model, PHI, cfg, keep_trace=False)
+        res = capon_ice.run(x, model, PHI, lam_star + 0.05)
         gains = np.abs(res.state.w.conj() @ a) ** 2 * powers
         sir = 10 * np.log10(gains[0] / (np.sum(gains) - gains[0]))
         successes += sir > 3.0

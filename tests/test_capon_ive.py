@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from blindcapon import capon_ice, capon_ive, core
-from blindcapon.capon_ice import CaponConfig
 from blindcapon.errors import SpatialAliasWarning
 
 RNG = np.random.default_rng
@@ -101,7 +100,7 @@ def oracle_joint_log_pdf(tensor, geom, tau, bins, perturb=None):
         xk = tensor.data[k]
         ck = xk @ xk.conj().T / tensor.n_frames
         a = np.exp(1j * lam_k * v)
-        w, _ = core.mpdr_weights(ck, a)
+        w, _ = core.mpdr_weights(core.covariance_factor(ck), a)
         s = w.conj() @ xk
         u = s / np.sqrt(np.mean(np.abs(s) ** 2))
         mag = np.abs(u) ** 2
@@ -167,9 +166,8 @@ def test_one_bin_is_the_narrowband_problem(small_tensor):
 def test_bin_order_invariance(small_tensor):
     tensor, geom = small_tensor
     bins = np.arange(10, 90)
-    cfg = CaponConfig(lambda_ini=84.0)
-    r1 = capon_ive.run_ive(tensor, geom, cfg, bins=bins)
-    r2 = capon_ive.run_ive(tensor, geom, cfg, bins=RNG(3).permutation(bins))
+    r1 = capon_ive.run_ive(tensor, geom, 84.0, bins=bins)
+    r2 = capon_ive.run_ive(tensor, geom, 84.0, bins=RNG(3).permutation(bins))
     assert abs(r1.theta_deg - r2.theta_deg) < 1e-9
 
 
@@ -181,8 +179,7 @@ def test_run_ive_recovers_both_speakers(broadband_fixture):
     tensor = broadband_fixture.tensor()
     geom = broadband_fixture.geom
     for theta_true in broadband_fixture.thetas_deg:
-        cfg = CaponConfig(lambda_ini=theta_true + 5.0)
-        res = capon_ive.run_ive(tensor, geom, cfg)
+        res = capon_ive.run_ive(tensor, geom, theta_true + 5.0)
         assert res.converged
         assert res.gradient_fallbacks == 0
         assert abs(res.theta_deg - theta_true) < 0.5
@@ -191,8 +188,7 @@ def test_run_ive_recovers_both_speakers(broadband_fixture):
 def test_run_ive_improves_sir(broadband_fixture):
     fx = broadband_fixture
     tensor = fx.tensor()
-    cfg = CaponConfig(lambda_ini=fx.thetas_deg[0] + 5.0)
-    res = capon_ive.run_ive(tensor, fx.geom, cfg)
+    res = capon_ive.run_ive(tensor, fx.geom, fx.thetas_deg[0] + 5.0)
     y = capon_ive.istft_mono(res.extracted, tensor, length=fx.mix.shape[1])
     improvement, soi, sir_in, sir_out = capon_ive.sir_improvement_db(
         y, fx.mix[0], fx.sources
@@ -204,8 +200,7 @@ def test_run_ive_improves_sir(broadband_fixture):
 def test_run_ive_distortionless_per_bin(broadband_fixture):
     fx = broadband_fixture
     tensor = fx.tensor()
-    cfg = CaponConfig(lambda_ini=fx.thetas_deg[1] + 5.0)
-    res = capon_ive.run_ive(tensor, fx.geom, cfg)
+    res = capon_ive.run_ive(tensor, fx.geom, fx.thetas_deg[1] + 5.0)
     omegas = 2 * np.pi * tensor.bin_frequencies()
     v = np.arange(fx.geom.d, dtype=float)
     for k in res.included_bins[:: max(1, res.included_bins.size // 40)]:
@@ -221,7 +216,7 @@ def test_single_source_passthrough():
     mix = capon_ive.anechoic_phase_mix(src[None, :], [72.0], geom, fs)
     mix = mix + 3e-4 * rng.standard_normal(mix.shape)
     tensor = capon_ive.stft(mix, 1024, 128, fs)
-    res = capon_ive.run_ive(tensor, geom, CaponConfig(lambda_ini=77.0))
+    res = capon_ive.run_ive(tensor, geom, 77.0)
     assert abs(res.theta_deg - 72.0) < 0.1
     # heavy extraction loading: the lone source must pass through unharmed
     _, extracted = capon_ive.beamform_at(tensor, geom, res.theta_deg, loading=0.03)

@@ -192,3 +192,41 @@ def test_extract_missing_file_fails(tmp_path):
         "--theta-ini", "90", "--out-dir", str(tmp_path),
     ]
     assert cli.main(args) == 1
+
+
+# ---------------------------------------------------------------------------
+# bad values: an error line and exit code 1, no traceback
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--d", "2"], ["--d", "5", "--n", "3"], ["--methods", "magic"]],
+    ids=["d2", "n-below-d", "unknown-method"],
+)
+def test_simulate_bad_value_exit_code(tmp_path, capsys, extra):
+    args = [
+        "simulate", "--trials", "1", "--lambda-grid", "0:1:2", "--methods", "ini",
+        "--out", str(tmp_path / "out"), *extra,
+    ]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_bad_grid_is_a_usage_error(tmp_path, capsys):
+    args = ["simulate", "--lambda-grid", "0:1", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert "lo:hi:steps" in capsys.readouterr().err
+
+
+def test_extract_max_iters_zero_exit_code(tmp_path, capsys, broadband_wavs):
+    mix_path, _, fx = broadband_wavs
+    out = tmp_path / "ive"
+    args = [
+        "extract", "--in", str(mix_path), "--theta-ini", str(fx.thetas_deg[0] + 5.0),
+        "--max-iters", "0", "--out-dir", str(out),
+    ]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "extracted.wav").exists()

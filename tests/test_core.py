@@ -95,13 +95,15 @@ def test_snapshot_matrix_needs_enough_samples():
 
 def test_mpdr_identity_covariance():
     d = 6
-    w, sigma2 = core.mpdr_weights(np.eye(d, dtype=complex), np.ones(d))
+    w, sigma2 = core.mpdr_weights(core.covariance_factor(np.eye(d, dtype=complex)), np.ones(d))
     np.testing.assert_allclose(w, np.ones(d) / d, rtol=1e-9)
     assert abs(sigma2 - 1.0 / d) < 1e-9
 
 
 def test_mpdr_scalar_covariance():
-    w, sigma2 = core.mpdr_weights(4.0 * np.eye(2, dtype=complex), np.array([1.0, 1.0]))
+    w, sigma2 = core.mpdr_weights(
+        core.covariance_factor(4.0 * np.eye(2, dtype=complex)), np.array([1.0, 1.0])
+    )
     np.testing.assert_allclose(w, [0.5, 0.5], rtol=1e-9)
     assert abs(sigma2 - 2.0) < 1e-8
 
@@ -112,7 +114,7 @@ def test_mpdr_distortionless_and_power_identity():
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     c = m @ m.conj().T + d * np.eye(d)
     a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    w, sigma2 = core.mpdr_weights(c, a)
+    w, sigma2 = core.mpdr_weights(core.covariance_factor(c), a)
     assert abs(np.vdot(w, a) - 1.0) < 1e-10
     # exact identity holds on the (diagonally loaded) matrix the solve uses;
     # the raw matrix agrees up to the loading epsilon
@@ -128,14 +130,15 @@ def test_mpdr_scaling_invariance():
     c = m @ m.conj().T + d * np.eye(d)
     a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     alpha = 0.3 - 1.7j
-    w_a, _ = core.mpdr_weights(c, a)
-    w_scaled, _ = core.mpdr_weights(c, alpha * a)
+    factor = core.covariance_factor(c)
+    w_a, _ = core.mpdr_weights(factor, a)
+    w_scaled, _ = core.mpdr_weights(factor, alpha * a)
     np.testing.assert_allclose(w_scaled * np.conj(alpha), w_a, rtol=1e-10)
 
 
 def test_mpdr_singular_covariance_raises():
     with pytest.raises(SingularCovariance):
-        core.mpdr_weights(np.zeros((3, 3), dtype=complex), np.ones(3))
+        core.mpdr_weights(core.covariance_factor(np.zeros((3, 3), dtype=complex)), np.ones(3))
 
 
 # ---------------------------------------------------------------------------

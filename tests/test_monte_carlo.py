@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blindcapon import capon_ice, core, monte_carlo
-from blindcapon.errors import Diverged
+from blindcapon.errors import Diverged, SingularCovariance
 from blindcapon.monte_carlo import MixtureSpec
 
 RNG = np.random.default_rng
@@ -39,16 +39,28 @@ def test_same_seed_bit_identical():
     assert np.array_equal(p1, p2)
 
 
+def measured_isir_db(s):
+    """Channel-averaged input SIR of the actually generated data."""
+    _, a, powers = monte_carlo.generate_mixture(s)
+    u = monte_carlo.draw_sources(s)
+    per_source = powers * np.mean(np.abs(u) ** 2, axis=1)
+    gains = np.abs(a) ** 2 * per_source  # d x d channel/source powers
+    interference = gains[:, 1:].sum(axis=1)
+    return float(np.mean(10.0 * np.log10(gains[:, 0] / interference)))
+
+
 def test_measured_isir_matches_target():
     s = spec(N=10_000, isir_db=0.0)
-    assert abs(monte_carlo.measured_isir_db(s)) < 0.5
+    assert abs(measured_isir_db(s)) < 0.5
     s10 = spec(N=10_000, isir_db=10.0)
-    assert abs(monte_carlo.measured_isir_db(s10) - 10.0) < 0.5
+    assert abs(measured_isir_db(s10) - 10.0) < 0.5
 
 
 def test_mixture_spec_validation():
     with pytest.raises(ValueError):
         spec(d=2)
+    with pytest.raises(ValueError):
+        spec(d=5, N=4)
     with pytest.raises(ValueError):
         spec(isir_db=float("inf"))
     with pytest.raises(ValueError):
@@ -139,12 +151,13 @@ def test_trial_failure_recorded_not_raised():
     assert all(isinstance(r.sir_out_db, float) for r in recs)
 
 
-def test_trial_records_package_errors_and_raises_bugs(monkeypatch):
-    def raiser(exc):
-        def run(*args, **kwargs):
-            raise exc
-        return run
+def raiser(exc):
+    def raise_exc(*args, **kwargs):
+        raise exc
+    return raise_exc
 
+
+def test_trial_records_package_errors_and_raises_bugs(monkeypatch, tmp_path):
     def sweep():
         return monte_carlo.run_sweep(
             spec(N=200), "lambda_star", [0.5], ["caponice", "ini"], trials=1, master_seed=6
@@ -157,10 +170,46 @@ def test_trial_records_package_errors_and_raises_bugs(monkeypatch):
     assert failed.sir_out_db == -monte_carlo.SIR_CAP_DB
     assert not failed.success and not failed.converged
     assert ini.method == "ini" and ini.converged
+    path = tmp_path / "sweep.csv"
+    monte_carlo.write_csv([failed, ini], path)
+    with open(path) as fh:
+        header, failed_row, ini_row = list(csv.reader(fh))
+    col = header.index("converged")
+    assert (failed_row[col], ini_row[col]) == ("false", "true")
 
     monkeypatch.setattr(capon_ice, "run", raiser(TypeError("programming error")))
     with pytest.raises(TypeError):
         sweep()
+
+
+def test_shared_covariance_failure_fails_each_method(monkeypatch):
+    # CaponICE factors its own covariance; the other methods share one
+    # factor, and its failure is a failed row for each of them
+    monkeypatch.setattr(core, "covariance_factor", raiser(SingularCovariance("forced")))
+    methods = ["caponice", "fastica", "musicmpdr", "espritmpdr", "ini"]
+    recs = monte_carlo.run_sweep(spec(N=200), "lambda_star", [0.5], methods, trials=1, master_seed=6)
+    assert [r.method for r in recs] == methods
+    assert recs[0].converged and np.isfinite(recs[0].lambda_hat)
+    for r in recs[1:]:
+        assert np.isnan(r.lambda_hat)
+        assert r.sir_out_db == -monte_carlo.SIR_CAP_DB
+        assert not r.success and not r.converged
+
+
+def test_trial_computes_one_shared_covariance(monkeypatch):
+    calls = []
+    sample_covariance = core.sample_covariance
+
+    def counted(x):
+        calls.append(x)
+        return sample_covariance(x)
+
+    monkeypatch.setattr(core, "sample_covariance", counted)
+    methods = ["musicmpdr", "espritmpdr", "ini"]
+    monte_carlo.run_sweep(spec(N=200), "lambda_star", [0.5], methods, trials=2, master_seed=6)
+    assert len(calls) == 2
+    monte_carlo.run_sweep(spec(N=200), "lambda_star", [0.5], ["caponice"], trials=2, master_seed=6)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
