@@ -111,7 +111,8 @@ def fastica_one_unit(
     stats = core.soi_statistics(s, phi)
     a_hat = (c_x @ w_orig) / stats.sigma2
     state = ExtractionState(
-        lam=float("nan"), a=a_hat, w=w_orig, s=s, stats=stats, model=core.ula(x.d)
+        lam=float("nan"), a=a_hat, w=w_orig, s=s, stats=stats, model=core.ula(x.d),
+        sigma2_solve=float("nan"),  # w comes from no MPDR solve
     )
     return FasticaResult(state=state, converged=converged, iterations=iterations)
 

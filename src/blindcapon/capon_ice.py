@@ -107,26 +107,32 @@ def contrast(
 
 
 def _mpdr_derivatives(data, c_x, factor, a, v, w, phi_u, sigma2, sigma2_solve, nu, c1):
-    """``(grad_w, d1, d2)`` of one MPDR problem, by the formulas of
+    """``(grad_w, d1, d2)`` of MPDR problems, by the formulas of
     :func:`grad_w`, :func:`first_derivative` and :func:`second_derivative_approx`.
 
     ``data``, ``c_x`` and ``factor`` are the problem's snapshots, covariance
-    and loaded Cholesky factor; ``a``, ``w`` and ``phi_u`` are the steering
-    vector, MPDR weights and output scores at the current parameter, and
-    ``sigma2_solve`` is the ``1 / (a^H C^-1 a)`` of the solve that gave
-    ``w``.  The statistics ``sigma2``, ``nu`` and ``c1`` are inputs, so that
-    a broadband bin can supply those of the joint nonlinearity.
+    and :func:`core.covariance_factor`; ``a``, ``w`` and ``phi_u`` are the
+    steering vector, MPDR weights and output scores at the current
+    parameter, and ``sigma2_solve`` is the ``1 / (a^H C^-1 a)`` of the solve
+    that gave ``w``.  The statistics ``sigma2``, ``nu`` and ``c1`` are
+    inputs, so that a broadband bin can supply those of the joint
+    nonlinearity.  Leading dimensions are a stack of problems (``data``
+    ``(..., d, N)``, ``a`` ``(..., d)``, ``sigma2`` ``(...)``, ...) and give
+    ``grad_w`` ``(..., d)`` and ``d1``, ``d2`` ``(...)``; ``v`` is shared.
     """
+    sigma2, nu = np.asarray(sigma2), np.asarray(nu)
     av = a * v
-    ci_av = scipy.linalg.cho_solve(factor, av)
-    a_w = (c_x @ w) / sigma2
-    score_mean = (data * phi_u).mean(axis=1) / np.sqrt(sigma2)
-    gw = a_w - score_mean / nu
-    d1 = -2.0 * sigma2 * np.imag(np.vdot(gw, ci_av))
+    a_w = np.matvec(c_x, w) / sigma2[..., None]
+    # data @ phi_u, without a (..., d, N) temporary
+    score_mean = np.matvec(data, phi_u) / (data.shape[-1] * np.sqrt(sigma2))[..., None]
+    gw = a_w - score_mean / nu[..., None]
+    # C^-1 = G^H G: both quadratic forms are inner products after G
+    g_av = np.matvec(factor, av)
+    d1 = -2.0 * sigma2 * np.imag(np.vecdot(np.matvec(factor, gw), g_av))
     # solve-consistent sigma^2 in the bracket keeps it >= 0 exactly
-    bracket = sigma2_solve * np.real(np.vdot(av, ci_av)) - np.abs(np.vdot(w, av)) ** 2
+    bracket = sigma2_solve * np.real(np.vecdot(g_av, g_av)) - np.abs(np.vecdot(w, av)) ** 2
     d2 = 2.0 * c1 * sigma2 * bracket
-    return gw, float(d1), float(d2)
+    return gw, d1, d2
 
 
 def _derivatives(x, state, phi, c_x=None, factor=None):
@@ -141,11 +147,11 @@ def _derivatives(x, state, phi, c_x=None, factor=None):
     stats = state.stats
     c1, _, _ = c_constants(stats)
     u = state.s / np.sqrt(stats.sigma2)
-    _, sigma2_solve = core.mpdr_weights(factor, state.a)
-    return _mpdr_derivatives(
+    gw, d1, d2 = _mpdr_derivatives(
         x.data, c_x, factor, state.a, state.model.v, state.w, phi.phi(u),
-        stats.sigma2, sigma2_solve, stats.nu, c1,
+        stats.sigma2, state.sigma2_solve, stats.nu, c1,
     )
+    return gw, float(d1), float(d2)
 
 
 def grad_w(x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearity) -> np.ndarray:
@@ -243,7 +249,7 @@ def _capon_start(c_x, factor, model, start, project):
     def inverse_power(lam):
         # a^H C^-1 a on the loaded covariance, for one lam or a grid of them
         a = np.exp(1j * np.multiply.outer(model.v, lam))
-        return np.real(np.sum(a.conj() * scipy.linalg.cho_solve(factor, a), axis=0))
+        return np.sum(np.abs(factor @ a) ** 2, axis=0)
 
     a = core.steering(model, start)
     ratio = model.d ** 2 / (inverse_power(start) * np.real(np.vdot(a, c_x @ a)))

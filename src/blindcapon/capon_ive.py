@@ -20,14 +20,8 @@ import scipy.optimize
 import scipy.signal
 
 from .capon_ice import _STEP_CAP, _mpdr_derivatives, _safeguarded_newton
-from .core import (
-    COVARIANCE_EPS,
-    SnapshotMatrix,
-    covariance_factor,
-    mpdr_weights,
-    sample_covariance,
-)
-from .errors import SingularCovariance, SpatialAliasWarning
+from .core import COVARIANCE_EPS, covariance_factor, mpdr_weights
+from .errors import DomainError, SingularCovariance, SpatialAliasWarning
 from .monte_carlo import SIR_CAP_DB
 
 
@@ -92,23 +86,41 @@ def stft(signal: np.ndarray, fft_len: int, hop: int, sample_rate: float) -> Stft
 
     ``signal`` is ``(channels, samples)``; the signal is zero-padded by one
     window on each side so that, together with the matching synthesis window
-    in :func:`istft`, the round trip reconstructs the input exactly.
+    in :func:`istft`, the round trip reconstructs the input exactly.  That
+    needs ``fft_len >= 2`` and ``1 <= hop < fft_len``; other values raise
+    :class:`DomainError`.
     """
+    if fft_len < 2:
+        raise DomainError(f"FFT length must be >= 2, got {fft_len}")
+    if not 1 <= hop < fft_len:
+        raise DomainError(f"hop must be in [1, FFT length {fft_len}), got {hop}")
     signal = np.atleast_2d(np.asarray(signal, dtype=float))
     d, length = signal.shape
     if length < fft_len:
-        raise ValueError("signal shorter than one analysis window")
+        raise DomainError("signal shorter than one analysis window")
     win = _sqrt_hann(fft_len)
-    padded = np.concatenate(
-        [np.zeros((d, fft_len)), signal, np.zeros((d, fft_len))], axis=1
-    )
-    n_frames = (padded.shape[1] - fft_len) // hop + 1
-    k = fft_len // 2 + 1
-    out = np.empty((k, d, n_frames), dtype=complex)
-    for m in range(n_frames):
-        seg = padded[:, m * hop: m * hop + fft_len] * win
-        out[:, :, m] = np.fft.rfft(seg, axis=1).T
+    pad = np.zeros(fft_len)
+    n_frames = (length + fft_len) // hop + 1
+    out = np.empty((fft_len // 2 + 1, d, n_frames), dtype=complex)
+    for ch in range(d):
+        padded = np.concatenate([pad, signal[ch], pad])
+        frames = np.lib.stride_tricks.sliding_window_view(padded, fft_len)[::hop]
+        out[:, ch, :] = np.fft.rfft(frames * win, axis=1).T
     return StftTensor(out, sample_rate, fft_len, hop)
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of the rows of ``frames`` ``(n_frames, fft_len)``, row ``m``
+    shifted by ``m * hop`` samples."""
+    n_frames, fft_len = frames.shape
+    n_blocks = -(-fft_len // hop)
+    out = np.zeros((n_frames + n_blocks, hop))
+    # block r of frame m lands on output block m + r; taking r downwards
+    # adds up every output sample in frame order, as a loop over frames would
+    for r in reversed(range(n_blocks)):
+        block = frames[:, r * hop: (r + 1) * hop]
+        out[r: r + n_frames, : block.shape[1]] += block
+    return out.ravel()[: fft_len + (n_frames - 1) * hop]
 
 
 def istft(tensor: StftTensor, length: Optional[int] = None) -> np.ndarray:
@@ -116,13 +128,12 @@ def istft(tensor: StftTensor, length: Optional[int] = None) -> np.ndarray:
     k, d, n_frames = tensor.data.shape
     fft_len, hop = tensor.fft_len, tensor.hop
     win = _sqrt_hann(fft_len)
-    total = fft_len + (n_frames - 1) * hop
-    acc = np.zeros((d, total))
-    wsum = np.zeros(total)
-    for m in range(n_frames):
-        seg = np.fft.irfft(tensor.data[:, :, m].T, n=fft_len, axis=1)
-        acc[:, m * hop: m * hop + fft_len] += seg * win
-        wsum[m * hop: m * hop + fft_len] += win ** 2
+    wsum = _overlap_add(np.broadcast_to(win ** 2, (n_frames, fft_len)), hop)
+    acc = np.empty((d, wsum.size))
+    for ch in range(d):
+        seg = np.fft.irfft(tensor.data[:, ch, :].T, n=fft_len, axis=1)
+        seg *= win
+        acc[ch] = _overlap_add(seg, hop)
     acc /= np.maximum(wsum, 1e-12)
     out = acc[:, fft_len:]
     if length is not None:
@@ -220,10 +231,65 @@ class _BinStates:
     sig2_solve: np.ndarray  # (B,)
 
 
+def _take_bins(data: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """``data[bins]``, as a view of ``data`` when the bins are one
+    increasing run (the included bins are), a copy otherwise."""
+    first = bins[0]
+    if np.array_equal(bins, np.arange(first, first + bins.size)):
+        return data[first: first + bins.size]
+    return data[bins]
+
+
+def _covariances(x: np.ndarray) -> np.ndarray:
+    """Sample covariance of each ``(d, frames)`` matrix of the stack ``x``,
+    as :func:`core.sample_covariance` forms one, with no conjugated copy
+    of ``x``."""
+    # vecdot conjugates its first argument: c[k, i, j] = mean_t x_ki conj(x_kj)
+    c = np.vecdot(x[:, None, :, :], x[:, :, None, :]) / x.shape[-1]
+    return 0.5 * (c + np.conj(np.swapaxes(c, -1, -2)))
+
+
+def _loaded_factors(c: np.ndarray, loadings):
+    """:func:`covariance_factor` of each matrix of the stack ``c`` at the
+    first of ``loadings`` that factors it.
+
+    Returns ``(factors, level)``: ``level[k]`` indexes the loading used for
+    matrix ``k``, or is -1 where none works (that factor is left zero).
+    The whole stack is factored at once when the first loading suits every
+    matrix, and matrix by matrix otherwise.
+    """
+    level = np.zeros(len(c), dtype=int)
+    try:
+        return covariance_factor(c, loadings[0]), level
+    except SingularCovariance:
+        pass
+    factors = np.zeros_like(c)
+    level[:] = -1
+    for k, ck in enumerate(c):
+        for j, eps in enumerate(loadings):
+            try:
+                factors[k] = covariance_factor(ck, eps)
+            except SingularCovariance:
+                continue
+            level[k] = j
+            break
+    return factors, level
+
+
+# per-bin loadings tried during the parameter search, lightest first
+_SEARCH_LOADINGS = COVARIANCE_EPS * 1e3 ** np.arange(4)
+
+
 class _BinContext:
-    """The included bins of a tensor, each one MPDR problem whose sample
-    covariance and loaded Cholesky factor are computed once; shared by
-    :func:`run_ive` and :func:`derivatives_at`."""
+    """The included bins of a tensor as one stack of MPDR problems: the
+    snapshots ``x`` ``(B, d, frames)``, their sample covariances ``c`` and
+    loaded factors ``factors`` ``(B, d, d)``, computed once; shared by
+    :func:`run_ive` and :func:`derivatives_at`.
+
+    A bin whose covariance does not factor at the solver loading is loaded
+    1e3 times more, up to 0.1, and flagged; a bin that never factors is
+    flagged and dropped.
+    """
 
     def __init__(self, tensor, geom, fmin_hz, bins=None):
         if geom.d != tensor.n_channels:
@@ -236,39 +302,27 @@ class _BinContext:
         self.v = np.arange(geom.d, dtype=float)
         self.omegas_all = 2.0 * np.pi * tensor.bin_frequencies()
 
-        self.problems, usable, flagged = [], [], []
-        for k in bins:
-            xk = tensor.data[k]
-            ck = sample_covariance(SnapshotMatrix(xk))
-            eps, fac = COVARIANCE_EPS, None
-            while fac is None and eps <= 1e-1:
-                try:
-                    fac = covariance_factor(ck, eps)
-                except SingularCovariance:
-                    eps *= 1e3
-            if fac is None or eps != COVARIANCE_EPS:
-                flagged.append(int(k))
-            if fac is None:
-                continue
-            self.problems.append((xk, ck, fac))
-            usable.append(int(k))
-        self.bins = np.asarray(usable, dtype=int)
-        if self.bins.size == 0:
+        self.x = _take_bins(tensor.data, bins)
+        self.c = _covariances(self.x)
+        self.factors, level = _loaded_factors(self.c, _SEARCH_LOADINGS)
+        self.flagged = bins[level != 0]
+        usable = level >= 0
+        if not usable.any():
             raise SingularCovariance("every included bin has a singular covariance")
-        self.flagged = np.asarray(flagged, dtype=int)
+        if not usable.all():
+            bins = bins[usable]
+            self.x = _take_bins(tensor.data, bins)
+            self.c, self.factors = self.c[usable], self.factors[usable]
+        self.bins = bins
         self.omegas = self.omegas_all[self.bins]
-        self.n_frames = tensor.n_frames
 
     def states(self, tau: float) -> _BinStates:
         """MPDR weights, source samples and powers of all bins at ``tau``."""
         a = np.exp(1j * np.outer(self.omegas * tau, self.v))
-        w = np.empty_like(a)
-        s = np.empty((self.bins.size, self.n_frames), dtype=complex)
-        sig2_solve = np.empty(self.bins.size)
-        for i, (xk, _, fac) in enumerate(self.problems):
-            w[i], sig2_solve[i] = mpdr_weights(fac, a[i])
-            s[i] = w[i].conj() @ xk
-        return _BinStates(a, w, s, np.mean(np.abs(s) ** 2, axis=1), sig2_solve)
+        w, sig2_solve = mpdr_weights(self.factors, a)
+        s = np.matmul(w.conj()[:, None, :], self.x)[:, 0]       # w^H x per bin
+        sig2 = np.real(np.vecdot(s, s)) / s.shape[1]
+        return _BinStates(a, w, s, sig2, sig2_solve)
 
     def derivatives(self, st: _BinStates) -> BinDerivatives:
         """Per-bin and joint derivatives with the joint nonlinearity
@@ -277,19 +331,19 @@ class _BinContext:
 
         whose normalizer ``nu_k`` and ``rho_k`` replace the per-bin ones.
         """
-        u = st.s / np.sqrt(st.sig2)[:, None]
-        s_tot = 1.0 + np.sum(np.abs(u) ** 2, axis=0)              # (frames,)
-        phi = np.conj(u) / s_tot
-        nu = np.real(np.mean(phi * u, axis=1))                    # (B,)
-        rho = np.real(np.mean((s_tot - np.abs(u) ** 2) / s_tot ** 2, axis=1))
+        frames = st.s.shape[1]
+        u2 = np.abs(st.s) ** 2 / st.sig2[:, None]                 # |u_k|^2
+        r = 1.0 / (1.0 + np.sum(u2, axis=0))                      # (frames,)
+        phi = np.conj(st.s) * (r / np.sqrt(st.sig2)[:, None])
+        # nu_k = mean(phi_k u_k) = mean(|u_k|^2 r) and
+        # rho_k = mean(d phi_k / d conj(u_k)) = mean(r - |u_k|^2 r^2)
+        nu = u2 @ r / frames                                      # (B,)
+        rho = (np.sum(r) - u2 @ r ** 2) / frames
         c1 = (nu - rho) / (nu * st.sig2)
-        d1 = np.empty(self.bins.size)
-        d2 = np.empty(self.bins.size)
-        for i, (xk, ck, fac) in enumerate(self.problems):
-            _, d1[i], d2[i] = _mpdr_derivatives(
-                xk, ck, fac, st.a[i], self.v, st.w[i], phi[i],
-                st.sig2[i], st.sig2_solve[i], nu[i], c1[i],
-            )
+        _, d1, d2 = _mpdr_derivatives(
+            self.x, self.c, self.factors, st.a, self.v, st.w, phi,
+            st.sig2, st.sig2_solve, nu, c1,
+        )
         return BinDerivatives(
             d1_tau=float(np.mean(self.omegas * d1)),
             d2_tau=float(np.mean(self.omegas ** 2 * d2)),
@@ -394,24 +448,19 @@ def beamform_at(
     whose MPDR problem is singular fall back to passing channel 0 through
     unchanged.
     """
-    k_all, d, frames = tensor.data.shape
+    k_all, d, _ = tensor.data.shape
     if geom.d != d:
         raise ValueError("geometry channel count does not match the tensor")
     tau = theta_to_tau(geom, theta_deg)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()
-    v = np.arange(d, dtype=float)
+    a = np.exp(1j * np.outer(omegas * tau, np.arange(d, dtype=float)))
+    factors, level = _loaded_factors(_covariances(tensor.data), (loading,))
+    ok = level == 0
     weights = np.zeros((k_all, d), dtype=complex)
-    extracted = np.zeros((k_all, frames), dtype=complex)
-    for k in range(k_all):
-        xk = tensor.data[k]
-        try:
-            fac = covariance_factor(sample_covariance(SnapshotMatrix(xk)), loading)
-            weights[k], _ = mpdr_weights(fac, np.exp(1j * omegas[k] * tau * v))
-        except SingularCovariance:
-            weights[k, 0] = 1.0
-            extracted[k] = xk[0]
-            continue
-        extracted[k] = weights[k].conj() @ xk
+    weights[ok], _ = mpdr_weights(factors[ok], a[ok])
+    weights[~ok, 0] = 1.0
+    extracted = np.matmul(weights.conj()[:, None, :], tensor.data)[:, 0]
+    extracted[~ok] = tensor.data[~ok, 0]
     return weights, extracted
 
 

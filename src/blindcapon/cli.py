@@ -141,6 +141,9 @@ def cmd_bounds(args) -> int:
     if args.estimate_kappa is not None:
         if args.estimate_kappa != "laplacean":
             raise DomainError(f"unknown source law {args.estimate_kappa!r}")
+        if args.samples < 2:
+            # the standard error needs two samples; fewer give NaN, not JSON
+            raise DomainError(f"--samples must be >= 2, got {args.samples}")
         samples = complex_laplacean(np.random.default_rng(args.seed), args.samples)
         kappa_bar = bounds_mod.empirical_kappa_bar(samples, laplacean_score)
         stderr = bounds_mod.empirical_kappa_bar_stderr(samples, laplacean_score)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateSignal, ScoreDegenerate, SingularCovariance
 
@@ -168,6 +167,7 @@ class ExtractionState:
     s: np.ndarray
     stats: SoiStatistics
     model: SteeringModel
+    sigma2_solve: float     # 1 / (a^H C^-1 a) of the solve that gave w
 
 
 # ---------------------------------------------------------------------------
@@ -211,35 +211,44 @@ def sample_covariance(x: SnapshotMatrix) -> np.ndarray:
 
 
 def regularized(c: np.ndarray, eps: float = COVARIANCE_EPS) -> np.ndarray:
-    """Diagonal loading ``C + eps * trace(C)/d * I`` applied before solves."""
-    d = c.shape[0]
-    return c + (eps * np.real(np.trace(c)) / d) * np.eye(d)
+    """Diagonal loading ``C + eps * trace(C)/d * I`` applied before solves;
+    ``c`` may be a stack ``(..., d, d)``, each matrix loaded by its own trace."""
+    d = c.shape[-1]
+    load = eps * np.real(np.trace(c, axis1=-2, axis2=-1)) / d
+    return c + load[..., None, None] * np.eye(d)
 
 
-def covariance_factor(c: np.ndarray, eps: float = COVARIANCE_EPS):
-    """Cholesky factor of the regularized covariance, for repeated solves."""
+def covariance_factor(c: np.ndarray, eps: float = COVARIANCE_EPS) -> np.ndarray:
+    """Inverse Cholesky factor ``G = L^-1`` of the regularized covariance
+    ``L L^H``, for repeated solves: ``C^-1 = G^H G``, so a solve is two
+    mat-vecs.  ``c`` may be a stack ``(..., d, d)``; one matrix that is not
+    positive definite fails the whole stack.
+    """
     try:
-        return scipy.linalg.cho_factor(regularized(c, eps), lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.inv(np.linalg.cholesky(regularized(c, eps)))
+    except np.linalg.LinAlgError as exc:
         raise SingularCovariance(
             "covariance is not positive definite even after regularization"
         ) from exc
 
 
-def mpdr_weights(factor, a: np.ndarray):
+def mpdr_weights(factor: np.ndarray, a: np.ndarray):
     """Minimum-power distortionless weights under the orthogonal constraint.
 
     ``factor`` is the :func:`covariance_factor` of the covariance ``C`` and
     ``a`` the steering vector.  Returns ``(w, sigma2)`` with
     ``w = C^-1 a / (a^H C^-1 a)`` and ``sigma2 = 1 / (a^H C^-1 a) = w^H C w``
-    on the loaded ``C``.
+    on the loaded ``C``.  Leading dimensions are a stack of problems:
+    ``factor`` ``(..., d, d)`` and ``a`` ``(..., d)`` give ``w`` ``(..., d)``
+    and ``sigma2`` ``(...)``.
     """
-    ci_a = scipy.linalg.cho_solve(factor, a)
-    denom = np.real(np.vdot(a, ci_a))
-    if not np.isfinite(denom) or denom <= 0.0:
+    g_a = np.matvec(factor, a)
+    denom = np.real(np.vecdot(g_a, g_a))
+    if not ((denom > 0.0) & (denom < np.inf)).all():
         raise SingularCovariance("a^H C^-1 a is not positive")
     sigma2 = 1.0 / denom
-    return sigma2 * ci_a, sigma2
+    # vecmat conjugates its vector: conj(g_a^H G) = G^H g_a = C^-1 a
+    return np.conj(np.vecmat(g_a, factor)) * sigma2[..., None], sigma2
 
 
 def soi_statistics(s: np.ndarray, phi: Nonlinearity) -> SoiStatistics:
@@ -320,7 +329,10 @@ def extraction_state(
     a = steering(model, lam)
     if factor is None:
         factor = covariance_factor(sample_covariance(x))
-    w, _ = mpdr_weights(factor, a)
+    w, sigma2_solve = mpdr_weights(factor, a)
     s = w.conj() @ x.data
     stats = soi_statistics(s, phi)
-    return ExtractionState(lam=float(lam), a=a, w=w, s=s, stats=stats, model=model)
+    return ExtractionState(
+        lam=float(lam), a=a, w=w, s=s, stats=stats, model=model,
+        sigma2_solve=float(sigma2_solve),
+    )

@@ -234,6 +234,8 @@ def run_sweep(
     """
     if grid_param not in ("lambda_star", "isir_db"):
         raise DomainError(f"unknown grid parameter {grid_param!r}")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     for m in methods:
         if m not in KNOWN_METHODS:
             raise DomainError(f"unknown method {m!r}")

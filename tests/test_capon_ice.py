@@ -44,9 +44,9 @@ def first_derivative_via_grad_a(x, state, phi):
     """Equivalent form ``-2 Im{ grad_a^H (a * v) }`` of the first
     derivative, with ``grad_a = sigma^2 C_x^-1 grad_w``."""
     av = state.a * state.model.v
-    factor = core.covariance_factor(core.sample_covariance(x))
-    grad_a = state.stats.sigma2 * scipy.linalg.cho_solve(
-        factor, capon_ice.grad_w(x, state, phi)
+    loaded = core.regularized(core.sample_covariance(x))
+    grad_a = state.stats.sigma2 * scipy.linalg.solve(
+        loaded, capon_ice.grad_w(x, state, phi), assume_a="her"
     )
     return float(-2.0 * np.imag(np.vdot(grad_a, av)))
 
@@ -180,7 +180,9 @@ def test_second_derivative_closed_form_d2():
     a = core.steering(model, lam)
     w = a / 2.0
     stats = core.SoiStatistics(sigma2=0.5, nu=0.5, rho=0.25, xi=0.0, eta=0.0)
-    state = core.ExtractionState(lam=lam, a=a, w=w, s=w.conj() @ x.data, stats=stats, model=model)
+    state = core.ExtractionState(
+        lam=lam, a=a, w=w, s=w.conj() @ x.data, stats=stats, model=model, sigma2_solve=0.5
+    )
     c1, _, _ = core.c_constants(stats)
     expected = 2.0 * c1 * 0.5 * 0.25
     got = capon_ice.second_derivative_approx(x, state, PHI)

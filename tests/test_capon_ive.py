@@ -41,6 +41,20 @@ def test_tone_lands_in_expected_bin():
     assert abs(peak - 64) <= 1
 
 
+def test_stft_matches_frame_loop():
+    sig = RNG(2).standard_normal((3, 5000))
+    fft_len, hop = 512, 96
+    t = capon_ive.stft(sig, fft_len, hop, 16000)
+    win = np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(fft_len) / fft_len))
+    padded = np.pad(sig, ((0, 0), (fft_len, fft_len)))
+    n_frames = (padded.shape[1] - fft_len) // hop + 1
+    ref = np.empty((fft_len // 2 + 1, 3, n_frames), dtype=complex)
+    for m in range(n_frames):
+        ref[:, :, m] = np.fft.rfft(padded[:, m * hop: m * hop + fft_len] * win, axis=1).T
+    assert t.data.shape == ref.shape
+    assert np.max(np.abs(t.data - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_stft_shape_contract():
     t = capon_ive.stft(np.zeros((2, 3000)), 512, 128, 8000)
     assert t.n_bins == 257
@@ -163,6 +177,76 @@ def test_one_bin_is_the_narrowband_problem(small_tensor):
         assert abs(der.per_bin_second[0] - d2) <= 1e-9 * abs(d2)
 
 
+def test_bin_stack_is_a_view_of_the_tensor(small_tensor):
+    # a copy of the bins would add a (bins, d, frames) array to peak memory
+    tensor, geom = small_tensor
+    ctx = capon_ive._BinContext(tensor, geom, 100.0)
+    assert np.shares_memory(ctx.x, tensor.data)
+
+
+@pytest.mark.parametrize("theta", [70.0, 80.0, 105.0])
+def test_stacked_kernel_matches_per_bin_loop(small_tensor, theta):
+    tensor, geom = small_tensor
+    ctx = capon_ive._BinContext(tensor, geom, 100.0)
+    tau = capon_ive.theta_to_tau(geom, theta)
+    st = ctx.states(tau)
+    der = ctx.derivatives(st)
+    v = np.arange(geom.d, dtype=float)
+    omegas = 2 * np.pi * tensor.bin_frequencies()
+    per_bin = []
+    for k in ctx.bins:
+        xk = tensor.data[k]
+        ck = core.sample_covariance(core.SnapshotMatrix(xk))
+        fac = core.covariance_factor(ck)
+        a = np.exp(1j * omegas[k] * tau * v)
+        w, sig2_solve = core.mpdr_weights(fac, a)
+        per_bin.append((xk, ck, fac, a, w, sig2_solve, w.conj() @ xk))
+    s = np.array([p[-1] for p in per_bin])
+    u = s / np.sqrt(np.mean(np.abs(s) ** 2, axis=1))[:, None]
+    s_tot = 1.0 + np.sum(np.abs(u) ** 2, axis=0)
+    phi = np.conj(u) / s_tot
+    sig2 = np.mean(np.abs(s) ** 2, axis=1)
+    nu = np.real(np.mean(phi * u, axis=1))
+    rho = np.real(np.mean((s_tot - np.abs(u) ** 2) / s_tot ** 2, axis=1))
+    c1 = (nu - rho) / (nu * sig2)
+    d1, d2 = np.array([
+        capon_ice._mpdr_derivatives(
+            xk, ck, fac, a, v, w, phi[i], sig2[i], sig2_solve, nu[i], c1[i]
+        )[1:]
+        for i, (xk, ck, fac, a, w, sig2_solve, _) in enumerate(per_bin)
+    ]).T
+
+    def close(got, want):
+        # relative to the largest bin: d1 changes sign across the bins
+        return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    assert close(st.w, np.array([p[4] for p in per_bin]))
+    assert close(st.sig2_solve, np.array([p[5] for p in per_bin]))
+    assert close(der.nus, nu)
+    assert close(der.per_bin_first, d1)
+    assert close(der.per_bin_second, d2)
+
+
+def test_silent_bin_is_dropped_by_the_search_and_passed_by_beamform(small_tensor):
+    # an all-zero bin has no positive definite loading at all
+    tensor, geom = small_tensor
+    data = tensor.data.copy()
+    data[30] = 0.0
+    silent = capon_ive.StftTensor(data, tensor.sample_rate, tensor.fft_len, tensor.hop)
+    ctx = capon_ive._BinContext(silent, geom, 100.0)
+    assert list(ctx.flagged) == [30]
+    assert 30 not in ctx.bins and ctx.bins.size == ctx.x.shape[0] == ctx.factors.shape[0]
+    der = ctx.derivatives(ctx.states(capon_ive.theta_to_tau(geom, 80.0)))
+    assert np.all(np.isfinite(der.per_bin_first)) and np.all(np.isfinite(der.per_bin_second))
+    weights, extracted = capon_ive.beamform_at(silent, geom, 80.0)
+    assert np.array_equal(weights[30], np.eye(geom.d)[0])
+    assert not np.any(extracted[30])
+    ref_weights, ref_extracted = capon_ive.beamform_at(tensor, geom, 80.0)
+    others = np.arange(tensor.n_bins) != 30
+    np.testing.assert_allclose(weights[others], ref_weights[others], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(extracted[others], ref_extracted[others], rtol=1e-12, atol=0)
+
+
 def test_bin_order_invariance(small_tensor):
     tensor, geom = small_tensor
     bins = np.arange(10, 90)
@@ -178,11 +262,15 @@ def test_bin_order_invariance(small_tensor):
 def test_run_ive_recovers_both_speakers(broadband_fixture):
     tensor = broadband_fixture.tensor()
     geom = broadband_fixture.geom
+    iterations = []
     for theta_true in broadband_fixture.thetas_deg:
         res = capon_ive.run_ive(tensor, geom, theta_true + 5.0)
         assert res.converged
         assert res.gradient_fallbacks == 0
         assert abs(res.theta_deg - theta_true) < 0.5
+        iterations.append(res.iterations)
+    # the step rule's iteration counts from 68.43 and 95 degrees
+    assert iterations == [66, 79]
 
 
 def test_run_ive_improves_sir(broadband_fixture):

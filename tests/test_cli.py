@@ -212,6 +212,26 @@ def test_simulate_bad_value_exit_code(tmp_path, capsys, extra):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_simulate_zero_trials_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["simulate", "--trials", "0", "--lambda-grid", "0:1:2", "--methods", "ini",
+            "--out", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "sweep.csv").exists()
+
+
+def test_bounds_zero_samples_exit_code(tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    args = ["bounds", "--estimate-kappa", "laplacean", "--samples", "0",
+            "--d", "5", "--n", "500", "--out", str(out)]
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_simulate_bad_grid_is_a_usage_error(tmp_path, capsys):
     args = ["simulate", "--lambda-grid", "0:1", "--out", str(tmp_path)]
     with pytest.raises(SystemExit) as exc:
@@ -226,6 +246,23 @@ def test_extract_max_iters_zero_exit_code(tmp_path, capsys, broadband_wavs):
     args = [
         "extract", "--in", str(mix_path), "--theta-ini", str(fx.thetas_deg[0] + 5.0),
         "--max-iters", "0", "--out-dir", str(out),
+    ]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "extracted.wav").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--hop", "0"], ["--fft", "0"], ["--fft", "1024", "--hop", "1024"]],
+    ids=["hop0", "fft0", "hop-not-below-fft"],
+)
+def test_extract_bad_stft_exit_code(tmp_path, capsys, broadband_wavs, extra):
+    mix_path, _, fx = broadband_wavs
+    out = tmp_path / "ive"
+    args = [
+        "extract", "--in", str(mix_path), "--theta-ini", str(fx.thetas_deg[0] + 5.0),
+        "--out-dir", str(out), *extra,
     ]
     assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
