@@ -3,12 +3,15 @@
 The search maximizes the orthogonally-constrained sample contrast over the
 scalar ``lam``.  Each iteration rebuilds the steering vector, the
 minimum-power distortionless weights, the extracted signal and its sample
-statistics, then takes a safeguarded Newton step computed from the analytic
-first derivative and the at-solution approximation of the second derivative.
+statistics, then steps ``lam`` by the bracketed scalar search of
+:func:`_safeguarded_newton`: Newton steps from the analytic first derivative
+and the at-solution approximation of the second derivative until the first
+derivative changes sign, then secant or bisection steps inside the bracket.
 """
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +34,14 @@ from .errors import Diverged, DomainError
 # runaway guard for non-periodic steering weights (see `_runaway_guard`)
 _RUNAWAY_SPAN = 2.0 * np.pi ** 2
 
-# the Newton search stops when the max-norm change of ``w`` between
-# iterations falls to _TOL_W; one step moves ``lam`` by at most _STEP_CAP
-_TOL_W = 1e-6
+# the scalar search stops when a step or the bracket falls to _TOL_SCALE
+# of the parameter range; one step moves ``lam`` by at most _STEP_CAP
+_TOL_SCALE = 1e-9
 _STEP_CAP = 0.5
+
+# before a bracket exists, steps at least double once |d1| has not fallen
+# for this many consecutive iterations (see `_safeguarded_newton`)
+_STALLS_BEFORE_GROWTH = 3
 
 # A start whose MPDR output power keeps less than this share of the
 # delay-and-sum power at the same steering is cancelling the source it is
@@ -188,49 +195,96 @@ def second_derivative_approx(
     return _derivatives(x, state, phi)[2]
 
 
-def _safeguarded_newton(start, build, derivatives, max_step, project, max_iters):
-    """Safeguarded Newton iteration over one scalar parameter.
+def _safeguarded_newton(start, build, derivatives, max_step, scale, project, max_iters):
+    """Bracketed search for a maximum over one scalar parameter.
 
-    ``build(param)`` returns a state with separating weights ``.w`` (one
-    vector, or one per bin); ``derivatives(state)`` returns the first and
-    approximate second derivative ``(d1, d2)`` along the parameter.  The
-    Newton step is taken only when ``d2`` is negative (a maximum); otherwise
-    a small gradient step of magnitude ``0.1 * max_step`` in the ascent
-    direction is used (a fallback).  Steps are clipped to ``max_step`` and
-    mapped back into the admissible region by ``project``.  Convergence is
-    declared when the max-norm change of the weights between consecutive
-    iterations falls to ``_TOL_W`` or below; at most ``max_iters``
-    iterations are taken, and ``max_iters < 1`` raises :class:`DomainError`.
+    ``build(param)`` returns a state; ``derivatives(state)`` returns the
+    first and approximate second derivative ``(d1, d2)`` along the
+    parameter.  An iteration makes one call of each.
+
+    Until ``d1`` has taken both signs, the step is the Newton step
+    ``-d1/d2`` when ``d2`` is negative (a maximum), and an ascent step of
+    ``0.1 * max_step`` otherwise (a fallback).  On a convex approach the
+    at-solution ``d2`` makes those steps far too short: once ``|d1|`` has
+    not fallen for ``_STALLS_BEFORE_GROWTH`` consecutive iterations, each
+    step is at least twice the previous one.  Steps are capped at
+    ``max_step``.  Once ``d1`` has taken both signs, ``lo`` (``d1 > 0``) and
+    ``hi`` (``d1 < 0``) bracket a maximum, and the step is the secant
+    through the last two iterates when it lands strictly inside the
+    bracket, the bisection otherwise.
+
+    The bracket lives in unwrapped coordinates; ``project`` maps a parameter
+    into the admissible region (a wrap, a clip or a guard that raises) only
+    to build the state.  The search has converged when a step or the
+    bracket width falls to ``_TOL_SCALE * scale``, ``scale`` being the
+    parameter range, or when the projected step does not move (a maximum
+    on the edge of a clipped range).  At most ``max_iters`` iterations are
+    taken; ``max_iters < 1`` raises :class:`DomainError` and non-finite
+    derivatives raise :class:`Diverged`.  Each iteration (param, d1, d2,
+    step) and each stop (reason, iterations, param, fallbacks) is logged at
+    DEBUG level.
 
     Returns ``(state, param, iterations, converged, fallbacks)``, where
     ``param`` is the parameter of ``state``.
     """
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
+    tol = _TOL_SCALE * scale
     param = start
     state = build(param)
-    converged = False
-    fallbacks = 0
-    iterations = 0
+    unwrapped = param
+    lo = hi = prev = None           # prev: (unwrapped, d1) of the last iterate
+    step = 0.0
+    stalls = fallbacks = iterations = 0
+    reason = "max_iters"
     for iterations in range(1, max_iters + 1):
         d1, d2 = derivatives(state)
         if not (np.isfinite(d1) and np.isfinite(d2)):
             raise Diverged(f"non-finite derivatives at parameter {param}")
-        if d2 < 0.0:
-            delta = -d1 / d2
+        if d1 > 0.0:
+            lo = unwrapped
+        elif d1 < 0.0:
+            hi = unwrapped
+        if lo is not None and hi is not None:
+            target = 0.5 * (lo + hi)
+            if d1 != prev[1]:
+                secant = unwrapped - d1 * (unwrapped - prev[0]) / (d1 - prev[1])
+                if lo < secant < hi:
+                    target = secant
+            step = target - unwrapped
         else:
-            # wrong curvature (c1 >= 0 mid-iteration): safeguarded ascent step
-            delta = np.sign(d1) * 0.1 * max_step
-            fallbacks += 1
-        delta = float(np.clip(delta, -max_step, max_step))
-        param = project(param + delta)
-        new_state = build(param)
-        dw = float(np.max(np.abs(new_state.w - state.w)))
-        state = new_state
-        if dw <= _TOL_W:
-            converged = True
+            if d2 < 0.0:
+                newton = -d1 / d2
+            else:
+                # wrong curvature (c1 >= 0 mid-iteration): safeguarded ascent step
+                newton = math.copysign(0.1 * max_step, d1)
+                fallbacks += 1
+            stalls = stalls + 1 if prev is not None and abs(d1) >= abs(prev[1]) else 0
+            if stalls >= _STALLS_BEFORE_GROWTH:
+                newton = math.copysign(max(abs(newton), 2.0 * abs(step)), newton)
+            step = min(max(newton, -max_step), max_step)
+        logger.debug("param %.12g d1 %.6g d2 %.6g step %.6g", param, d1, d2, step)
+        new_param = project(param + step)
+        # the move in unwrapped coordinates: a wrap shifts by whole ranges
+        moved = math.remainder(new_param - param, scale)
+        if moved == 0.0:
+            reason = "boundary" if abs(step) > tol else "step"
             break
-    return state, param, iterations, converged, fallbacks
+        prev = (unwrapped, d1)
+        unwrapped += moved
+        param = new_param
+        state = build(param)
+        if abs(moved) <= tol:
+            reason = "step"
+            break
+        if lo is not None and hi is not None and hi - lo <= tol:
+            reason = "bracket"
+            break
+    logger.debug(
+        "stop: %s after %d iterations at param %.12g, %d fallbacks",
+        reason, iterations, param, fallbacks,
+    )
+    return state, param, iterations, reason != "max_iters", fallbacks
 
 
 def _capon_start(c_x, factor, model, start, project):
@@ -286,8 +340,8 @@ def run(
     lambda_ini: float,
     max_iters: int = 100,
 ) -> CaponResult:
-    """Safeguarded Newton iteration over ``lam`` from ``lambda_ini``
-    (radians), at most ``max_iters`` iterations.
+    """Bracketed Newton search over ``lam`` from ``lambda_ini`` (radians),
+    at most ``max_iters`` iterations.
 
     A start at which the MPDR weights cancel the source they are steered
     near (a lone source over a quiet floor, a little way from the start) is
@@ -295,11 +349,14 @@ def run(
     start is used as given (see :func:`_capon_start`).  Each iteration
     rebuilds ``a(lam)``, ``w(lam)``, ``s`` and the sample statistics with
     :func:`core.extraction_state`, evaluates the first derivative and the
-    approximate second derivative, then updates ``lam`` by at most 0.5
-    (see :func:`_safeguarded_newton` for the step rule and the stopping
-    test).  For integer steering weights ``lam`` is wrapped into (-pi, pi]
-    after every update; for non-periodic weights the iterate must stay
-    within ``2 pi^2`` of the start or :class:`Diverged` is raised.
+    approximate second derivative, then updates ``lam`` by at most 0.5:
+    Newton steps until the first derivative changes sign, secant or
+    bisection steps inside the bracket after (see
+    :func:`_safeguarded_newton`).  The search has converged when a step or
+    the bracket falls to ``2 pi * 1e-9``.  For integer steering weights
+    ``lam`` is wrapped into (-pi, pi] after every update; for non-periodic
+    weights the iterate must stay within ``2 pi^2`` of the start or
+    :class:`Diverged` is raised.
     """
     c_x = sample_covariance(x)
     factor = covariance_factor(c_x)
@@ -314,6 +371,7 @@ def run(
         functools.partial(core.extraction_state, x, model, phi=phi, factor=factor),
         lambda st: _derivatives(x, st, phi, c_x, factor)[1:],
         _STEP_CAP,
+        2.0 * np.pi,
         project,
         max_iters,
     )

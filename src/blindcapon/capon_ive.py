@@ -35,9 +35,9 @@ class ArrayGeometry:
 
     def __post_init__(self):
         if self.spacing_m <= 0.0:
-            raise ValueError("spacing must be positive")
+            raise DomainError("spacing must be positive")
         if self.d < 2:
-            raise ValueError("need at least two sensors")
+            raise DomainError("need at least two sensors")
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,12 @@ class IveResult:
 
 
 def _included_bins(tensor: StftTensor, fmin_hz: float) -> np.ndarray:
-    """The bins at or above ``fmin_hz``, Nyquist excluded."""
+    """The bins at or above ``fmin_hz``, Nyquist excluded; none raises
+    :class:`DomainError`."""
     mask = tensor.bin_frequencies() >= fmin_hz
     mask[-1] = False
+    if not mask.any():
+        raise DomainError(f"no frequency bins at or above {fmin_hz} Hz below Nyquist")
     return np.flatnonzero(mask)
 
 
@@ -298,7 +301,7 @@ class _BinContext:
             bins = _included_bins(tensor, fmin_hz)
         bins = np.asarray(bins, dtype=int)
         if bins.size == 0:
-            raise ValueError("no frequency bins left after exclusions")
+            raise DomainError("no frequency bins left after exclusions")
         self.v = np.arange(geom.d, dtype=float)
         self.omegas_all = 2.0 * np.pi * tensor.bin_frequencies()
 
@@ -384,12 +387,12 @@ def run_ive(
     fmin_hz: float = 100.0,
     bins=None,
 ) -> IveResult:
-    """Joint Newton search over the single delay parameter, from the DOA
-    ``theta_ini_deg`` (degrees), at most ``max_iters`` iterations.
+    """Joint bracketed Newton search over the single delay parameter, from
+    the DOA ``theta_ini_deg`` (degrees), at most ``max_iters`` iterations.
 
-    Per iteration each
-    included bin rebuilds its steering vector, distortionless weights and
-    normalized source samples; the joint rational nonlinearity
+    Per iteration each included bin rebuilds its steering vector,
+    distortionless weights and normalized source samples; the joint
+    rational nonlinearity
 
         phi_k(u) = conj(u_k) / (1 + sum_k |u_k|^2)
 
@@ -398,8 +401,9 @@ def run_ive(
     ``omega_k^2`` and follows the narrowband step rule
     (:func:`capon_ice._safeguarded_newton`); steps are capped so the top
     included bin moves at most 0.5 radians, and the delay stays in the
-    physical range ``|tau| <= spacing/c``.  Convergence is the max-norm
-    change of the weights across all bins.  Bins below ``fmin_hz`` and the
+    physical range ``|tau| <= spacing/c``.  The search has converged when a
+    step or the bracket falls to 1e-9 of that range, ``2 spacing/c``, or
+    when it rests on an end of the range.  Bins below ``fmin_hz`` and the
     Nyquist bin are excluded; pass ``bins`` to choose the bins instead.
     """
     ctx = _BinContext(tensor, geom, fmin_hz, bins)
@@ -409,6 +413,7 @@ def run_ive(
         ctx.states,
         ctx.joint_derivatives,
         _STEP_CAP / float(np.max(ctx.omegas)),
+        2.0 * tau_max,
         lambda tau: float(np.clip(tau, -tau_max, tau_max)),
         max_iters,
     )

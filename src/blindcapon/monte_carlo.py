@@ -24,7 +24,7 @@ SIR_CAP_DB = 150.0
 DEFAULT_COMPETITOR = 0.25
 CSV_HEADER = (
     "grid_param,method,trial,seed,lambda_star,isir_db,lambda_hat,"
-    "sir_out_db,success,iterations,runtime_s,converged"
+    "sir_out_db,success,iterations,runtime_s,converged,error"
 )
 KNOWN_METHODS = ("caponice", "fastica", "musicmpdr", "espritmpdr", "ini")
 # number of plane-wave sources in the mixture model (SOI + structured competitor)
@@ -70,6 +70,7 @@ class TrialRecord:
     iterations: int
     runtime_s: float
     converged: bool = True
+    error: str = ""                     # exception class of a failed method
 
 
 def _draw(spec: MixtureSpec):
@@ -177,7 +178,8 @@ def run_trial(
     factor of it, computed when the first of them runs.  A method that
     raises a package error or a linear-algebra error, the shared factor's
     included, is recorded as a failed row (lambda_hat nan, -150 dB, not
-    converged); any other exception is a bug and propagates."""
+    converged, the exception's class name as ``error``); any other
+    exception is a bug and propagates."""
     x, a, powers = generate_mixture(spec)
     model = core.ula(spec.d)
     phi = core.rational_nonlinearity()
@@ -194,11 +196,13 @@ def run_trial(
     records = []
     for method in methods:
         t0 = time.perf_counter()
+        error = ""
         try:
             lam_hat, w, iters, conv = _run_method(method, x, model, phi, lam_ini, covariance)
             sir = output_sir(w, a, powers)
-        except (BlindCaponError, np.linalg.LinAlgError):
+        except (BlindCaponError, np.linalg.LinAlgError) as exc:
             lam_hat, sir, iters, conv = float("nan"), -SIR_CAP_DB, 0, False
+            error = type(exc).__name__
         runtime = time.perf_counter() - t0
         records.append(
             TrialRecord(
@@ -212,6 +216,7 @@ def run_trial(
                 iterations=iters,
                 runtime_s=runtime,
                 converged=conv,
+                error=error,
             )
         )
     return records
@@ -279,6 +284,7 @@ def write_csv(records: Iterable[TrialRecord], path):
                     r.iterations,
                     _fmt(r.runtime_s),
                     _fmt(r.converged),
+                    r.error,
                 ]
             )
 

@@ -1,6 +1,7 @@
 """Contrast, derivatives and the narrowband Newton search."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -263,11 +264,14 @@ def lone_source_instance(rng, model, lam_star, n=10_000):
 def test_run_recovers_lone_source_over_quiet_floor(seed, v, lam_star, offset):
     # criterion 6 on other seeds, both sides of the source, across the wrap
     # and with non-integer weights: a start 0.1 away cancels the source, and
-    # only the move to the Capon-spectrum peak brings Newton within 1e-6
+    # only the move to the Capon-spectrum peak brings Newton within 1e-6.
+    # There |w| ~ 7e2 and dw/dlam ~ 1e10, so the stop must be on lam itself.
     model = core.ula(5) if v is None else core.SteeringModel(np.array(v))
     x = lone_source_instance(RNG(seed), model, lam_star)
     res = capon_ice.run(x, model, PHI, lam_star + offset, max_iters=300)
     assert abs(capon_ice.wrap_angle(res.state.lam - lam_star)) <= 1e-6
+    assert res.converged
+    assert res.iterations <= 10
 
 
 def test_capon_start_moves_only_self_cancelling_starts(caplog):
@@ -289,6 +293,101 @@ def test_capon_start_moves_only_self_cancelling_starts(caplog):
     )
     assert abs(start - 0.8) <= 1e-6
     assert len(caplog.records) == 1
+
+
+# ---------------------------------------------------------------------------
+# the scalar search on synthetic problems
+# ---------------------------------------------------------------------------
+
+def bump_search(start, project=lambda p: p, scale=10.0, max_step=1.0):
+    """`_safeguarded_newton` on a unit-width Gaussian bump at 0, whose
+    curvature turns positive beyond |p| = 1.  d2 is -2.5 everywhere, 2.5
+    times the curvature at the maximum as with the at-solution d2 of the
+    broadband fixture, so far out the Newton steps are e^(-p^2/2) / 2.5 of
+    the distance.  Returns the search's result and the built and the
+    differentiated points."""
+    built, seen = [], []
+
+    def build(p):
+        built.append(p)
+        return p
+
+    def derivatives(p):
+        d1 = -p * math.exp(-0.5 * p * p)
+        seen.append((p, d1))
+        return d1, -2.5
+
+    out = capon_ice._safeguarded_newton(start, build, derivatives, max_step, scale, project, 100)
+    return out, np.array(built), seen
+
+
+# from 5.0 with steps of up to 3, one secant lands outside the bracket
+@pytest.mark.parametrize("start,max_step", [(4.0, 1.0), (5.0, 3.0)])
+def test_search_grows_steps_on_a_convex_approach_then_brackets(start, max_step):
+    (state, param, iterations, converged, fallbacks), built, seen = bump_search(
+        start, max_step=max_step
+    )
+    assert converged and fallbacks == 0
+    assert state == param == built[-1]
+    assert len(seen) == iterations
+    assert abs(param) <= 1e-8
+    # growth turns e^-8-short Newton steps into max_step strides
+    assert iterations <= 30
+    moves = np.diff(built)
+    assert np.all(np.abs(moves) <= max_step)
+    assert np.max(np.abs(moves)) == max_step
+    # once d1 has taken both signs, every point lands inside the bracket,
+    # and the final bracket holds the maximum: d1 > 0 at lo, d1 < 0 at hi
+    lo = hi = None
+    for (p, d1), following in zip(seen, built[1:]):
+        lo, hi = (p, hi) if d1 > 0 else (lo, p)
+        if lo is not None and hi is not None:
+            assert lo < following < hi
+    assert lo < param < hi
+    # the search stops at the first step or bracket within 1e-9 * scale
+    tol = 1e-9 * 10.0
+    assert abs(moves[-1]) <= tol or hi - lo <= tol
+    assert np.all(np.abs(moves[:-1]) > tol)
+
+
+def test_search_stop_scales_with_the_range():
+    # over a 1e6 times wider range the search stops at a 1e6 times longer step
+    (_, fine, fine_iters, _, _), _, _ = bump_search(0.3)
+    (_, coarse, coarse_iters, converged, _), built, _ = bump_search(0.3, scale=1e7)
+    assert converged
+    assert coarse_iters < fine_iters
+    assert abs(np.diff(built)[-1]) <= 1e-2
+    assert abs(fine) <= 1e-8
+
+
+def test_search_stops_on_the_boundary_of_a_clipped_range(caplog):
+    # the maximum at 0 lies outside [-3, -1]: d1 > 0 throughout, and the
+    # search ends on the edge, where the projected step does not move
+    caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
+    (state, param, _, converged, _), built, _ = bump_search(
+        -2.5, project=lambda p: min(max(p, -3.0), -1.0), scale=2.0
+    )
+    assert converged
+    assert param == state == -1.0
+    assert np.all(np.diff(built) > 0.0)
+    assert "stop: boundary" in caplog.records[-1].getMessage()
+
+
+def test_search_logs_each_iteration_and_the_stop(caplog):
+    caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
+    x, _, _, model = random_mixture(RNG(61), 5, 500, 0.5)
+    res = capon_ice.run(x, model, PHI, 0.55)
+    messages = [r.getMessage() for r in caplog.records if r.name == "blindcapon.capon_ice"]
+    steps = [m for m in messages if m.startswith("param ")]
+    assert len(steps) == res.iterations
+    assert all(" d1 " in m and " d2 " in m and " step " in m for m in steps)
+    stop = messages[-1]
+    assert stop.startswith(("stop: step", "stop: bracket"))
+    assert f"after {res.iterations} iterations" in stop
+    assert f"{res.gradient_fallbacks} fallbacks" in stop
+    # the library adds no handler of its own
+    assert not logging.getLogger("blindcapon").handlers
+    assert not logging.getLogger("blindcapon.capon_ice").handlers
 
 
 def test_run_distortionless_after_iterations():

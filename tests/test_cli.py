@@ -240,24 +240,7 @@ def test_simulate_bad_grid_is_a_usage_error(tmp_path, capsys):
     assert "lo:hi:steps" in capsys.readouterr().err
 
 
-def test_extract_max_iters_zero_exit_code(tmp_path, capsys, broadband_wavs):
-    mix_path, _, fx = broadband_wavs
-    out = tmp_path / "ive"
-    args = [
-        "extract", "--in", str(mix_path), "--theta-ini", str(fx.thetas_deg[0] + 5.0),
-        "--max-iters", "0", "--out-dir", str(out),
-    ]
-    assert cli.main(args) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "extracted.wav").exists()
-
-
-@pytest.mark.parametrize(
-    "extra",
-    [["--hop", "0"], ["--fft", "0"], ["--fft", "1024", "--hop", "1024"]],
-    ids=["hop0", "fft0", "hop-not-below-fft"],
-)
-def test_extract_bad_stft_exit_code(tmp_path, capsys, broadband_wavs, extra):
+def assert_extract_fails(tmp_path, capsys, broadband_wavs, extra):
     mix_path, _, fx = broadband_wavs
     out = tmp_path / "ive"
     args = [
@@ -267,3 +250,30 @@ def test_extract_bad_stft_exit_code(tmp_path, capsys, broadband_wavs, extra):
     assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "extracted.wav").exists()
+
+
+def test_extract_max_iters_zero_exit_code(tmp_path, capsys, broadband_wavs):
+    assert_extract_fails(tmp_path, capsys, broadband_wavs, ["--max-iters", "0"])
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--hop", "0"], ["--fft", "0"], ["--fft", "1024", "--hop", "1024"]],
+    ids=["hop0", "fft0", "hop-not-below-fft"],
+)
+def test_extract_bad_stft_exit_code(tmp_path, capsys, broadband_wavs, extra):
+    assert_extract_fails(tmp_path, capsys, broadband_wavs, extra)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--fmin-hz", "8000"],
+        ["--fmin-hz", "9000"],
+        ["--fmin-hz", "9000", "--method", "srpphat+mpdr"],
+        ["--spacing-m", "0"],
+    ],
+    ids=["fmin-at-nyquist", "fmin-above-nyquist", "srpphat-fmin-above-nyquist", "spacing0"],
+)
+def test_extract_bad_band_or_geometry_exit_code(tmp_path, capsys, broadband_wavs, extra):
+    assert_extract_fails(tmp_path, capsys, broadband_wavs, extra)

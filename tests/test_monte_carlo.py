@@ -176,6 +176,9 @@ def test_trial_records_package_errors_and_raises_bugs(monkeypatch, tmp_path):
         header, failed_row, ini_row = list(csv.reader(fh))
     col = header.index("converged")
     assert (failed_row[col], ini_row[col]) == ("false", "true")
+    assert (failed.error, ini.error) == ("Diverged", "")
+    assert header[-1] == "error"
+    assert (failed_row[-1], ini_row[-1]) == ("Diverged", "")
 
     monkeypatch.setattr(capon_ice, "run", raiser(TypeError("programming error")))
     with pytest.raises(TypeError):
