@@ -38,6 +38,8 @@ class CribReport:
 
 
 def _check_domain(kappa_bar: float, d: int, N: int):
+    if not math.isfinite(kappa_bar):
+        raise DomainError(f"kappa_bar must be finite, got {kappa_bar}")
     if kappa_bar < 1.0 - _KAPPA_TOL:
         raise DomainError(f"kappa_bar must be >= 1, got {kappa_bar}")
     if d < 2:

@@ -1,12 +1,11 @@
 """Single-parameter Newton-Raphson search over the steering parameter.
 
 The search maximizes the orthogonally-constrained sample contrast over the
-scalar ``lam``.  Each iteration rebuilds the steering vector, the
-minimum-power distortionless weights, the extracted signal and its sample
-statistics, then steps ``lam`` by the bracketed scalar search of
-:func:`_safeguarded_newton`: Newton steps from the analytic first derivative
-and the at-solution approximation of the second derivative until the first
-derivative changes sign, then secant or bisection steps inside the bracket.
+scalar ``lam`` on the one-problem case of :class:`_MpdrStack`, the kernel
+that the broadband search also uses.  Each iteration rebuilds the steering
+vectors, MPDR weights and extracted signals, then steps the parameter by
+the bracketed scalar search of :func:`_safeguarded_newton`: Newton steps
+until the first derivative changes sign, then secant or bisection steps.
 """
 
 import functools
@@ -25,11 +24,11 @@ from .core import (
     SnapshotMatrix,
     SteeringModel,
     background_covariance,
-    c_constants,
     covariance_factor,
+    mpdr_weights,
     sample_covariance,
 )
-from .errors import Diverged, DomainError
+from .errors import DegenerateSignal, Diverged, DomainError, ScoreDegenerate
 
 # runaway guard for non-periodic steering weights (see `_runaway_guard`)
 _RUNAWAY_SPAN = 2.0 * np.pi ** 2
@@ -122,7 +121,7 @@ def _mpdr_derivatives(data, c_x, factor, a, v, w, phi_u, sigma2, sigma2_solve, n
     steering vector, MPDR weights and output scores at the current
     parameter, and ``sigma2_solve`` is the ``1 / (a^H C^-1 a)`` of the solve
     that gave ``w``.  The statistics ``sigma2``, ``nu`` and ``c1`` are
-    inputs, so that a broadband bin can supply those of the joint
+    inputs, so that :class:`_MpdrStack` can supply those of the joint
     nonlinearity.  Leading dimensions are a stack of problems (``data``
     ``(..., d, N)``, ``a`` ``(..., d)``, ``sigma2`` ``(...)``, ...) and give
     ``grad_w`` ``(..., d)`` and ``d1``, ``d2`` ``(...)``; ``v`` is shared.
@@ -142,46 +141,113 @@ def _mpdr_derivatives(data, c_x, factor, a, v, w, phi_u, sigma2, sigma2_solve, n
     return gw, d1, d2
 
 
-def _derivatives(x, state, phi, c_x=None, factor=None):
-    """:func:`_mpdr_derivatives` of the narrowband problem at ``state``.
+@dataclass(frozen=True)
+class _StackStates:
+    """Steering vectors, MPDR weights, outputs and output powers of a stack
+    of problems at one parameter; ``sig2_solve`` holds the
+    ``1 / (a^H C^-1 a)`` of each MPDR solve."""
 
-    ``c_x`` and ``factor`` are the sample covariance of ``x`` and its
-    :func:`covariance_factor`, computed here when not given.
+    a: np.ndarray           # (B, d)
+    w: np.ndarray           # (B, d)
+    s: np.ndarray           # (B, N)
+    sig2: np.ndarray        # (B,)
+    sig2_solve: np.ndarray  # (B,)
+
+
+class _MpdrStack:
+    """B MPDR problems steered by one real parameter: the kernel of both
+    solvers.
+
+    Problem ``k`` has snapshots ``x[k]`` ``(d, N)``, sample covariance
+    ``c[k]`` and :func:`core.covariance_factor` ``factors[k]``, and is
+    steered at ``exp(1j omegas[k] param v)``.  The outputs share the joint
+    rational nonlinearity
+
+        phi_k(u) = conj(u_k) / (1 + sum_j |u_j|^2)
+
+    which for one problem is :func:`core.rational_nonlinearity`.
+    Narrowband CaponICE is the one-problem stack with ``omegas = [1]``; the
+    broadband search stacks STFT bins at their angular frequencies.
     """
-    if c_x is None:
-        c_x = sample_covariance(x)
-        factor = covariance_factor(c_x)
-    stats = state.stats
-    c1, _, _ = c_constants(stats)
-    u = state.s / np.sqrt(stats.sigma2)
-    gw, d1, d2 = _mpdr_derivatives(
-        x.data, c_x, factor, state.a, state.model.v, state.w, phi.phi(u),
-        stats.sigma2, state.sigma2_solve, stats.nu, c1,
-    )
-    return gw, float(d1), float(d2)
+
+    def __init__(self, x, c, factors, v, omegas):
+        self.x, self.c, self.factors = x, c, factors
+        self.v, self.omegas = v, omegas
+
+    def states(self, param: float) -> _StackStates:
+        """MPDR weights, outputs and powers of all problems at ``param``;
+        an output power below 1e-30 raises :class:`DegenerateSignal`."""
+        a = np.exp(1j * ((self.omegas * param)[:, None] * self.v))
+        w, sig2_solve = mpdr_weights(self.factors, a)
+        s = np.matmul(w.conj()[:, None, :], self.x)[:, 0]       # w^H x per problem
+        sig2 = np.real(np.vecdot(s, s)) / s.shape[1]
+        if (sig2 < 1e-30).any():
+            raise DegenerateSignal("extracted signal has zero power")
+        return _StackStates(a, w, s, sig2, sig2_solve)
+
+    def derivatives(self, st: _StackStates):
+        """Per problem ``(grad_w, d1, d2, nu)`` along its own phase
+        ``omegas[k] * param``, by :func:`_mpdr_derivatives` with the
+        normalizers ``nu_k`` and ``rho_k`` of the joint nonlinearity; a
+        ``|nu_k|`` below 1e-12 raises :class:`ScoreDegenerate`."""
+        frames = st.s.shape[1]
+        u2 = np.abs(st.s) ** 2 / st.sig2[:, None]                 # |u_k|^2
+        r = 1.0 / (1.0 + u2.sum(axis=0))                          # (N,)
+        phi = np.conj(st.s) * (r / np.sqrt(st.sig2)[:, None])
+        # nu_k = mean(phi_k u_k) = mean(|u_k|^2 r) and
+        # rho_k = mean(d phi_k / d conj(u_k)) = mean(r - |u_k|^2 r^2)
+        nu = u2 @ r / frames                                      # (B,)
+        if (np.abs(nu) < 1e-12).any():
+            raise ScoreDegenerate("nu is numerically zero")
+        rho = (r.sum() - u2 @ r ** 2) / frames
+        c1 = (nu - rho) / (nu * st.sig2)
+        gw, d1, d2 = _mpdr_derivatives(
+            self.x, self.c, self.factors, st.a, self.v, st.w, phi,
+            st.sig2, st.sig2_solve, nu, c1,
+        )
+        return gw, d1, d2, nu
+
+    def joint_derivatives(self, st: _StackStates):
+        """``(d1, d2)`` along ``param``: the means of the per-problem values
+        with chain-rule factors ``omegas`` and ``omegas^2``."""
+        _, d1, d2, _ = self.derivatives(st)
+        # ndarray.sum / size: np.mean's value without its per-call overhead
+        return (float((self.omegas * d1).sum() / d1.size),
+                float((self.omegas ** 2 * d2).sum() / d2.size))
 
 
-def grad_w(x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearity) -> np.ndarray:
+def _one_problem(x, model):
+    """The narrowband problem of ``x`` as a one-problem :class:`_MpdrStack`."""
+    c_x = sample_covariance(x)
+    return _MpdrStack(x.data[None], c_x[None], covariance_factor(c_x)[None], model.v, np.ones(1))
+
+
+def _at_state(x, state):
+    """:meth:`_MpdrStack.derivatives` of the one-problem kernel of ``x`` at ``state.lam``."""
+    kernel = _one_problem(x, state.model)
+    return kernel.derivatives(kernel.states(state.lam))
+
+
+def grad_w(x: SnapshotMatrix, state: ExtractionState) -> np.ndarray:
     """Wirtinger gradient of the contrast with respect to ``conj(w)``:
 
         grad = a(w) - (1/nu) * mean(phi(u(n)) x(n) / sigma)
 
-    with ``a(w) = C_x w / sigma^2``.  Vanishes at the exact solution.
+    with ``a(w) = C_x w / sigma^2`` and the rational nonlinearity.
+    Vanishes at the exact solution.
     """
-    return _derivatives(x, state, phi)[0]
+    return _at_state(x, state)[0][0]
 
 
-def first_derivative(x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearity) -> float:
+def first_derivative(x: SnapshotMatrix, state: ExtractionState) -> float:
     """Analytic derivative of the contrast along ``lam``:
 
         dC/dlam = -2 sigma^2 Im{ grad_w^H C_x^-1 (a * v) }
     """
-    return _derivatives(x, state, phi)[1]
+    return float(_at_state(x, state)[1][0])
 
 
-def second_derivative_approx(
-    x: SnapshotMatrix, state: ExtractionState, phi: Nonlinearity
-) -> float:
+def second_derivative_approx(x: SnapshotMatrix, state: ExtractionState) -> float:
     """At-solution approximation of the second derivative:
 
         2 c1 sigma^2 ( sigma^2 (a*v)^H C_x^-1 (a*v) - |w^H (a*v)|^2 )
@@ -192,7 +258,7 @@ def second_derivative_approx(
     bracket is nonnegative by Cauchy-Schwarz exactly, making the sign the
     sign of ``c1`` (negative for super-Gaussian extracted signals).
     """
-    return _derivatives(x, state, phi)[2]
+    return float(_at_state(x, state)[2][0])
 
 
 def _safeguarded_newton(start, build, derivatives, max_step, scale, project, max_iters):
@@ -336,19 +402,18 @@ def _runaway_guard(lambda_ini: float, lam: float) -> float:
 def run(
     x: SnapshotMatrix,
     model: SteeringModel,
-    phi: Nonlinearity,
     lambda_ini: float,
     max_iters: int = 100,
 ) -> CaponResult:
     """Bracketed Newton search over ``lam`` from ``lambda_ini`` (radians),
-    at most ``max_iters`` iterations.
+    at most ``max_iters`` iterations, with the rational nonlinearity.
 
     A start at which the MPDR weights cancel the source they are steered
     near (a lone source over a quiet floor, a little way from the start) is
     first moved to the Capon-spectrum peak within 0.5 of it; every other
     start is used as given (see :func:`_capon_start`).  Each iteration
-    rebuilds ``a(lam)``, ``w(lam)``, ``s`` and the sample statistics with
-    :func:`core.extraction_state`, evaluates the first derivative and the
+    rebuilds ``a(lam)``, ``w(lam)`` and ``s`` on the one-problem
+    :class:`_MpdrStack`, evaluates the first derivative and the
     approximate second derivative, then updates ``lam`` by at most 0.5:
     Newton steps until the first derivative changes sign, secant or
     bisection steps inside the bracket after (see
@@ -356,24 +421,31 @@ def run(
     the bracket falls to ``2 pi * 1e-9``.  For integer steering weights
     ``lam`` is wrapped into (-pi, pi] after every update; for non-periodic
     weights the iterate must stay within ``2 pi^2`` of the start or
-    :class:`Diverged` is raised.
+    :class:`Diverged` is raised.  A non-finite start raises
+    :class:`DomainError`.
     """
-    c_x = sample_covariance(x)
-    factor = covariance_factor(c_x)
+    if not math.isfinite(lambda_ini):
+        raise DomainError(f"lambda_ini must be finite, got {lambda_ini}")
+    kernel = _one_problem(x, model)
     if model.is_integer:
         start, project = wrap_angle(lambda_ini), wrap_angle
     else:
         start = float(lambda_ini)
         project = functools.partial(_runaway_guard, lambda_ini)
-    start = _capon_start(c_x, factor, model, start, project)
-    state, _, iterations, converged, fallbacks = _safeguarded_newton(
+    start = _capon_start(kernel.c[0], kernel.factors[0], model, start, project)
+    st, lam, iterations, converged, fallbacks = _safeguarded_newton(
         start,
-        functools.partial(core.extraction_state, x, model, phi=phi, factor=factor),
-        lambda st: _derivatives(x, st, phi, c_x, factor)[1:],
+        kernel.states,
+        kernel.joint_derivatives,
         _STEP_CAP,
         2.0 * np.pi,
         project,
         max_iters,
+    )
+    state = ExtractionState(
+        lam=lam, a=st.a[0], w=st.w[0], s=st.s[0], model=model,
+        stats=core.soi_statistics(st.s[0], core.rational_nonlinearity()),
+        sigma2_solve=float(st.sig2_solve[0]),
     )
     return CaponResult(
         state=state,

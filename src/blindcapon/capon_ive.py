@@ -2,10 +2,10 @@
 
 A single physical parameter (the per-sensor-index delay ``tau``, reported
 as a DOA in degrees) couples all frequency bins: bin ``k`` sees the
-steering vector ``exp(1j omega_k tau v)``.  Newton steps use per-bin
-derivatives averaged over frequency, with the chain rule contributing a
-factor ``omega_k`` per bin for the first derivative and ``omega_k^2`` for
-the second.  The per-bin source samples share a joint rational
+steering vector ``exp(1j omega_k tau v)``.  The bins are one stack of the
+narrowband kernel, :class:`capon_ice._MpdrStack`, whose Newton steps
+average the per-bin derivatives with chain-rule factors ``omega_k`` and
+``omega_k^2``.  The per-bin source samples share a joint rational
 nonlinearity, which ties the bins together statistically and removes the
 permutation ambiguity.
 """
@@ -19,7 +19,7 @@ import scipy.io.wavfile
 import scipy.optimize
 import scipy.signal
 
-from .capon_ice import _STEP_CAP, _mpdr_derivatives, _safeguarded_newton
+from .capon_ice import _STEP_CAP, _MpdrStack, _safeguarded_newton
 from .core import COVARIANCE_EPS, covariance_factor, mpdr_weights
 from .errors import DomainError, SingularCovariance, SpatialAliasWarning
 from .monte_carlo import SIR_CAP_DB
@@ -34,8 +34,8 @@ class ArrayGeometry:
     c: float = 343.0
 
     def __post_init__(self):
-        if self.spacing_m <= 0.0:
-            raise DomainError("spacing must be positive")
+        if not 0.0 < self.spacing_m < np.inf:
+            raise DomainError(f"spacing must be positive and finite, got {self.spacing_m}")
         if self.d < 2:
             raise DomainError("need at least two sensors")
 
@@ -209,31 +209,6 @@ def _included_bins(tensor: StftTensor, fmin_hz: float) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-@dataclass(frozen=True)
-class BinDerivatives:
-    """Joint and per-bin derivatives at a fixed delay."""
-
-    d1_tau: float
-    d2_tau: float
-    per_bin_first: np.ndarray
-    per_bin_second: np.ndarray
-    nus: np.ndarray
-    omegas: np.ndarray
-    bins: np.ndarray
-
-
-@dataclass(frozen=True)
-class _BinStates:
-    """Steering vectors, weights, source samples and powers of all bins;
-    ``sig2_solve`` holds the ``1 / (a^H C^-1 a)`` of each MPDR solve."""
-
-    a: np.ndarray           # (B, d)
-    w: np.ndarray           # (B, d)
-    s: np.ndarray           # (B, n_frames)
-    sig2: np.ndarray        # (B,)
-    sig2_solve: np.ndarray  # (B,)
-
-
 def _take_bins(data: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """``data[bins]``, as a view of ``data`` when the bins are one
     increasing run (the included bins are), a copy otherwise."""
@@ -283,100 +258,36 @@ def _loaded_factors(c: np.ndarray, loadings):
 _SEARCH_LOADINGS = COVARIANCE_EPS * 1e3 ** np.arange(4)
 
 
-class _BinContext:
-    """The included bins of a tensor as one stack of MPDR problems: the
-    snapshots ``x`` ``(B, d, frames)``, their sample covariances ``c`` and
-    loaded factors ``factors`` ``(B, d, d)``, computed once; shared by
-    :func:`run_ive` and :func:`derivatives_at`.
+def _bin_stack(tensor, geom, fmin_hz, bins=None):
+    """The included bins of a tensor as one :class:`capon_ice._MpdrStack`
+    steered by the delay, its snapshots a view of the tensor; returns
+    ``(kernel, bins, flagged)``, ``bins`` being the bins of the stack.
 
     A bin whose covariance does not factor at the solver loading is loaded
     1e3 times more, up to 0.1, and flagged; a bin that never factors is
     flagged and dropped.
     """
-
-    def __init__(self, tensor, geom, fmin_hz, bins=None):
-        if geom.d != tensor.n_channels:
-            raise ValueError("geometry channel count does not match the tensor")
-        if bins is None:
-            bins = _included_bins(tensor, fmin_hz)
-        bins = np.asarray(bins, dtype=int)
-        if bins.size == 0:
-            raise DomainError("no frequency bins left after exclusions")
-        self.v = np.arange(geom.d, dtype=float)
-        self.omegas_all = 2.0 * np.pi * tensor.bin_frequencies()
-
-        self.x = _take_bins(tensor.data, bins)
-        self.c = _covariances(self.x)
-        self.factors, level = _loaded_factors(self.c, _SEARCH_LOADINGS)
-        self.flagged = bins[level != 0]
-        usable = level >= 0
-        if not usable.any():
-            raise SingularCovariance("every included bin has a singular covariance")
-        if not usable.all():
-            bins = bins[usable]
-            self.x = _take_bins(tensor.data, bins)
-            self.c, self.factors = self.c[usable], self.factors[usable]
-        self.bins = bins
-        self.omegas = self.omegas_all[self.bins]
-
-    def states(self, tau: float) -> _BinStates:
-        """MPDR weights, source samples and powers of all bins at ``tau``."""
-        a = np.exp(1j * np.outer(self.omegas * tau, self.v))
-        w, sig2_solve = mpdr_weights(self.factors, a)
-        s = np.matmul(w.conj()[:, None, :], self.x)[:, 0]       # w^H x per bin
-        sig2 = np.real(np.vecdot(s, s)) / s.shape[1]
-        return _BinStates(a, w, s, sig2, sig2_solve)
-
-    def derivatives(self, st: _BinStates) -> BinDerivatives:
-        """Per-bin and joint derivatives with the joint nonlinearity
-
-            phi_k(u) = conj(u_k) / (1 + sum_k |u_k|^2)
-
-        whose normalizer ``nu_k`` and ``rho_k`` replace the per-bin ones.
-        """
-        frames = st.s.shape[1]
-        u2 = np.abs(st.s) ** 2 / st.sig2[:, None]                 # |u_k|^2
-        r = 1.0 / (1.0 + np.sum(u2, axis=0))                      # (frames,)
-        phi = np.conj(st.s) * (r / np.sqrt(st.sig2)[:, None])
-        # nu_k = mean(phi_k u_k) = mean(|u_k|^2 r) and
-        # rho_k = mean(d phi_k / d conj(u_k)) = mean(r - |u_k|^2 r^2)
-        nu = u2 @ r / frames                                      # (B,)
-        rho = (np.sum(r) - u2 @ r ** 2) / frames
-        c1 = (nu - rho) / (nu * st.sig2)
-        _, d1, d2 = _mpdr_derivatives(
-            self.x, self.c, self.factors, st.a, self.v, st.w, phi,
-            st.sig2, st.sig2_solve, nu, c1,
-        )
-        return BinDerivatives(
-            d1_tau=float(np.mean(self.omegas * d1)),
-            d2_tau=float(np.mean(self.omegas ** 2 * d2)),
-            per_bin_first=d1,
-            per_bin_second=d2,
-            nus=nu,
-            omegas=self.omegas,
-            bins=self.bins,
-        )
-
-    def joint_derivatives(self, st: _BinStates):
-        """``(d1, d2)`` along ``tau``, as the Newton search takes them."""
-        der = self.derivatives(st)
-        return der.d1_tau, der.d2_tau
-
-
-def derivatives_at(
-    tensor: StftTensor,
-    geom: ArrayGeometry,
-    tau_s: float,
-    fmin_hz: float = 100.0,
-    bins=None,
-) -> BinDerivatives:
-    """Evaluate the joint first/second derivatives at a fixed delay.
-
-    The joint derivatives are the frequency averages of the per-bin values
-    with chain-rule factors ``omega_k`` and ``omega_k^2``.
-    """
-    ctx = _BinContext(tensor, geom, fmin_hz, bins)
-    return ctx.derivatives(ctx.states(tau_s))
+    if geom.d != tensor.n_channels:
+        raise ValueError("geometry channel count does not match the tensor")
+    if bins is None:
+        bins = _included_bins(tensor, fmin_hz)
+    bins = np.asarray(bins, dtype=int)
+    if bins.size == 0:
+        raise DomainError("no frequency bins left after exclusions")
+    x = _take_bins(tensor.data, bins)
+    c = _covariances(x)
+    factors, level = _loaded_factors(c, _SEARCH_LOADINGS)
+    flagged = bins[level != 0]
+    usable = level >= 0
+    if not usable.any():
+        raise SingularCovariance("every included bin has a singular covariance")
+    if not usable.all():
+        bins = bins[usable]
+        x = _take_bins(tensor.data, bins)
+        c, factors = c[usable], factors[usable]
+    omegas = 2.0 * np.pi * tensor.bin_frequencies()[bins]
+    kernel = _MpdrStack(x, c, factors, np.arange(geom.d, dtype=float), omegas)
+    return kernel, bins, flagged
 
 
 def run_ive(
@@ -404,21 +315,24 @@ def run_ive(
     physical range ``|tau| <= spacing/c``.  The search has converged when a
     step or the bracket falls to 1e-9 of that range, ``2 spacing/c``, or
     when it rests on an end of the range.  Bins below ``fmin_hz`` and the
-    Nyquist bin are excluded; pass ``bins`` to choose the bins instead.
+    Nyquist bin are excluded; pass ``bins`` to choose the bins instead.  A
+    non-finite start raises :class:`DomainError`.
     """
-    ctx = _BinContext(tensor, geom, fmin_hz, bins)
+    if not np.isfinite(theta_ini_deg):
+        raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
+    kernel, bins, flagged = _bin_stack(tensor, geom, fmin_hz, bins)
     tau_max = geom.spacing_m / geom.c
     _, tau, iterations, converged, fallbacks = _safeguarded_newton(
         float(np.clip(theta_to_tau(geom, theta_ini_deg), -tau_max, tau_max)),
-        ctx.states,
-        ctx.joint_derivatives,
-        _STEP_CAP / float(np.max(ctx.omegas)),
+        kernel.states,
+        kernel.joint_derivatives,
+        _STEP_CAP / float(np.max(kernel.omegas)),
         2.0 * tau_max,
         lambda tau: float(np.clip(tau, -tau_max, tau_max)),
         max_iters,
     )
     weights, extracted = beamform_at(tensor, geom, tau_to_theta(geom, tau))
-    alias = np.flatnonzero(np.abs(ctx.omegas_all * tau) > np.pi)
+    alias = np.flatnonzero(np.abs(2.0 * np.pi * tensor.bin_frequencies() * tau) > np.pi)
     return IveResult(
         theta_deg=tau_to_theta(geom, tau),
         tau_s=tau,
@@ -426,9 +340,9 @@ def run_ive(
         converged=converged,
         weights=weights,
         extracted=extracted,
-        included_bins=ctx.bins,
+        included_bins=bins,
         alias_bins=alias,
-        flagged_bins=ctx.flagged,
+        flagged_bins=flagged,
         gradient_fallbacks=fallbacks,
     )
 
@@ -487,8 +401,11 @@ def srp_phat(
     The per-bin cross-spectra are PHAT-normalized elementwise and averaged
     over frames; the steered power is maximized with Nelder-Mead.  If the
     search cannot improve on the initial point (no spatial structure) the
-    initial angle is returned with ``stalled=True``.
+    initial angle is returned with ``stalled=True``.  A non-finite start
+    raises :class:`DomainError`.
     """
+    if not np.isfinite(theta_ini_deg):
+        raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
     included = _included_bins(tensor, fmin_hz)
@@ -529,11 +446,14 @@ def srp_phat(
 def read_wav(path):
     """Read a WAV file as ``(sample_rate, (channels, samples) float64)``.
 
-    PCM 16-bit and 32-bit (and float) data are scaled to roughly [-1, 1].
+    8/16/32-bit PCM or float data; PCM is scaled to [-1, 1), 8-bit PCM
+    (unsigned, centred at 128) as ``(x - 128) / 128``.
     """
     rate, data = scipy.io.wavfile.read(path)
     data = np.atleast_2d(data.T if data.ndim == 2 else data)
-    if data.dtype == np.int16:
+    if data.dtype == np.uint8:
+        data = (data.astype(float) - 128.0) / 128.0
+    elif data.dtype == np.int16:
         data = data.astype(float) / 32768.0
     elif data.dtype == np.int32:
         data = data.astype(float) / 2147483648.0

@@ -50,8 +50,9 @@ class MixtureSpec:
             raise DomainError(f"competitor construction needs d >= 3, got d={self.d}")
         if self.N < self.d:
             raise DomainError(f"need N >= d snapshots, got d={self.d}, N={self.N}")
-        if not math.isfinite(self.isir_db):
-            raise DomainError("isir_db must be finite")
+        for name in ("lambda_star", "isir_db", "lambda_competitor"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.source_law not in SOURCE_LAWS:
             raise DomainError(f"unknown source law {self.source_law!r}")
 
@@ -143,7 +144,7 @@ def _run_method(method, x, model, phi, lam_ini, covariance):
     ``covariance()`` gives the trial's sample covariance and its
     :func:`core.covariance_factor`; CaponICE computes its own."""
     if method == "caponice":
-        res = capon_ice.run(x, model, phi, lam_ini)
+        res = capon_ice.run(x, model, lam_ini)
         return res.state.lam, res.state.w, res.iterations, res.converged
     if method == "fastica":
         _, factor = covariance()
@@ -241,6 +242,8 @@ def run_sweep(
         raise DomainError(f"unknown grid parameter {grid_param!r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if not 0.0 <= ini_radius < math.inf:
+        raise DomainError(f"ini_radius must be finite and >= 0, got {ini_radius}")
     for m in methods:
         if m not in KNOWN_METHODS:
             raise DomainError(f"unknown method {m!r}")

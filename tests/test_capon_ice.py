@@ -41,13 +41,13 @@ def plugin_functional(x, w, nu0, cz0, log_pdf):
     return m / nu0 - np.log(sig2) - mah + (d - 2) * np.log(np.abs(gam) ** 2)
 
 
-def first_derivative_via_grad_a(x, state, phi):
+def first_derivative_via_grad_a(x, state):
     """Equivalent form ``-2 Im{ grad_a^H (a * v) }`` of the first
     derivative, with ``grad_a = sigma^2 C_x^-1 grad_w``."""
     av = state.a * state.model.v
     loaded = core.regularized(core.sample_covariance(x))
     grad_a = state.stats.sigma2 * scipy.linalg.solve(
-        loaded, capon_ice.grad_w(x, state, phi), assume_a="her"
+        loaded, capon_ice.grad_w(x, state), assume_a="her"
     )
     return float(-2.0 * np.imag(np.vdot(grad_a, av)))
 
@@ -88,19 +88,30 @@ def test_contrast_requires_log_pdf():
 # gradients and derivatives
 # ---------------------------------------------------------------------------
 
+def exact_gaussian_derivatives(x, model, lam):
+    """`_mpdr_derivatives` at ``lam`` with the exact circular-Gaussian score
+    of the output, phi(u) = conj(u), whose normalizer nu is 1 and whose c1
+    is 0."""
+    state = core.extraction_state(x, model, lam, core.gaussian_score())
+    c_x = core.sample_covariance(x)
+    u = state.s / np.sqrt(state.stats.sigma2)
+    return capon_ice._mpdr_derivatives(
+        x.data, c_x, core.covariance_factor(c_x), state.a, model.v, state.w,
+        np.conj(u), state.stats.sigma2, state.sigma2_solve, 1.0, 0.0,
+    )
+
+
 def test_grad_w_zero_for_exact_gaussian_score():
     # exact up to the covariance loading epsilon (1e-10)
     x, _, _, model = random_mixture(RNG(30), 4, 3000, 0.4)
-    phi = core.gaussian_score()
-    state = core.extraction_state(x, model, 0.7, phi)
-    gw = capon_ice.grad_w(x, state, phi)
+    gw, _, _ = exact_gaussian_derivatives(x, model, 0.7)
     assert np.linalg.norm(gw) < 1e-7
 
 
 def test_grad_w_small_at_ground_truth():
     x, _, _, model = random_mixture(RNG(31), 5, 100_000, 0.7)
     state = core.extraction_state(x, model, 0.7, PHI)
-    assert np.linalg.norm(capon_ice.grad_w(x, state, PHI)) < 0.02
+    assert np.linalg.norm(capon_ice.grad_w(x, state)) < 0.02
 
 
 def test_grad_w_matches_wirtinger_fd_of_plugin_functional():
@@ -109,7 +120,7 @@ def test_grad_w_matches_wirtinger_fd_of_plugin_functional():
     state = core.extraction_state(x, model, lam0, PHI)
     nu0 = state.stats.nu
     cz0 = core.background_covariance(x, state.a)
-    gw = capon_ice.grad_w(x, state, PHI)
+    gw = capon_ice.grad_w(x, state)
     h = 1e-6
     w0 = state.w
     for j in range(x.d):
@@ -128,7 +139,7 @@ def test_first_derivative_matches_contrast_fd(seed, d, lam0):
     state = core.extraction_state(x, model, lam0, PHI)
     nu0 = state.stats.nu
     cz0 = core.background_covariance(x, state.a)
-    analytic = capon_ice.first_derivative(x, state, PHI)
+    analytic = capon_ice.first_derivative(x, state)
     h = 1e-5
     fd = (
         frozen_contrast(x, lam0 + h, PHI, model, nu0, cz0)
@@ -140,17 +151,16 @@ def test_first_derivative_matches_contrast_fd(seed, d, lam0):
 def test_first_derivative_forms_agree():
     x, _, _, model = random_mixture(RNG(44), 5, 1500, 0.3)
     state = core.extraction_state(x, model, -0.7, PHI)
-    d1 = capon_ice.first_derivative(x, state, PHI)
-    d2 = first_derivative_via_grad_a(x, state, PHI)
+    d1 = capon_ice.first_derivative(x, state)
+    d2 = first_derivative_via_grad_a(x, state)
     assert abs(d1 - d2) < 1e-10 * max(1.0, abs(d1))
 
 
 def test_first_derivative_zero_when_grad_zero():
     # exact Gaussian score makes grad_w vanish (up to the loading epsilon)
     x, _, _, model = random_mixture(RNG(45), 4, 1000, 0.2)
-    phi = core.gaussian_score()
-    state = core.extraction_state(x, model, 0.9, phi)
-    assert abs(capon_ice.first_derivative(x, state, phi)) < 1e-6
+    _, d1, _ = exact_gaussian_derivatives(x, model, 0.9)
+    assert abs(d1) < 1e-6
 
 
 def test_first_derivative_small_at_grid_maximum():
@@ -160,9 +170,9 @@ def test_first_derivative_small_at_grid_maximum():
     values = [capon_ice.contrast(x, lam, PHI, model) for lam in grid]
     lam_max = grid[int(np.argmax(values))]
     state = core.extraction_state(x, model, lam_max, PHI)
-    d1 = capon_ice.first_derivative(x, state, PHI)
+    d1 = capon_ice.first_derivative(x, state)
     # at the grid argmax the derivative is bounded by curvature * grid step
-    d2 = abs(capon_ice.second_derivative_approx(x, state, PHI))
+    d2 = abs(capon_ice.second_derivative_approx(x, state))
     assert abs(d1) <= 2.0 * d2 * (grid[1] - grid[0])
 
 
@@ -170,7 +180,7 @@ def test_second_derivative_degenerate_weights():
     x, _, _, _ = random_mixture(RNG(50), 4, 500, 0.3)
     flat = core.SteeringModel(np.zeros(4))
     state = core.extraction_state(x, flat, 0.4, PHI)
-    assert capon_ice.second_derivative_approx(x, state, PHI) == 0.0
+    assert capon_ice.second_derivative_approx(x, state) == 0.0
 
 
 def test_second_derivative_closed_form_d2():
@@ -186,14 +196,14 @@ def test_second_derivative_closed_form_d2():
     )
     c1, _, _ = core.c_constants(stats)
     expected = 2.0 * c1 * 0.5 * 0.25
-    got = capon_ice.second_derivative_approx(x, state, PHI)
+    got = capon_ice.second_derivative_approx(x, state)
     assert abs(got - expected) < 1e-8
 
 
 def test_second_derivative_negative_near_truth():
     x, _, _, model = random_mixture(RNG(51), 5, 50_000, -0.6)
     state = core.extraction_state(x, model, -0.6, PHI)
-    assert capon_ice.second_derivative_approx(x, state, PHI) < 0.0
+    assert capon_ice.second_derivative_approx(x, state) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +213,9 @@ def test_second_derivative_negative_near_truth():
 def test_config_validation():
     x, _, _, model = random_mixture(RNG(59), 3, 100, 0.2)
     with pytest.raises(DomainError):
-        capon_ice.run(x, model, PHI, 0.0, max_iters=0)
+        capon_ice.run(x, model, 0.0, max_iters=0)
+    with pytest.raises(DomainError):
+        capon_ice.run(x, model, math.nan)
 
 
 def rank1_plus_floor_instance(rng, model, lam_star, n, eps):
@@ -231,13 +243,13 @@ def test_run_single_source_fast_convergence():
     lam_star = 0.8
     model = core.ula(5)
     x = rank1_plus_floor_instance(RNG(60), model, lam_star, 10_000, eps=0.5)
-    res = capon_ice.run(x, model, PHI, lam_star + 0.1)
+    res = capon_ice.run(x, model, lam_star + 0.1)
     assert res.converged
     assert res.iterations <= 10
     assert abs(res.state.lam - lam_star) < 5e-3
     # the returned iterate is a 1e-6-accurate fixed point of the update
-    d1 = capon_ice.first_derivative(x, res.state, PHI)
-    d2 = capon_ice.second_derivative_approx(x, res.state, PHI)
+    d1 = capon_ice.first_derivative(x, res.state)
+    d2 = capon_ice.second_derivative_approx(x, res.state)
     assert d2 < 0.0
     assert abs(d1 / d2) < 1e-6
 
@@ -268,7 +280,7 @@ def test_run_recovers_lone_source_over_quiet_floor(seed, v, lam_star, offset):
     # There |w| ~ 7e2 and dw/dlam ~ 1e10, so the stop must be on lam itself.
     model = core.ula(5) if v is None else core.SteeringModel(np.array(v))
     x = lone_source_instance(RNG(seed), model, lam_star)
-    res = capon_ice.run(x, model, PHI, lam_star + offset, max_iters=300)
+    res = capon_ice.run(x, model, lam_star + offset, max_iters=300)
     assert abs(capon_ice.wrap_angle(res.state.lam - lam_star)) <= 1e-6
     assert res.converged
     assert res.iterations <= 10
@@ -376,7 +388,7 @@ def test_search_stops_on_the_boundary_of_a_clipped_range(caplog):
 def test_search_logs_each_iteration_and_the_stop(caplog):
     caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
     x, _, _, model = random_mixture(RNG(61), 5, 500, 0.5)
-    res = capon_ice.run(x, model, PHI, 0.55)
+    res = capon_ice.run(x, model, 0.55)
     messages = [r.getMessage() for r in caplog.records if r.name == "blindcapon.capon_ice"]
     steps = [m for m in messages if m.startswith("param ")]
     assert len(steps) == res.iterations
@@ -392,16 +404,16 @@ def test_search_logs_each_iteration_and_the_stop(caplog):
 
 def test_run_distortionless_after_iterations():
     x, _, _, model = random_mixture(RNG(61), 5, 500, 0.5)
-    res = capon_ice.run(x, model, PHI, 0.55)
+    res = capon_ice.run(x, model, 0.55)
     assert abs(np.vdot(res.state.w, res.state.a) - 1.0) < 1e-10
 
 
 def test_run_restart_at_fixed_point_stays_put():
     # restarting at a converged iterate must take a (numerically) zero step
     x, _, _, model = random_mixture(RNG(62), 4, 800, 0.3)
-    first = capon_ice.run(x, model, PHI, 0.35)
+    first = capon_ice.run(x, model, 0.35)
     assert first.converged
-    again = capon_ice.run(x, model, PHI, first.state.lam)
+    again = capon_ice.run(x, model, first.state.lam)
     assert again.converged
     assert again.iterations <= 2
     assert abs(again.state.lam - first.state.lam) < 1e-6
@@ -409,7 +421,7 @@ def test_run_restart_at_fixed_point_stays_put():
 
 def test_run_trace_monotone_tail():
     x, _, _, model = random_mixture(RNG(63), 5, 2000, -0.3)
-    res = capon_ice.run(x, model, PHI, -0.25)
+    res = capon_ice.run(x, model, -0.25)
     # converged run ends at a (local) maximum: final value >= start value
     start = capon_ice.contrast(x, -0.25, PHI, model)
     assert capon_ice.contrast(x, res.state.lam, PHI, model) >= start - 1e-12
@@ -422,8 +434,30 @@ def test_run_never_evaluates_contrast(monkeypatch):
 
     monkeypatch.setattr(capon_ice, "contrast", forbidden)
     x, _, _, model = random_mixture(RNG(64), 5, 500, 0.5)
-    res = capon_ice.run(x, model, PHI, 0.55)
+    res = capon_ice.run(x, model, 0.55)
     assert res.converged
+
+
+def test_run_computes_output_statistics_once(monkeypatch):
+    # the search reads the kernel's arrays; only the returned state carries
+    # the statistics of core.soi_statistics, and nothing needs c_constants
+    calls = []
+    counted = core.soi_statistics
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run computed the Hessian constants")
+
+    monkeypatch.setattr(core, "soi_statistics", counting)
+    for module in (core, capon_ice):
+        monkeypatch.setattr(module, "c_constants", forbidden, raising=False)
+    x, _, _, model = random_mixture(RNG(64), 5, 500, 0.5)
+    res = capon_ice.run(x, model, 0.55)
+    assert res.converged and res.iterations > 1
+    assert len(calls) <= 1
 
 
 def test_run_success_rate_near_truth():
@@ -434,7 +468,7 @@ def test_run_success_rate_near_truth():
     for t in range(trials):
         rng = RNG(1000 + t)
         x, a, powers, model = random_mixture(rng, d, n, lam_star, competitor=0.25)
-        res = capon_ice.run(x, model, PHI, lam_star + 0.05)
+        res = capon_ice.run(x, model, lam_star + 0.05)
         gains = np.abs(res.state.w.conj() @ a) ** 2 * powers
         sir = 10 * np.log10(gains[0] / (np.sum(gains) - gains[0]))
         successes += sir > 3.0

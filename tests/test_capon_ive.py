@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blindcapon import capon_ice, capon_ive, core
-from blindcapon.errors import SpatialAliasWarning
+from blindcapon.errors import DomainError, SpatialAliasWarning
 
 RNG = np.random.default_rng
 
@@ -137,13 +137,14 @@ def test_per_bin_first_derivative_matches_fd(small_tensor):
     tensor, geom = small_tensor
     bins = np.array([20, 40, 60, 80])
     tau = capon_ive.theta_to_tau(geom, 80.0)
-    der = capon_ive.derivatives_at(tensor, geom, tau, bins=bins)
+    kernel, kept, _ = capon_ive._bin_stack(tensor, geom, 100.0, bins=bins)
+    _, d1, _, nu = kernel.derivatives(kernel.states(tau))
     h = 1e-7
-    for i, k in enumerate(der.bins):
+    for i, k in enumerate(kept):
         up = oracle_joint_log_pdf(tensor, geom, tau, bins, perturb=(k, h))
         dn = oracle_joint_log_pdf(tensor, geom, tau, bins, perturb=(k, -h))
         fd = (up - dn) / (2 * h)
-        analytic = der.nus[i] * der.per_bin_first[i]
+        analytic = nu[i] * d1[i]
         assert abs(fd - analytic) < 1e-4 * max(abs(analytic), 1e-6)
 
 
@@ -151,12 +152,13 @@ def test_tau_chain_rule_matches_fd(small_tensor):
     tensor, geom = small_tensor
     bins = np.array([20, 40, 60, 80])
     tau = capon_ive.theta_to_tau(geom, 80.0)
-    der = capon_ive.derivatives_at(tensor, geom, tau, bins=bins)
+    kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0, bins=bins)
+    _, d1, _, nu = kernel.derivatives(kernel.states(tau))
     h = 1e-10
     up = oracle_joint_log_pdf(tensor, geom, tau + h, bins)
     dn = oracle_joint_log_pdf(tensor, geom, tau - h, bins)
     fd = (up - dn) / (2 * h)
-    analytic = float(np.sum(der.omegas * der.nus * der.per_bin_first))
+    analytic = float(np.sum(kernel.omegas * nu * d1))
     assert abs(fd - analytic) < 1e-4 * max(abs(analytic), 1e-9)
 
 
@@ -168,33 +170,34 @@ def test_one_bin_is_the_narrowband_problem(small_tensor):
     omegas = 2 * np.pi * tensor.bin_frequencies()
     phi = core.rational_nonlinearity()
     for k in (20, 40, 60, 80):
-        der = capon_ive.derivatives_at(tensor, geom, tau, bins=[k])
+        kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0, bins=[k])
+        _, bin_d1, bin_d2, _ = kernel.derivatives(kernel.states(tau))
         x = core.SnapshotMatrix(tensor.data[k])
         state = core.extraction_state(x, core.ula(geom.d), omegas[k] * tau, phi)
-        d1 = capon_ice.first_derivative(x, state, phi)
-        d2 = capon_ice.second_derivative_approx(x, state, phi)
-        assert abs(der.per_bin_first[0] - d1) <= 1e-9 * abs(d1)
-        assert abs(der.per_bin_second[0] - d2) <= 1e-9 * abs(d2)
+        d1 = capon_ice.first_derivative(x, state)
+        d2 = capon_ice.second_derivative_approx(x, state)
+        assert abs(bin_d1[0] - d1) <= 1e-9 * abs(d1)
+        assert abs(bin_d2[0] - d2) <= 1e-9 * abs(d2)
 
 
 def test_bin_stack_is_a_view_of_the_tensor(small_tensor):
     # a copy of the bins would add a (bins, d, frames) array to peak memory
     tensor, geom = small_tensor
-    ctx = capon_ive._BinContext(tensor, geom, 100.0)
-    assert np.shares_memory(ctx.x, tensor.data)
+    kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0)
+    assert np.shares_memory(kernel.x, tensor.data)
 
 
 @pytest.mark.parametrize("theta", [70.0, 80.0, 105.0])
 def test_stacked_kernel_matches_per_bin_loop(small_tensor, theta):
     tensor, geom = small_tensor
-    ctx = capon_ive._BinContext(tensor, geom, 100.0)
+    kernel, kept, _ = capon_ive._bin_stack(tensor, geom, 100.0)
     tau = capon_ive.theta_to_tau(geom, theta)
-    st = ctx.states(tau)
-    der = ctx.derivatives(st)
+    st = kernel.states(tau)
+    _, kernel_d1, kernel_d2, kernel_nu = kernel.derivatives(st)
     v = np.arange(geom.d, dtype=float)
     omegas = 2 * np.pi * tensor.bin_frequencies()
     per_bin = []
-    for k in ctx.bins:
+    for k in kept:
         xk = tensor.data[k]
         ck = core.sample_covariance(core.SnapshotMatrix(xk))
         fac = core.covariance_factor(ck)
@@ -222,9 +225,9 @@ def test_stacked_kernel_matches_per_bin_loop(small_tensor, theta):
 
     assert close(st.w, np.array([p[4] for p in per_bin]))
     assert close(st.sig2_solve, np.array([p[5] for p in per_bin]))
-    assert close(der.nus, nu)
-    assert close(der.per_bin_first, d1)
-    assert close(der.per_bin_second, d2)
+    assert close(kernel_nu, nu)
+    assert close(kernel_d1, d1)
+    assert close(kernel_d2, d2)
 
 
 def test_silent_bin_is_dropped_by_the_search_and_passed_by_beamform(small_tensor):
@@ -233,11 +236,11 @@ def test_silent_bin_is_dropped_by_the_search_and_passed_by_beamform(small_tensor
     data = tensor.data.copy()
     data[30] = 0.0
     silent = capon_ive.StftTensor(data, tensor.sample_rate, tensor.fft_len, tensor.hop)
-    ctx = capon_ive._BinContext(silent, geom, 100.0)
-    assert list(ctx.flagged) == [30]
-    assert 30 not in ctx.bins and ctx.bins.size == ctx.x.shape[0] == ctx.factors.shape[0]
-    der = ctx.derivatives(ctx.states(capon_ive.theta_to_tau(geom, 80.0)))
-    assert np.all(np.isfinite(der.per_bin_first)) and np.all(np.isfinite(der.per_bin_second))
+    kernel, kept, flagged = capon_ive._bin_stack(silent, geom, 100.0)
+    assert list(flagged) == [30]
+    assert 30 not in kept and kept.size == kernel.x.shape[0] == kernel.factors.shape[0]
+    _, d1, d2, _ = kernel.derivatives(kernel.states(capon_ive.theta_to_tau(geom, 80.0)))
+    assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
     weights, extracted = capon_ive.beamform_at(silent, geom, 80.0)
     assert np.array_equal(weights[30], np.eye(geom.d)[0])
     assert not np.any(extracted[30])
@@ -245,6 +248,14 @@ def test_silent_bin_is_dropped_by_the_search_and_passed_by_beamform(small_tensor
     others = np.arange(tensor.n_bins) != 30
     np.testing.assert_allclose(weights[others], ref_weights[others], rtol=1e-12, atol=0)
     np.testing.assert_allclose(extracted[others], ref_extracted[others], rtol=1e-12, atol=0)
+
+
+def test_non_finite_start_is_a_domain_error(small_tensor):
+    tensor, geom = small_tensor
+    with pytest.raises(DomainError):
+        capon_ive.run_ive(tensor, geom, float("nan"))
+    with pytest.raises(DomainError):
+        capon_ive.srp_phat(tensor, geom, float("inf"))
 
 
 def test_bin_order_invariance(small_tensor):
@@ -382,3 +393,19 @@ def test_wav_reads_pcm16(tmp_path):
     assert rate == 8000
     assert back.shape == (1, 4000)
     assert np.max(np.abs(back)) <= 1.0
+
+
+def test_wav_pcm8_roundtrip(tmp_path):
+    import scipy.io.wavfile
+
+    # 8-bit PCM is unsigned and centred at 128: silence must read as 0
+    sig = np.clip(RNG(15).standard_normal((2, 4000)) * 0.3, -1.0, 127 / 128)
+    sig[:, :100] = 0.0
+    pcm = np.round(sig * 128.0 + 128.0).astype(np.uint8)
+    path = tmp_path / "u8.wav"
+    scipy.io.wavfile.write(path, 8000, pcm.T)
+    rate, back = capon_ive.read_wav(path)
+    assert rate == 8000
+    assert back.shape == sig.shape
+    assert not np.any(back[:, :100])
+    assert np.max(np.abs(back - sig)) <= 0.5 / 128 + 1e-12

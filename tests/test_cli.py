@@ -149,6 +149,14 @@ def test_bounds_domain_error_exit_code(capsys):
     assert cli.main(["bounds", "--kappa-bar", "0.5", "--d", "5", "--n", "500"]) == 1
 
 
+@pytest.mark.parametrize("kappa_bar", ["inf", "nan"])
+def test_bounds_non_finite_kappa_exit_code(capsys, kappa_bar):
+    assert cli.main(["bounds", "--kappa-bar", kappa_bar, "--d", "5", "--n", "500"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # extract
 # ---------------------------------------------------------------------------
@@ -200,8 +208,16 @@ def test_extract_missing_file_fails(tmp_path):
 
 @pytest.mark.parametrize(
     "extra",
-    [["--d", "2"], ["--d", "5", "--n", "3"], ["--methods", "magic"]],
-    ids=["d2", "n-below-d", "unknown-method"],
+    [
+        ["--d", "2"],
+        ["--d", "5", "--n", "3"],
+        ["--methods", "magic"],
+        ["--lambda-star", "nan"],
+        ["--ini-radius", "nan"],
+        ["--ini-radius", "-0.1"],
+    ],
+    ids=["d2", "n-below-d", "unknown-method", "lambda-star-nan", "ini-radius-nan",
+         "ini-radius-negative"],
 )
 def test_simulate_bad_value_exit_code(tmp_path, capsys, extra):
     args = [
@@ -272,8 +288,18 @@ def test_extract_bad_stft_exit_code(tmp_path, capsys, broadband_wavs, extra):
         ["--fmin-hz", "9000"],
         ["--fmin-hz", "9000", "--method", "srpphat+mpdr"],
         ["--spacing-m", "0"],
+        ["--spacing-m", "nan"],
+        ["--spacing-m", "inf"],
     ],
-    ids=["fmin-at-nyquist", "fmin-above-nyquist", "srpphat-fmin-above-nyquist", "spacing0"],
+    ids=["fmin-at-nyquist", "fmin-above-nyquist", "srpphat-fmin-above-nyquist", "spacing0",
+         "spacing-nan", "spacing-inf"],
 )
 def test_extract_bad_band_or_geometry_exit_code(tmp_path, capsys, broadband_wavs, extra):
     assert_extract_fails(tmp_path, capsys, broadband_wavs, extra)
+
+
+@pytest.mark.parametrize("method", ["ive", "srpphat+mpdr"])
+def test_extract_non_finite_start_exit_code(tmp_path, capsys, broadband_wavs, method):
+    assert_extract_fails(
+        tmp_path, capsys, broadband_wavs, ["--theta-ini", "nan", "--method", method]
+    )

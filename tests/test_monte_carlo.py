@@ -64,6 +64,10 @@ def test_mixture_spec_validation():
     with pytest.raises(ValueError):
         spec(isir_db=float("inf"))
     with pytest.raises(ValueError):
+        spec(lambda_star=float("nan"))
+    with pytest.raises(ValueError):
+        spec(lambda_competitor=float("-inf"))
+    with pytest.raises(ValueError):
         spec(source_law="cauchy")
 
 
