@@ -1,10 +1,14 @@
 """Blind Capon beamforming for phase-shift mixing models.
 
-Subpackages: :mod:`core` (types, steering, statistics), :mod:`capon_ice`
+Modules: :mod:`core` (types, steering, statistics), :mod:`capon_ice`
 (single-parameter Newton search), :mod:`bounds` (Cramer-Rao-induced ISR
 bounds), :mod:`baselines` (FastICA, Root MUSIC, TLS ESPRIT),
 :mod:`monte_carlo` (simulation harness), :mod:`capon_ive` (broadband STFT
 extension) and :mod:`cli`.
+
+The heavy scipy subpackages (``scipy.optimize``, ``scipy.signal``,
+``scipy.io``) are imported inside the functions that use them, so importing
+the package, a Monte Carlo sweep and the bounds load none of them.
 """
 
 from . import baselines, bounds, capon_ice, capon_ive, core, errors, monte_carlo

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from . import core
 from .core import (
@@ -104,7 +102,7 @@ def contrast(
     if nu is not None:
         m = m / nu
     if c_z is not None:
-        bg = -float(np.real(np.trace(scipy.linalg.solve(c_z, cz_lam, assume_a="her"))))
+        bg = -float(np.real(np.trace(np.linalg.solve(c_z, cz_lam))))
     else:
         sign, logdet = np.linalg.slogdet(cz_lam)
         bg = -logdet - (x.d - 1)
@@ -375,6 +373,8 @@ def _capon_start(c_x, factor, model, start, project):
     ratio = model.d ** 2 / (inverse_power(start) * np.real(np.vdot(a, c_x @ a)))
     if ratio >= _SELF_CANCELLATION:
         return start
+    import scipy.optimize
+
     # spacing _STEP_CAP / 32 = 1/64, well inside the 2 pi / d main lobe of
     # a d-sensor ULA, so the best point brackets the peak
     grid = start + np.linspace(-_STEP_CAP, _STEP_CAP, 65)

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.io.wavfile
-import scipy.optimize
-import scipy.signal
 
 from .capon_ice import _STEP_CAP, _MpdrStack, _safeguarded_newton
 from .core import COVARIANCE_EPS, covariance_factor, mpdr_weights
@@ -404,6 +401,8 @@ def srp_phat(
     initial angle is returned with ``stalled=True``.  A non-finite start
     raises :class:`DomainError`.
     """
+    import scipy.optimize
+
     if not np.isfinite(theta_ini_deg):
         raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
     if geom.d != tensor.n_channels:
@@ -449,6 +448,8 @@ def read_wav(path):
     8/16/32-bit PCM or float data; PCM is scaled to [-1, 1), 8-bit PCM
     (unsigned, centred at 128) as ``(x - 128) / 128``.
     """
+    import scipy.io.wavfile
+
     rate, data = scipy.io.wavfile.read(path)
     data = np.atleast_2d(data.T if data.ndim == 2 else data)
     if data.dtype == np.uint8:
@@ -464,6 +465,8 @@ def read_wav(path):
 
 def write_wav(path, sample_rate: float, signal: np.ndarray):
     """Write a mono or multichannel float32 WAV."""
+    import scipy.io.wavfile
+
     signal = np.asarray(signal, dtype=np.float32)
     if signal.ndim == 2:
         signal = signal.T
@@ -477,6 +480,8 @@ def speech_shaped_noise(rng: np.random.Generator, n: int, sample_rate: float) ->
     super-Gaussian marginals that make the source identifiable for the
     joint nonlinearity.
     """
+    import scipy.signal
+
     white = rng.standard_normal(n)
     b, a = scipy.signal.butter(2, [150.0, 3800.0], btype="bandpass", fs=sample_rate)
     shaped = scipy.signal.lfilter(b, a, white)

@@ -110,10 +110,14 @@ def cmd_simulate(args) -> int:
     out_dir = _default_outdir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise DomainError(f"--methods names no method, got {args.methods!r}")
     if args.lambda_grid is not None:
         grid_param, grid_values = "lambda_star", args.lambda_grid
     else:
         grid_param, grid_values = "isir_db", args.isir_grid
+    if grid_values.size == 0:
+        raise DomainError("the sweep grid has no points (steps must be >= 1)")
     records = monte_carlo.run_sweep(
         base,
         grid_param,

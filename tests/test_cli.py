@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from blindcapon import bounds, cli
+import blindcapon
+from blindcapon import bounds, capon_ive, cli, monte_carlo
+from conftest import build_broadband_fixture
 
 
 def read_csv(path):
@@ -215,17 +220,21 @@ def test_extract_missing_file_fails(tmp_path):
         ["--lambda-star", "nan"],
         ["--ini-radius", "nan"],
         ["--ini-radius", "-0.1"],
+        ["--lambda-grid", "0:1:0"],
+        ["--methods", ","],
     ],
     ids=["d2", "n-below-d", "unknown-method", "lambda-star-nan", "ini-radius-nan",
-         "ini-radius-negative"],
+         "ini-radius-negative", "lambda-grid-empty", "no-methods"],
 )
 def test_simulate_bad_value_exit_code(tmp_path, capsys, extra):
+    out = tmp_path / "out"
     args = [
         "simulate", "--trials", "1", "--lambda-grid", "0:1:2", "--methods", "ini",
-        "--out", str(tmp_path / "out"), *extra,
+        "--out", str(out), *extra,
     ]
     assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_simulate_zero_trials_exit_code(tmp_path, capsys):
@@ -303,3 +312,51 @@ def test_extract_non_finite_start_exit_code(tmp_path, capsys, broadband_wavs, me
     assert_extract_fails(
         tmp_path, capsys, broadband_wavs, ["--theta-ini", "nan", "--method", method]
     )
+
+
+# ---------------------------------------------------------------------------
+# start-up: a command loads only the scipy subpackages it uses
+# ---------------------------------------------------------------------------
+
+HEAVY_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.linalg", "scipy.io", "scipy.stats")
+
+
+def heavy_scipy_after(commands):
+    """Run ``cli.main`` on each argv in a fresh interpreter and return the
+    :data:`HEAVY_SCIPY` subpackages it has loaded by the end."""
+    code = (
+        "import json, sys\n"
+        "from blindcapon import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        f"print(json.dumps([m for m in {HEAVY_SCIPY!r} if m in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(blindcapon.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_bounds_and_simulate_load_no_heavy_scipy(tmp_path):
+    commands = [
+        ["bounds", "--kappa-bar", "2", "--d", "5", "--n", "500"],
+        ["simulate", "--trials", "2", "--lambda-grid", "0.3:0.3:1",
+         "--methods", ",".join(monte_carlo.KNOWN_METHODS), "--out", str(tmp_path)],
+    ]
+    assert heavy_scipy_after(commands) == []
+
+
+def test_extract_ive_loads_only_scipy_io(tmp_path):
+    fx = build_broadband_fixture(duration_s=0.5)
+    mix_path = tmp_path / "mix.wav"
+    capon_ive.write_wav(mix_path, fx.sample_rate, fx.mix)
+    commands = [[
+        "extract", "--in", str(mix_path), "--theta-ini", "70", "--fft", "512",
+        "--hop", "128", "--out-dir", str(tmp_path / "ive"),
+    ]]
+    assert heavy_scipy_after(commands) == ["scipy.io"]
