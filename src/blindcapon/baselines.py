@@ -1,5 +1,8 @@
 """Comparison methods: one-unit complex FastICA, Root MUSIC, TLS ESPRIT.
 
+FastICA is prewhitened with the inverse Cholesky factor of the sample
+covariance that the MPDR solves use, shared by all methods of a trial.
+
 The DOA estimators assume a uniform linear array (integer steering weights
 ``v = [0, 1, ..., d-1]``) so that steering vectors are Vandermonde in
 ``exp(1j lam)``.
@@ -9,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
-from .core import ExtractionState, Nonlinearity, SnapshotMatrix, sample_covariance
+from .core import SnapshotMatrix, covariance_factor, sample_covariance
 from .errors import RankDeficient
 
 _TIE_TOL = 1e-9
@@ -33,14 +35,18 @@ class DoaEstimate:
 
 @dataclass(frozen=True)
 class FasticaResult:
-    """Outcome of the one-unit fixed-point iteration.
+    """Outcome of the one-unit fixed-point iteration: the separating vector
+    ``w``, the mixing vector ``a`` (``w^H a = 1``) and the output
+    ``s = w^H x``.
 
     Non-convergence (e.g. on Gaussian-only mixtures) is reported through
     ``converged`` rather than an exception so that sweep harnesses can score
     the final iterate regardless.
     """
 
-    state: ExtractionState
+    a: np.ndarray
+    w: np.ndarray
+    s: np.ndarray
     converged: bool
     iterations: int
 
@@ -54,67 +60,59 @@ def _pick(candidates: np.ndarray, closeness: np.ndarray) -> float:
 
 def fastica_one_unit(
     x: SnapshotMatrix,
-    phi: Nonlinearity,
     w_ini: np.ndarray,
+    covariance=None,
     max_iters: int = 200,
 ) -> FasticaResult:
-    """One-unit complex FastICA on symmetrically prewhitened data.
+    """One-unit complex FastICA on data prewhitened by the inverse Cholesky
+    factor ``G`` of the sample covariance ``C_x``: ``x~ = G x``.
 
-    The fixed-point update with nonlinearity ``g(|y|^2)`` applied as
-    ``phi(y) = conj(y) g(|y|^2)``:
+    ``covariance`` is ``x``'s pair ``(C_x, G)`` of
+    :func:`core.sample_covariance` and :func:`core.covariance_factor`
+    (which whitens the diagonally loaded ``C_x``), computed when omitted.
+    From ``w = G^-H w_ini``, with ``y = w^H x~`` and
+    ``g = 1 / (1 + |y|^2)`` (so ``g + |y|^2 g' = g^2``), the update
 
-        w <- E[x~ conj(y) g(|y|^2)] - E[g(|y|^2) + |y|^2 g'(|y|^2)] w
+        w <- E[x~ conj(y) g] - E[g^2] w
 
-    followed by renormalization, where ``y = w^H x~`` on whitened ``x~``.
-    Convergence is ``1 - |<w_new, w>| <= 1e-6``.  The returned state is in
-    the original (unwhitened) coordinates with ``a = C_x w / sigma^2`` and
-    ``w`` rescaled so that ``w^H a = 1``.
+    is followed by renormalization until ``1 - |<w_new, w>| <= 1e-6``.  It
+    is equivariant under a unitary change of whitened coordinates, so any
+    whitening gives the same iterates.  The result is in the original
+    coordinates: ``w = G^H w`` and ``a = C_x w / (w^H C_x w)``.
     """
     w_ini = np.asarray(w_ini, dtype=complex)
     if not np.any(w_ini):
         raise ValueError("w_ini must be nonzero")
-    c_x = sample_covariance(x)
-    evals, evecs = np.linalg.eigh(c_x)
-    if np.min(evals) <= 0.0:
-        evals = np.maximum(evals, 1e-12 * np.max(evals))
-    v_white = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
-    v_color = evecs @ np.diag(evals ** 0.5) @ evecs.conj().T
-    xt = v_white @ x.data
+    if covariance is None:
+        c_x = sample_covariance(x)
+        covariance = (c_x, covariance_factor(c_x))
+    c_x, factor = covariance
+    xt = factor @ x.data
 
-    w = v_color @ w_ini
+    w = np.linalg.solve(factor.conj().T, w_ini)
     w = w / np.linalg.norm(w)
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         y = w.conj() @ xt
-        gy = 1.0 / (1.0 + np.abs(y) ** 2)
-        gpy = -gy ** 2
-        w_new = (xt * (np.conj(y) * gy)).mean(axis=1)
-        w_new = w_new - np.mean(gy + np.abs(y) ** 2 * gpy) * w
-        norm = np.linalg.norm(w_new)
-        if norm < 1e-15:
+        g = 1.0 / (1.0 + (y.real ** 2 + y.imag ** 2))
+        # N times the update, whose renormalization removes the factor
+        w_new = xt @ (y.conj() * g) - (g @ g) * w
+        norm = np.sqrt(np.vdot(w_new, w_new).real)
+        if norm < 1e-15 * x.N:
             break
         w_new = w_new / norm
-        crit = 1.0 - abs(np.vdot(w_new, w))
+        converged = bool(1.0 - abs(np.vdot(w_new, w)) <= _FASTICA_TOL)
         w = w_new
-        if crit <= _FASTICA_TOL:
-            converged = True
+        if converged:
             break
 
-    w_orig = v_white.conj().T @ w
-    sigma2 = float(np.real(np.vdot(w_orig, c_x @ w_orig)))
-    a_hat = (c_x @ w_orig) / sigma2
-    # rescale to the distortionless convention w^H a = 1
-    scale = np.vdot(w_orig, a_hat)
-    w_orig = w_orig / np.conj(scale)
-    s = w_orig.conj() @ x.data
-    stats = core.soi_statistics(s, phi)
-    a_hat = (c_x @ w_orig) / stats.sigma2
-    state = ExtractionState(
-        lam=float("nan"), a=a_hat, w=w_orig, s=s, stats=stats, model=core.ula(x.d),
-        sigma2_solve=float("nan"),  # w comes from no MPDR solve
+    w = factor.conj().T @ w
+    c_w = c_x @ w
+    return FasticaResult(
+        a=c_w / np.real(np.vdot(w, c_w)), w=w, s=w.conj() @ x.data,
+        converged=converged, iterations=iterations,
     )
-    return FasticaResult(state=state, converged=converged, iterations=iterations)
 
 
 def root_music(c_x: np.ndarray, num_sources: int) -> DoaEstimate:

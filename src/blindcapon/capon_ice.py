@@ -52,7 +52,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CaponResult:
-    state: ExtractionState
+    lam: float                          # the last iterate
+    a: np.ndarray                       # steering vector at lam
+    w: np.ndarray                       # MPDR weights at lam, w^H a = 1
     iterations: int
     converged: bool
     gradient_fallbacks: int             # Newton steps taken as ascent steps
@@ -214,15 +216,15 @@ class _MpdrStack:
                 float((self.omegas ** 2 * d2).sum() / d2.size))
 
 
-def _one_problem(x, model):
+def _one_problem(x, model, c_x, factor):
     """The narrowband problem of ``x`` as a one-problem :class:`_MpdrStack`."""
-    c_x = sample_covariance(x)
-    return _MpdrStack(x.data[None], c_x[None], covariance_factor(c_x)[None], model.v, np.ones(1))
+    return _MpdrStack(x.data[None], c_x[None], factor[None], model.v, np.ones(1))
 
 
 def _at_state(x, state):
     """:meth:`_MpdrStack.derivatives` of the one-problem kernel of ``x`` at ``state.lam``."""
-    kernel = _one_problem(x, state.model)
+    c_x = sample_covariance(x)
+    kernel = _one_problem(x, state.model, c_x, covariance_factor(c_x))
     return kernel.derivatives(kernel.states(state.lam))
 
 
@@ -404,6 +406,7 @@ def run(
     model: SteeringModel,
     lambda_ini: float,
     max_iters: int = 100,
+    covariance=None,
 ) -> CaponResult:
     """Bracketed Newton search over ``lam`` from ``lambda_ini`` (radians),
     at most ``max_iters`` iterations, with the rational nonlinearity.
@@ -422,17 +425,21 @@ def run(
     ``lam`` is wrapped into (-pi, pi] after every update; for non-periodic
     weights the iterate must stay within ``2 pi^2`` of the start or
     :class:`Diverged` is raised.  A non-finite start raises
-    :class:`DomainError`.
+    :class:`DomainError`.  ``covariance`` is ``x``'s pair of
+    :func:`core.sample_covariance` and its factor, computed when omitted.
     """
     if not math.isfinite(lambda_ini):
         raise DomainError(f"lambda_ini must be finite, got {lambda_ini}")
-    kernel = _one_problem(x, model)
+    if covariance is None:
+        c_x = sample_covariance(x)
+        covariance = (c_x, covariance_factor(c_x))
+    kernel = _one_problem(x, model, *covariance)
     if model.is_integer:
         start, project = wrap_angle(lambda_ini), wrap_angle
     else:
         start = float(lambda_ini)
         project = functools.partial(_runaway_guard, lambda_ini)
-    start = _capon_start(kernel.c[0], kernel.factors[0], model, start, project)
+    start = _capon_start(*covariance, model, start, project)
     st, lam, iterations, converged, fallbacks = _safeguarded_newton(
         start,
         kernel.states,
@@ -442,13 +449,10 @@ def run(
         project,
         max_iters,
     )
-    state = ExtractionState(
-        lam=lam, a=st.a[0], w=st.w[0], s=st.s[0], model=model,
-        stats=core.soi_statistics(st.s[0], core.rational_nonlinearity()),
-        sigma2_solve=float(st.sig2_solve[0]),
-    )
     return CaponResult(
-        state=state,
+        lam=lam,
+        a=st.a[0],
+        w=st.w[0],
         iterations=iterations,
         converged=converged,
         gradient_fallbacks=fallbacks,

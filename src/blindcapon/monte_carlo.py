@@ -138,19 +138,19 @@ def trial_seed_sequence(master_seed: int, grid_index: int, trial_index: int):
     return seed, ini_ss
 
 
-def _run_method(method, x, model, phi, lam_ini, covariance):
+def _run_method(method, x, model, lam_ini, covariance):
     """Execute one method; returns (lambda_hat, w, iterations, converged).
 
     ``covariance()`` gives the trial's sample covariance and its
-    :func:`core.covariance_factor`; CaponICE computes its own."""
+    :func:`core.covariance_factor`, which every method uses."""
     if method == "caponice":
-        res = capon_ice.run(x, model, lam_ini)
-        return res.state.lam, res.state.w, res.iterations, res.converged
+        res = capon_ice.run(x, model, lam_ini, covariance=covariance())
+        return res.lam, res.w, res.iterations, res.converged
     if method == "fastica":
-        _, factor = covariance()
+        c_x, factor = covariance()
         w_ini, _ = core.mpdr_weights(factor, core.steering(model, lam_ini))
-        res = baselines.fastica_one_unit(x, phi, w_ini)
-        return float("nan"), res.state.w, res.iterations, res.converged
+        res = baselines.fastica_one_unit(x, w_ini, (c_x, factor))
+        return float("nan"), res.w, res.iterations, res.converged
     if method in ("musicmpdr", "espritmpdr"):
         c_x, factor = covariance()
         estimator = baselines.root_music if method == "musicmpdr" else baselines.tls_esprit
@@ -175,15 +175,13 @@ def run_trial(
 ):
     """Run all methods on one mixture.
 
-    The methods other than CaponICE share one sample covariance and one
-    factor of it, computed when the first of them runs.  A method that
-    raises a package error or a linear-algebra error, the shared factor's
-    included, is recorded as a failed row (lambda_hat nan, -150 dB, not
-    converged, the exception's class name as ``error``); any other
-    exception is a bug and propagates."""
+    The methods share one sample covariance and one factor of it, computed
+    when the first of them runs.  A method that raises a package error or
+    a linear-algebra error, the shared factor's included, is recorded as a
+    failed row (lambda_hat nan, -150 dB, not converged, the exception's
+    class name as ``error``); any other exception is a bug and propagates."""
     x, a, powers = generate_mixture(spec)
     model = core.ula(spec.d)
-    phi = core.rational_nonlinearity()
     rng_ini = np.random.default_rng(ini_seed)
     lam_ini = spec.lambda_star + rng_ini.uniform(-ini_radius, ini_radius)
     shared = []
@@ -199,7 +197,7 @@ def run_trial(
         t0 = time.perf_counter()
         error = ""
         try:
-            lam_hat, w, iters, conv = _run_method(method, x, model, phi, lam_ini, covariance)
+            lam_hat, w, iters, conv = _run_method(method, x, model, lam_ini, covariance)
             sir = output_sir(w, a, powers)
         except (BlindCaponError, np.linalg.LinAlgError) as exc:
             lam_hat, sir, iters, conv = float("nan"), -SIR_CAP_DB, 0, False

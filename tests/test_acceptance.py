@@ -243,7 +243,7 @@ def test_criterion_6_caponice_oracle():
     floor = 1e-5 * np.vstack([core.complex_gaussian(rng, n) for _ in range(5)])
     x = core.SnapshotMatrix(np.outer(core.steering(model, lam_star), s) + floor)
     res = capon_ice.run(x, model, lam_star + 0.1, max_iters=300)
-    err = abs(res.state.lam - lam_star)
+    err = abs(res.lam - lam_star)
     ok = err <= 1e-6
     report(6, ok, f"CaponICE single-source recovery error {err:.2e} (target 1e-6)")
     assert ok
@@ -295,7 +295,7 @@ def test_criterion_8_properties():
     x, _, _, model = random_mixture(RNG(108), 5, 500, 0.6, competitor=COMPETITOR)
     factor = core.covariance_factor(core.sample_covariance(x))
     res = capon_ice.run(x, model, 0.65)
-    worst_dl = abs(np.vdot(res.state.w, res.state.a) - 1.0)
+    worst_dl = abs(np.vdot(res.w, res.a) - 1.0)
     for lam in np.linspace(-1, 1, 7):
         st = core.extraction_state(x, model, float(lam), PHI, factor=factor)
         worst_dl = max(worst_dl, abs(np.vdot(st.w, st.a) - 1.0))

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from blindcapon import capon_ice, core, monte_carlo
+from blindcapon import baselines, capon_ice, core, monte_carlo
 from blindcapon.errors import Diverged, SingularCovariance
 from blindcapon.monte_carlo import MixtureSpec
 
@@ -190,33 +190,75 @@ def test_trial_records_package_errors_and_raises_bugs(monkeypatch, tmp_path):
 
 
 def test_shared_covariance_failure_fails_each_method(monkeypatch):
-    # CaponICE factors its own covariance; the other methods share one
-    # factor, and its failure is a failed row for each of them
+    # every method, CaponICE included, uses the trial's one shared factor:
+    # its failure is a failed row for each of them
     monkeypatch.setattr(core, "covariance_factor", raiser(SingularCovariance("forced")))
     methods = ["caponice", "fastica", "musicmpdr", "espritmpdr", "ini"]
     recs = monte_carlo.run_sweep(spec(N=200), "lambda_star", [0.5], methods, trials=1, master_seed=6)
     assert [r.method for r in recs] == methods
-    assert recs[0].converged and np.isfinite(recs[0].lambda_hat)
-    for r in recs[1:]:
+    for r in recs:
         assert np.isnan(r.lambda_hat)
         assert r.sir_out_db == -monte_carlo.SIR_CAP_DB
         assert not r.success and not r.converged
+        assert r.error == "SingularCovariance"
 
 
 def test_trial_computes_one_shared_covariance(monkeypatch):
-    calls = []
-    sample_covariance = core.sample_covariance
+    # counted wherever the solvers bind the two functions
+    calls = {"sample_covariance": 0, "covariance_factor": 0}
 
-    def counted(x):
-        calls.append(x)
-        return sample_covariance(x)
+    def counted(name, fn):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return count
 
-    monkeypatch.setattr(core, "sample_covariance", counted)
-    methods = ["musicmpdr", "espritmpdr", "ini"]
-    monte_carlo.run_sweep(spec(N=200), "lambda_star", [0.5], methods, trials=2, master_seed=6)
-    assert len(calls) == 2
-    monte_carlo.run_sweep(spec(N=200), "lambda_star", [0.5], ["caponice"], trials=2, master_seed=6)
-    assert len(calls) == 2
+    for name in calls:
+        fn = getattr(core, name)
+        for module in (core, capon_ice, baselines):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    for methods in (["caponice"], ["fastica"], ["musicmpdr", "espritmpdr", "ini"],
+                    list(monte_carlo.KNOWN_METHODS)):
+        calls.update(sample_covariance=0, covariance_factor=0)
+        recs = monte_carlo.run_sweep(spec(N=200), "lambda_star", [0.5], methods, trials=2, master_seed=6)
+        assert all(r.error == "" for r in recs)
+        assert calls == {"sample_covariance": 2, "covariance_factor": 2}, methods
+
+
+# Rows of run_sweep(spec(), "lambda_star", [-0.4, 0.7], ["caponice",
+# "fastica"], trials=3, master_seed=6) before the methods shared the
+# trial's covariance factor: (lambda_hat, sir_out_db, success, iterations,
+# converged), in record order.
+PINNED_ROWS = [
+    (-0.3852295213754653, 22.802767157373403, True, 5, True),
+    (float("nan"), 18.16412313148564, True, 7, True),
+    (-0.39034559036857797, 19.875244547488517, True, 7, True),
+    (float("nan"), 16.990123250036557, True, 9, True),
+    (-0.39795388143244903, 19.51982181933815, True, 7, True),
+    (float("nan"), 15.442228586125847, True, 9, True),
+    (0.7090740784281211, 23.452006465030312, True, 6, True),
+    (float("nan"), 17.150005227445572, True, 6, True),
+    (0.6939705648250576, 21.75855211286808, True, 7, True),
+    (float("nan"), 14.182996303069537, True, 7, True),
+    (0.7099878494654757, 25.097291280106013, True, 6, True),
+    (float("nan"), 21.157321574554384, True, 6, True),
+]
+
+
+def test_sweep_rows_match_pinned_values():
+    # the determinism tests compare a version with itself; this pin
+    # catches drift between versions.  FastICA now whitens the loaded
+    # covariance C + 1e-10 tr(C)/d I, which moved its SIR by up to 2.3e-7 dB
+    recs = monte_carlo.run_sweep(
+        spec(), "lambda_star", [-0.4, 0.7], ["caponice", "fastica"], trials=3, master_seed=6
+    )
+    assert [r.method for r in recs] == ["caponice", "fastica"] * 6
+    for r, (lam_hat, sir, success, iterations, converged) in zip(recs, PINNED_ROWS, strict=True):
+        assert r.lambda_hat == pytest.approx(lam_hat, rel=1e-9, nan_ok=True)
+        sir_tol = 1e-9 * abs(sir) if r.method == "caponice" else 1e-6
+        assert abs(r.sir_out_db - sir) <= sir_tol
+        assert (r.success, r.iterations, r.converged) == (success, iterations, converged)
 
 
 # ---------------------------------------------------------------------------
