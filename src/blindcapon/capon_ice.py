@@ -18,10 +18,8 @@ import numpy as np
 from . import core
 from .core import (
     ExtractionState,
-    Nonlinearity,
     SnapshotMatrix,
     SteeringModel,
-    background_covariance,
     covariance_factor,
     mpdr_weights,
     sample_covariance,
@@ -64,52 +62,6 @@ def wrap_angle(lam: float) -> float:
     """Wrap into the principal interval (-pi, pi]."""
     out = -((-lam + np.pi) % (2.0 * np.pi) - np.pi)
     return float(out)
-
-
-def contrast(
-    x: SnapshotMatrix,
-    lam: float,
-    phi: Nonlinearity,
-    model: SteeringModel,
-    *,
-    nu: float = None,
-    c_z: np.ndarray = None,
-) -> float:
-    """Sample contrast at ``lam``: model log-pdf, output power and background
-    terms of the orthogonally-constrained likelihood.
-
-    Two evaluation modes share this function:
-
-    * Default (``nu=None, c_z=None``): the self-contained profile form.  The
-      background covariance is concentrated out, contributing
-      ``-log det C_z(lam) - (d-1)``, and the model-pdf term enters unscaled
-      (exact-score convention).  This is the form whose grid maximum locates
-      the source.
-    * Frozen plug-ins: with ``nu`` and ``c_z`` fixed at a reference state,
-      the model-pdf term is scaled by ``1/nu`` (the effective score used by
-      the optimizer is ``phi/nu``) and the background term is the Mahalanobis
-      form ``-tr(c_z^-1 C_z(lam))``.  The exact derivative of this function
-      at the reference point is :func:`first_derivative`; finite-difference
-      checks must use this mode.
-
-    The ``(d-2) log|gamma|^2`` term is identically zero for phase-shift
-    steering (``gamma = a[0] = 1``) and is included literally.
-    """
-    if phi.log_pdf is None:
-        raise ValueError(f"nonlinearity {phi.name!r} has no log_pdf")
-    state = core.extraction_state(x, model, lam, phi)
-    sigma2 = state.stats.sigma2
-    m = float(np.mean(phi.log_pdf(state.s / np.sqrt(sigma2))))
-    cz_lam = background_covariance(x, state.a)
-    if nu is not None:
-        m = m / nu
-    if c_z is not None:
-        bg = -float(np.real(np.trace(np.linalg.solve(c_z, cz_lam))))
-    else:
-        sign, logdet = np.linalg.slogdet(cz_lam)
-        bg = -logdet - (x.d - 1)
-    gam2 = float(np.abs(state.a[0]) ** 2)
-    return m - np.log(sigma2) + bg + (x.d - 2) * np.log(gam2)
 
 
 def _mpdr_derivatives(data, c_x, factor, a, v, w, phi_u, sigma2, sigma2_solve, nu, c1):

@@ -10,6 +10,7 @@ nonlinearity, which ties the bins together statistically and removes the
 permutation ambiguity.
 """
 
+import struct
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -442,51 +443,129 @@ def srp_phat(
 # WAV handling and synthesis of anechoic phase-shift mixtures
 # ---------------------------------------------------------------------------
 
+# the KSDATAFORMAT sub-format GUID of WAVE_FORMAT_EXTENSIBLE after its tag
+_SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
 def read_wav(path):
-    """Read a WAV file as ``(sample_rate, (channels, samples) float64)``.
+    """Read a RIFF WAV file as ``(sample_rate, (channels, samples) float64)``.
 
-    8/16/32-bit PCM or float data; PCM is scaled to [-1, 1), 8-bit PCM
-    (unsigned, centred at 128) as ``(x - 128) / 128``.
+    Accepts PCM of 1 to 32 bits and 32- or 64-bit float, plain or as
+    ``WAVE_FORMAT_EXTENSIBLE``, and skips other chunks (``LIST``, ...).  PCM
+    of 8 bits or fewer is unsigned and reads as ``(x - 128) / 128``; wider
+    PCM is scaled to [-1, 1) by its container (16-bit by 2**15, 24-bit by
+    2**23, 32-bit by 2**31).  A file that is not RIFF/WAVE, has no ``fmt ``
+    chunk before its ``data`` chunk or no ``data`` chunk, or another format
+    tag or bit depth, zero channels or a block alignment other than
+    channels x sample bytes raises :class:`DomainError`.
     """
-    import scipy.io.wavfile
-
-    rate, data = scipy.io.wavfile.read(path)
-    data = np.atleast_2d(data.T if data.ndim == 2 else data)
-    if data.dtype == np.uint8:
-        data = (data.astype(float) - 128.0) / 128.0
-    elif data.dtype == np.int16:
-        data = data.astype(float) / 32768.0
-    elif data.dtype == np.int32:
-        data = data.astype(float) / 2147483648.0
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise DomainError(f"{path} is not a RIFF/WAVE file")
+    pos, fmt = 12, b""
+    while True:
+        if pos + 8 > len(buf):
+            raise DomainError(f"{path} has no data chunk")
+        chunk_id, size = struct.unpack_from("<4sI", buf, pos)
+        body = buf[pos + 8: pos + 8 + size]
+        if chunk_id == b"data":
+            break
+        if chunk_id == b"fmt ":
+            fmt = body
+        pos += 8 + size + size % 2
+    if len(fmt) < 16:
+        raise DomainError(f"{path} has no valid fmt chunk before its data chunk")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == 0xFFFE and fmt[28:40] == _SUBFORMAT_TAIL:
+        tag = struct.unpack_from("<I", fmt, 24)[0]
+    if not (tag == 1 and 1 <= bits <= 32 or tag == 3 and bits in (32, 64)):
+        raise DomainError(f"unsupported WAV format: tag {tag:#x}, {bits} bits")
+    width = (bits + 7) // 8
+    if channels == 0 or block_align != channels * width:
+        raise DomainError(f"bad WAV block alignment {block_align} for {channels} x {bits} bits")
+    count = len(body) // block_align * channels
+    if tag == 3:
+        data = np.frombuffer(body, f"<f{width}", count).astype(float)
+    elif width == 1:
+        data = (np.frombuffer(body, np.uint8, count).astype(float) - 128.0) / 128.0
     else:
-        data = data.astype(float)
-    return rate, data
+        # each sample left-justified in 4 bytes: all wider PCM reads as int32
+        padded = np.zeros((count, 4), dtype=np.uint8)
+        padded[:, 4 - width:] = np.frombuffer(body, np.uint8, count * width).reshape(-1, width)
+        data = padded.view("<i4")[:, 0].astype(float) / 2147483648.0
+    return rate, data.reshape(-1, channels).T
 
 
 def write_wav(path, sample_rate: float, signal: np.ndarray):
-    """Write a mono or multichannel float32 WAV."""
-    import scipy.io.wavfile
-
+    """Write a mono or multichannel float32 WAV: IEEE float ``fmt `` chunk
+    with ``cbSize``, ``fact`` chunk, interleaved samples."""
     signal = np.asarray(signal, dtype=np.float32)
-    if signal.ndim == 2:
-        signal = signal.T
-    scipy.io.wavfile.write(path, int(sample_rate), signal)
+    ch = signal.shape[0] if signal.ndim == 2 else 1
+    data = np.ascontiguousarray(signal.T, dtype="<f4").tobytes()
+    rate = int(sample_rate)
+    with open(path, "wb") as fh:
+        # RIFF size: "WAVE", fmt (8 + 18), fact (8 + 4) and data (8 + samples)
+        fh.write(struct.pack("<4sI4s4sIHHIIHHH4sII4sI", b"RIFF", 50 + len(data), b"WAVE",
+                             b"fmt ", 18, 3, ch, rate, rate * 4 * ch, 4 * ch, 32, 0,
+                             b"fact", 4, len(data) // (4 * ch), b"data", len(data)))
+        fh.write(data)
+
+
+def _butter2(edges, sample_rate: float):
+    """Zeros, poles and gain of the order-2 digital Butterworth filter with
+    ``edges`` in Hz, low-pass for one edge and band-pass for two, by the
+    steps of ``scipy.signal.butter(2, edges, fs=sample_rate,
+    output="zpk")``: analog prototype, pre-warped edges, low-pass scaling
+    or ``lp2bp``, bilinear transform."""
+    warped = 4.0 * np.tan(np.pi * (np.atleast_1d(edges) / (sample_rate / 2)) / 2.0)
+    p = -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4)
+    if warped.size == 1:
+        z, p, k = np.zeros(0), warped[0] * p, warped[0] ** 2
+    else:
+        bw, wo = warped[1] - warped[0], np.sqrt(warped[0] * warped[1])
+        p = p * bw / 2
+        root = np.sqrt(p ** 2 - wo ** 2)
+        z, p, k = np.zeros(2), np.concatenate([p + root, p - root]), bw ** 2
+    z_z = np.concatenate([(4.0 + z) / (4.0 - z), -np.ones(p.size - z.size)])
+    return z_z, (4.0 + p) / (4.0 - p), k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
+
+
+def _zero_state_filter(zpk, x: np.ndarray) -> np.ndarray:
+    """``x`` through the filter ``zpk`` (as many zeros as distinct poles)
+    from zero state, as ``scipy.signal.lfilter`` gives it: one real FFT
+    convolution of length ``2 n`` with the first ``n`` samples of the
+    impulse response, ``h[0] = k`` and ``h[t] = sum_j r_j p_j^t``."""
+    z, p, k = zpk
+    n = x.size
+    ratios = p[None, :] / p[:, None]
+    np.fill_diagonal(ratios, 0.0)
+    r = k * np.prod(1.0 - z / p[:, None], axis=1) / np.prod(1.0 - ratios, axis=1)
+    # spectrum of h[:n] at the 2n-point bins: k plus, per pole, the
+    # geometric series sum_{t=1}^{n-1} q^t with q = p e^(-i pi f / n)
+    f = np.arange(n + 1)
+    rotation, sign = np.exp(-1j * np.pi * f / n), 1 - 2 * (f % 2)
+    spectrum = np.full(n + 1, k, dtype=complex)
+    for p_j, r_j in zip(p, r):
+        q = p_j * rotation
+        spectrum += r_j * (q - p_j ** n * sign) / (1.0 - q)
+    return np.fft.irfft(np.fft.rfft(x, 2 * n) * spectrum, 2 * n)[:n]
 
 
 def speech_shaped_noise(rng: np.random.Generator, n: int, sample_rate: float) -> np.ndarray:
     """Spectrally tilted noise with a slow random amplitude envelope.
 
-    The envelope (a few Hz) gives the across-frequency dependence and the
+    White noise through an order-2 Butterworth band-pass (150-3800 Hz),
+    times the magnitude of white noise through an order-2 3 Hz low-pass.
+    The envelope gives the across-frequency dependence and the
     super-Gaussian marginals that make the source identifiable for the
-    joint nonlinearity.
+    joint nonlinearity.  The filters are scipy's Butterworth designs, run as
+    ``lfilter`` would from zero state; the output equals that scipy chain to
+    about 1e-10 of its RMS.
     """
-    import scipy.signal
-
     white = rng.standard_normal(n)
-    b, a = scipy.signal.butter(2, [150.0, 3800.0], btype="bandpass", fs=sample_rate)
-    shaped = scipy.signal.lfilter(b, a, white)
-    b_env, a_env = scipy.signal.butter(2, 3.0, btype="lowpass", fs=sample_rate)
-    env = np.abs(scipy.signal.lfilter(b_env, a_env, rng.standard_normal(n)))
+    shaped = _zero_state_filter(_butter2((150.0, 3800.0), sample_rate), white)
+    env = np.abs(_zero_state_filter(_butter2(3.0, sample_rate), rng.standard_normal(n)))
     env = env / np.mean(env) + 0.05
     out = shaped * env
     return out / np.sqrt(np.mean(out ** 2))

@@ -298,41 +298,3 @@ def c_constants(stats: SoiStatistics):
     c3 = (stats.xi - stats.eta - stats.nu) / (2.0 * stats.nu)
     c2 = -stats.sigma2 * c1 - float(np.real(c3))
     return c1, c2, complex(c3)
-
-
-def blocking_matrix(a: np.ndarray) -> np.ndarray:
-    """Blocking matrix ``B = [g, -gamma I]`` with ``a = [gamma, g^T]^T``.
-
-    Satisfies ``B a = 0`` exactly, so the background ``z = B x`` contains no
-    contribution of the source steered by ``a``.
-    """
-    d = a.size
-    b = np.zeros((d - 1, d), dtype=complex)
-    b[:, 0] = a[1:]
-    b[:, 1:] = -a[0] * np.eye(d - 1)
-    return b
-
-
-def background_covariance(x: SnapshotMatrix, a: np.ndarray) -> np.ndarray:
-    """Sample covariance of the background signals ``z = B x``."""
-    return sample_covariance(SnapshotMatrix(blocking_matrix(a) @ x.data))
-
-
-def extraction_state(
-    x: SnapshotMatrix,
-    model: SteeringModel,
-    lam: float,
-    phi: Nonlinearity,
-    factor=None,
-) -> ExtractionState:
-    """Build the consistent state (a, w, s, statistics) at ``lam``."""
-    a = steering(model, lam)
-    if factor is None:
-        factor = covariance_factor(sample_covariance(x))
-    w, sigma2_solve = mpdr_weights(factor, a)
-    s = w.conj() @ x.data
-    stats = soi_statistics(s, phi)
-    return ExtractionState(
-        lam=float(lam), a=a, w=w, s=s, stats=stats, model=model,
-        sigma2_solve=float(sigma2_solve),
-    )

@@ -176,7 +176,8 @@ def run_trial(
     """Run all methods on one mixture.
 
     The methods share one sample covariance and one factor of it, computed
-    when the first of them runs.  A method that raises a package error or
+    when the first of them runs; a failure to compute them is raised again
+    for each method.  A method that raises a package error or
     a linear-algebra error, the shared factor's included, is recorded as a
     failed row (lambda_hat nan, -150 dB, not converged, the exception's
     class name as ``error``); any other exception is a bug and propagates."""
@@ -188,8 +189,13 @@ def run_trial(
 
     def covariance():
         if not shared:
-            c_x = core.sample_covariance(x)
-            shared.append((c_x, core.covariance_factor(c_x)))
+            try:
+                c_x = core.sample_covariance(x)
+                shared.append((c_x, core.covariance_factor(c_x)))
+            except (BlindCaponError, np.linalg.LinAlgError) as exc:
+                shared.append(exc)
+        if isinstance(shared[0], Exception):
+            raise shared[0]
         return shared[0]
 
     records = []

@@ -1,5 +1,6 @@
 """Shared fixtures and numeric helpers for the test suite."""
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,29 @@ def random_mixture(rng, d, n, lam_star, isir_db=0.0, competitor=None, laws=None)
     powers = np.r_[1.0, np.full(d - 1, p_int / (d - 1))]
     x = a @ (np.sqrt(powers)[:, None] * u)
     return core.SnapshotMatrix(x), a, powers, model
+
+
+def riff_bytes(*chunks, form=b"WAVE"):
+    """A RIFF file of the ``(chunk_id, body)`` chunks in order, each odd-sized
+    body followed by its pad byte."""
+    body = form + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+        for cid, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def wav_fmt(tag, channels, bits, rate=8000, block_align=None, extensible=False):
+    """Body of a ``fmt `` chunk; ``extensible`` wraps ``tag`` in a
+    WAVE_FORMAT_EXTENSIBLE sub-format GUID."""
+    if block_align is None:
+        block_align = channels * ((bits + 7) // 8)
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate,
+                      rate * block_align, block_align, bits)
+    if extensible:
+        fmt += struct.pack("<HHII", 22, bits, 0, tag)
+        fmt += b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return fmt
 
 
 @dataclass

@@ -7,6 +7,9 @@ import pytest
 from blindcapon import capon_ice, capon_ive, core
 from blindcapon.errors import DomainError, SpatialAliasWarning
 
+import reference
+from conftest import riff_bytes, wav_fmt
+
 RNG = np.random.default_rng
 
 
@@ -173,7 +176,7 @@ def test_one_bin_is_the_narrowband_problem(small_tensor):
         kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0, bins=[k])
         _, bin_d1, bin_d2, _ = kernel.derivatives(kernel.states(tau))
         x = core.SnapshotMatrix(tensor.data[k])
-        state = core.extraction_state(x, core.ula(geom.d), omegas[k] * tau, phi)
+        state = reference.extraction_state(x, core.ula(geom.d), omegas[k] * tau, phi)
         d1 = capon_ice.first_derivative(x, state)
         d2 = capon_ice.second_derivative_approx(x, state)
         assert abs(bin_d1[0] - d1) <= 1e-9 * abs(d1)
@@ -409,3 +412,112 @@ def test_wav_pcm8_roundtrip(tmp_path):
     assert back.shape == sig.shape
     assert not np.any(back[:, :100])
     assert np.max(np.abs(back - sig)) <= 0.5 / 128 + 1e-12
+
+
+def scipy_read_wav(path):
+    """``read_wav`` as it read files through ``scipy.io.wavfile``."""
+    import scipy.io.wavfile
+
+    rate, data = scipy.io.wavfile.read(path)
+    data = np.atleast_2d(data.T if data.ndim == 2 else data)
+    if data.dtype == np.uint8:
+        return rate, (data.astype(float) - 128.0) / 128.0
+    if data.dtype == np.int16:
+        return rate, data.astype(float) / 32768.0
+    if data.dtype == np.int32:
+        return rate, data.astype(float) / 2147483648.0
+    return rate, data.astype(float)
+
+
+def _pcm(bits, channels, frames=301):
+    width = (bits + 7) // 8
+    return RNG(bits).integers(0, 256, frames * channels * width, dtype=np.uint8).tobytes()
+
+
+def _floats(dtype, channels, frames=301):
+    return (RNG(channels).standard_normal(frames * channels) * 0.3).astype(dtype).tobytes()
+
+
+# (fmt chunk, other chunks before the data, data bytes)
+WAV_CASES = {
+    "pcm8-stereo": (wav_fmt(1, 2, 8), [], _pcm(8, 2)),
+    "pcm12-mono": (wav_fmt(1, 1, 12), [], _pcm(12, 1)),
+    "pcm16-mono": (wav_fmt(1, 1, 16), [], _pcm(16, 1)),
+    "pcm24-3ch": (wav_fmt(1, 3, 24), [], _pcm(24, 3)),
+    "pcm32-stereo": (wav_fmt(1, 2, 32), [], _pcm(32, 2)),
+    "float32-5ch": (wav_fmt(3, 5, 32), [(b"fact", b"\x2d\x01\0\0")], _floats("<f4", 5)),
+    "float64-mono": (wav_fmt(3, 1, 64), [], _floats("<f8", 1)),
+    "extensible-pcm24-list": (
+        wav_fmt(1, 2, 24, extensible=True), [(b"LIST", b"INFOabc")], _pcm(24, 2)),
+    "extensible-float32-odd-junk": (
+        wav_fmt(3, 2, 32, extensible=True), [(b"JUNK", b"x" * 5), (b"LIST", b"")],
+        _floats("<f4", 2)),
+    "odd-data-chunk": (wav_fmt(1, 1, 8), [(b"LIST", b"I")], _pcm(8, 1, frames=7)),
+}
+
+
+@pytest.mark.parametrize("case", list(WAV_CASES))
+def test_read_wav_matches_scipy_reader(tmp_path, case):
+    fmt, chunks, data = WAV_CASES[case]
+    path = tmp_path / "case.wav"
+    path.write_bytes(riff_bytes((b"fmt ", fmt), *chunks, (b"data", data)))
+    rate, back = capon_ive.read_wav(path)
+    want_rate, want = scipy_read_wav(path)
+    assert rate == want_rate
+    assert back.dtype == want.dtype and back.shape == want.shape
+    np.testing.assert_array_equal(back, want)
+
+
+@pytest.mark.parametrize("shape", [(1001,), (1, 999), (3, 1000)], ids=["mono", "one-row", "3ch"])
+def test_write_wav_is_byte_identical_to_scipy(tmp_path, shape):
+    import scipy.io.wavfile
+
+    sig = RNG(16).standard_normal(shape) * 0.2
+    capon_ive.write_wav(tmp_path / "ours.wav", 16000, sig)
+    sig32 = sig.astype(np.float32)
+    scipy.io.wavfile.write(tmp_path / "scipy.wav", 16000, sig32.T if sig32.ndim == 2 else sig32)
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# speech-shaped noise: numpy Butterworth filters against scipy.signal
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fs", [8000, 16000, 44100])
+@pytest.mark.parametrize("edges", [(150.0, 3800.0), 3.0], ids=["bandpass", "lowpass"])
+def test_butterworth_filter_matches_scipy(fs, edges):
+    import scipy.signal
+
+    btype = "bandpass" if np.ndim(edges) else "lowpass"
+    zpk = capon_ive._butter2(edges, fs)
+    for ours, theirs in zip(zpk, scipy.signal.butter(2, edges, btype=btype, fs=fs, output="zpk")):
+        np.testing.assert_allclose(ours, theirs, rtol=1e-13, atol=0)
+    x = RNG(17).standard_normal(20000)
+    want = scipy.signal.lfilter(*scipy.signal.butter(2, edges, btype=btype, fs=fs), x)
+    got = capon_ive._zero_state_filter(zpk, x)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.sqrt(np.mean(want ** 2))
+
+
+def scipy_speech_shaped_noise(rng, n, sample_rate):
+    """``speech_shaped_noise`` as it was built with ``scipy.signal``."""
+    import scipy.signal
+
+    white = rng.standard_normal(n)
+    b, a = scipy.signal.butter(2, [150.0, 3800.0], btype="bandpass", fs=sample_rate)
+    shaped = scipy.signal.lfilter(b, a, white)
+    b_env, a_env = scipy.signal.butter(2, 3.0, btype="lowpass", fs=sample_rate)
+    env = np.abs(scipy.signal.lfilter(b_env, a_env, rng.standard_normal(n)))
+    env = env / np.mean(env) + 0.05
+    out = shaped * env
+    return out / np.sqrt(np.mean(out ** 2))
+
+
+# the conftest fixture's seed and the benchmark's extract-ive scene seeds
+# (workload seeds 71 and 72 and the two scenes derived from each)
+@pytest.mark.parametrize("seed", [2024, 71, 4204695409, 558023170, 72, 2732832790, 1744872926])
+def test_speech_shaped_noise_matches_scipy_chain(seed):
+    ours, theirs = RNG(seed), RNG(seed)
+    for _ in range(2):
+        got = capon_ive.speech_shaped_noise(ours, 80000, 16000)
+        want = scipy_speech_shaped_noise(theirs, 80000, 16000)
+        assert np.max(np.abs(got - want)) <= 1e-9

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import blindcapon
 from blindcapon import bounds, capon_ive, cli, monte_carlo
-from conftest import build_broadband_fixture
+from conftest import build_broadband_fixture, riff_bytes, wav_fmt
 
 
 def read_csv(path):
@@ -314,25 +315,53 @@ def test_extract_non_finite_start_exit_code(tmp_path, capsys, broadband_wavs, me
     )
 
 
+# 16000 frames of 16-bit stereo noise: extraction runs on it if it is read at all
+PCM16_STEREO = np.random.default_rng(5).integers(0, 256, 4 * 16000, dtype=np.uint8).tobytes()
+
+BAD_WAVS = {
+    "not-riff": b"not a wav file, just some text",
+    "riff-not-wave": riff_bytes((b"data", PCM16_STEREO), form=b"AVI "),
+    "data-before-fmt": riff_bytes((b"data", PCM16_STEREO), (b"fmt ", wav_fmt(1, 2, 16))),
+    "no-data": riff_bytes((b"fmt ", wav_fmt(1, 2, 16)), (b"LIST", b"INFO")),
+    "adpcm-tag": riff_bytes((b"fmt ", wav_fmt(2, 2, 16)), (b"data", PCM16_STEREO)),
+    "float16": riff_bytes((b"fmt ", wav_fmt(3, 2, 16)), (b"data", PCM16_STEREO)),
+    "pcm64": riff_bytes((b"fmt ", wav_fmt(1, 2, 64)), (b"data", PCM16_STEREO)),
+    "zero-channels": riff_bytes(
+        (b"fmt ", wav_fmt(1, 0, 16, block_align=4)), (b"data", PCM16_STEREO)),
+    "block-align": riff_bytes(
+        (b"fmt ", wav_fmt(1, 2, 16, block_align=3)), (b"data", PCM16_STEREO)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WAVS))
+def test_extract_malformed_wav_exit_code(tmp_path, capsys, case):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(BAD_WAVS[case])
+    out = tmp_path / "ive"
+    args = ["extract", "--in", str(path), "--theta-ini", "70", "--out-dir", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "extract.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # start-up: a command loads only the scipy subpackages it uses
 # ---------------------------------------------------------------------------
 
-HEAVY_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.linalg", "scipy.io", "scipy.stats")
+HEAVY_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.linalg", "scipy.io", "scipy.stats",
+               "scipy.sparse")
 
 
-def heavy_scipy_after(commands):
-    """Run ``cli.main`` on each argv in a fresh interpreter and return the
-    :data:`HEAVY_SCIPY` subpackages it has loaded by the end."""
-    code = (
+def heavy_scipy_loaded(code):
+    """Run ``code`` in a fresh interpreter, with the package and this
+    directory importable, and return the :data:`HEAVY_SCIPY` subpackages
+    loaded by its end."""
+    code += (
         "import json, sys\n"
-        "from blindcapon import cli\n"
-        f"for argv in {commands!r}:\n"
-        "    assert cli.main(argv) == 0, argv\n"
         f"print(json.dumps([m for m in {HEAVY_SCIPY!r} if m in sys.modules]))\n"
     )
     src = os.path.dirname(os.path.dirname(blindcapon.__file__))
-    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    path = [src, os.path.dirname(__file__), *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
@@ -340,6 +369,15 @@ def heavy_scipy_after(commands):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def heavy_scipy_after(commands):
+    """:func:`heavy_scipy_loaded` after ``cli.main`` on each argv."""
+    return heavy_scipy_loaded(
+        "from blindcapon import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+    )
 
 
 def test_bounds_and_simulate_load_no_heavy_scipy(tmp_path):
@@ -351,7 +389,7 @@ def test_bounds_and_simulate_load_no_heavy_scipy(tmp_path):
     assert heavy_scipy_after(commands) == []
 
 
-def test_extract_ive_loads_only_scipy_io(tmp_path):
+def test_extract_ive_loads_no_heavy_scipy(tmp_path):
     fx = build_broadband_fixture(duration_s=0.5)
     mix_path = tmp_path / "mix.wav"
     capon_ive.write_wav(mix_path, fx.sample_rate, fx.mix)
@@ -359,4 +397,15 @@ def test_extract_ive_loads_only_scipy_io(tmp_path):
         "extract", "--in", str(mix_path), "--theta-ini", "70", "--fft", "512",
         "--hop", "128", "--out-dir", str(tmp_path / "ive"),
     ]]
-    assert heavy_scipy_after(commands) == ["scipy.io"]
+    assert heavy_scipy_after(commands) == []
+
+
+def test_broadband_fixture_build_loads_no_heavy_scipy(tmp_path):
+    # speech_shaped_noise, anechoic_phase_mix and write_wav
+    code = (
+        "from blindcapon import capon_ive\n"
+        "from conftest import build_broadband_fixture\n"
+        "fx = build_broadband_fixture(duration_s=0.5)\n"
+        f"capon_ive.write_wav({str(tmp_path / 'mix.wav')!r}, fx.sample_rate, fx.mix)\n"
+    )
+    assert heavy_scipy_loaded(code) == []

@@ -191,10 +191,23 @@ def test_trial_records_package_errors_and_raises_bugs(monkeypatch, tmp_path):
 
 def test_shared_covariance_failure_fails_each_method(monkeypatch):
     # every method, CaponICE included, uses the trial's one shared factor:
-    # its failure is a failed row for each of them
-    monkeypatch.setattr(core, "covariance_factor", raiser(SingularCovariance("forced")))
+    # its failure is a failed row for each of them, computed once
+    calls = {"sample_covariance": 0, "covariance_factor": 0}
+    sample_covariance = core.sample_covariance
+
+    def counted_sample_covariance(*args, **kwargs):
+        calls["sample_covariance"] += 1
+        return sample_covariance(*args, **kwargs)
+
+    def failing_factor(*args, **kwargs):
+        calls["covariance_factor"] += 1
+        raise SingularCovariance("forced")
+
+    monkeypatch.setattr(core, "sample_covariance", counted_sample_covariance)
+    monkeypatch.setattr(core, "covariance_factor", failing_factor)
     methods = ["caponice", "fastica", "musicmpdr", "espritmpdr", "ini"]
     recs = monte_carlo.run_sweep(spec(N=200), "lambda_star", [0.5], methods, trials=1, master_seed=6)
+    assert calls == {"sample_covariance": 1, "covariance_factor": 1}
     assert [r.method for r in recs] == methods
     for r in recs:
         assert np.isnan(r.lambda_hat)
