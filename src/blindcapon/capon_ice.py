@@ -17,7 +17,6 @@ import numpy as np
 
 from . import core
 from .core import (
-    ExtractionState,
     SnapshotMatrix,
     SteeringModel,
     covariance_factor,
@@ -64,46 +63,18 @@ def wrap_angle(lam: float) -> float:
     return float(out)
 
 
-def _mpdr_derivatives(data, c_x, factor, a, v, w, phi_u, sigma2, sigma2_solve, nu, c1):
-    """``(grad_w, d1, d2)`` of MPDR problems, by the formulas of
-    :func:`grad_w`, :func:`first_derivative` and :func:`second_derivative_approx`.
-
-    ``data``, ``c_x`` and ``factor`` are the problem's snapshots, covariance
-    and :func:`core.covariance_factor`; ``a``, ``w`` and ``phi_u`` are the
-    steering vector, MPDR weights and output scores at the current
-    parameter, and ``sigma2_solve`` is the ``1 / (a^H C^-1 a)`` of the solve
-    that gave ``w``.  The statistics ``sigma2``, ``nu`` and ``c1`` are
-    inputs, so that :class:`_MpdrStack` can supply those of the joint
-    nonlinearity.  Leading dimensions are a stack of problems (``data``
-    ``(..., d, N)``, ``a`` ``(..., d)``, ``sigma2`` ``(...)``, ...) and give
-    ``grad_w`` ``(..., d)`` and ``d1``, ``d2`` ``(...)``; ``v`` is shared.
-    """
-    sigma2, nu = np.asarray(sigma2), np.asarray(nu)
-    av = a * v
-    a_w = np.matvec(c_x, w) / sigma2[..., None]
-    # data @ phi_u, without a (..., d, N) temporary
-    score_mean = np.matvec(data, phi_u) / (data.shape[-1] * np.sqrt(sigma2))[..., None]
-    gw = a_w - score_mean / nu[..., None]
-    # C^-1 = G^H G: both quadratic forms are inner products after G
-    g_av = np.matvec(factor, av)
-    d1 = -2.0 * sigma2 * np.imag(np.vecdot(np.matvec(factor, gw), g_av))
-    # solve-consistent sigma^2 in the bracket keeps it >= 0 exactly
-    bracket = sigma2_solve * np.real(np.vecdot(g_av, g_av)) - np.abs(np.vecdot(w, av)) ** 2
-    d2 = 2.0 * c1 * sigma2 * bracket
-    return gw, d1, d2
-
-
 @dataclass(frozen=True)
-class _StackStates:
-    """Steering vectors, MPDR weights, outputs and output powers of a stack
-    of problems at one parameter; ``sig2_solve`` holds the
-    ``1 / (a^H C^-1 a)`` of each MPDR solve."""
+class _StackState:
+    """Steering vectors, MPDR weights and outputs of a stack of problems at
+    one parameter: ``sig2_solve`` is the ``1 / (a^H C^-1 a)`` of each MPDR
+    solve, ``s = w^H x``, ``p = |s|^2`` and ``sig2`` the output powers."""
 
     a: np.ndarray           # (B, d)
     w: np.ndarray           # (B, d)
-    s: np.ndarray           # (B, N)
-    sig2: np.ndarray        # (B,)
     sig2_solve: np.ndarray  # (B,)
+    s: np.ndarray           # (B, N)
+    p: np.ndarray           # (B, N)
+    sig2: np.ndarray        # (B,)
 
 
 class _MpdrStack:
@@ -119,53 +90,77 @@ class _MpdrStack:
 
     which for one problem is :func:`core.rational_nonlinearity`.
     Narrowband CaponICE is the one-problem stack with ``omegas = [1]``; the
-    broadband search stacks STFT bins at their angular frequencies.
+    broadband search stacks STFT bins at their angular frequencies.  An
+    evaluation makes two passes over ``x``: ``s = w^H x`` and the score
+    mean ``x conj(s r)``.
     """
 
     def __init__(self, x, c, factors, v, omegas):
         self.x, self.c, self.factors = x, c, factors
         self.v, self.omegas = v, omegas
+        self._phases = omegas[:, None] * v          # a = exp(1j param phases)
+        # chain-rule weights of the means over the problems
+        self._d1_weights = omegas / omegas.size
+        self._d2_weights = omegas ** 2 / omegas.size
 
-    def states(self, param: float) -> _StackStates:
-        """MPDR weights, outputs and powers of all problems at ``param``;
-        an output power below 1e-30 raises :class:`DegenerateSignal`."""
-        a = np.exp(1j * ((self.omegas * param)[:, None] * self.v))
+    def state(self, param: float) -> _StackState:
+        """MPDR weights and outputs of all problems at ``param``; an output
+        power below 1e-30 raises :class:`DegenerateSignal`."""
+        a = np.exp(1j * (self._phases * param))
         w, sig2_solve = mpdr_weights(self.factors, a)
         s = np.matmul(w.conj()[:, None, :], self.x)[:, 0]       # w^H x per problem
-        sig2 = np.real(np.vecdot(s, s)) / s.shape[1]
+        p = np.abs(s)
+        p *= p
+        sig2 = p.sum(axis=-1) / p.shape[-1]
         if (sig2 < 1e-30).any():
             raise DegenerateSignal("extracted signal has zero power")
-        return _StackStates(a, w, s, sig2, sig2_solve)
+        return _StackState(a, w, sig2_solve, s, p, sig2)
 
-    def derivatives(self, st: _StackStates):
-        """Per problem ``(grad_w, d1, d2, nu)`` along its own phase
-        ``omegas[k] * param``, by :func:`_mpdr_derivatives` with the
-        normalizers ``nu_k`` and ``rho_k`` of the joint nonlinearity; a
-        ``|nu_k|`` below 1e-12 raises :class:`ScoreDegenerate`."""
-        frames = st.s.shape[1]
-        u2 = np.abs(st.s) ** 2 / st.sig2[:, None]                 # |u_k|^2
-        r = 1.0 / (1.0 + u2.sum(axis=0))                          # (N,)
-        phi = np.conj(st.s) * (r / np.sqrt(st.sig2)[:, None])
-        # nu_k = mean(phi_k u_k) = mean(|u_k|^2 r) and
-        # rho_k = mean(d phi_k / d conj(u_k)) = mean(r - |u_k|^2 r^2)
-        nu = u2 @ r / frames                                      # (B,)
-        if (np.abs(nu) < 1e-12).any():
+    def derivatives(self, st: _StackState):
+        """Per problem ``(d1, d2)`` along its own phase ``omegas[k] * param``:
+        the first derivative
+
+            d1 = -2 sigma^2 Im{ grad_w^H C^-1 (a * v) },
+            grad_w = C w / sigma^2 - mean(phi(u) x / sigma) / nu,
+
+        and the at-solution approximation of the second
+
+            d2 = 2 c1 sigma^2 ( sigma_s^2 (a*v)^H C^-1 (a*v) - |w^H (a*v)|^2 ),
+            c1 = (nu - rho) / (nu sigma^2),
+
+        under the joint nonlinearity, whose normalizers are
+        ``nu_k = mean(phi_k u_k)`` and ``rho_k = mean(d phi_k / d conj(u_k))``.
+        ``sigma_s^2`` is the solve-consistent ``1 / (a^H C^-1 a)``, so the
+        bracket is nonnegative by Cauchy-Schwarz and the sign of ``d2`` is
+        the sign of ``c1``.  Overwrites ``st.s`` with ``s * r``; a ``nu_k``
+        below 1e-12 raises :class:`ScoreDegenerate`.
+        """
+        frames = st.p.shape[-1]
+        # r = 1 / (1 + sum_k |u_k|^2); nu_k = mean(|u_k|^2 r) and
+        # rho_k = mean(r - |u_k|^2 r^2), with |u_k|^2 = p_k / sigma_k^2
+        r = 1.0 / (1.0 + (1.0 / st.sig2) @ st.p)                 # (N,)
+        nu = st.p @ r / (frames * st.sig2)
+        if (nu < 1e-12).any():
             raise ScoreDegenerate("nu is numerically zero")
-        rho = (r.sum() - u2 @ r ** 2) / frames
+        rho = (r.sum() - st.p @ (r * r) / st.sig2) / frames
         c1 = (nu - rho) / (nu * st.sig2)
-        gw, d1, d2 = _mpdr_derivatives(
-            self.x, self.c, self.factors, st.a, self.v, st.w, phi,
-            st.sig2, st.sig2_solve, nu, c1,
-        )
-        return gw, d1, d2, nu
+        # sigma^2 G grad_w = G (C w - x conj(s r) / (N nu)), C^-1 = G^H G
+        sr = np.multiply(st.s, r, out=st.s)
+        score = np.vecdot(sr[:, None, :], self.x)                 # x conj(s r)
+        h = np.matvec(self.c, st.w) - score / (frames * nu)[:, None]
+        av = st.a * self.v
+        g_av = np.matvec(self.factors, av)
+        d1 = -2.0 * np.imag(np.vecdot(np.matvec(self.factors, h), g_av))
+        bracket = st.sig2_solve * np.real(np.vecdot(g_av, g_av)) - np.abs(np.vecdot(st.w, av)) ** 2
+        d2 = 2.0 * c1 * st.sig2 * bracket
+        return d1, d2
 
-    def joint_derivatives(self, st: _StackStates):
-        """``(d1, d2)`` along ``param``: the means of the per-problem values
-        with chain-rule factors ``omegas`` and ``omegas^2``."""
-        _, d1, d2, _ = self.derivatives(st)
-        # ndarray.sum / size: np.mean's value without its per-call overhead
-        return (float((self.omegas * d1).sum() / d1.size),
-                float((self.omegas ** 2 * d2).sum() / d2.size))
+    def joint_derivatives(self, param: float):
+        """``(d1, d2)`` along ``param``, at ``param``: the means of the
+        per-problem values with chain-rule factors ``omegas`` and
+        ``omegas^2``."""
+        d1, d2 = self.derivatives(self.state(param))
+        return float(self._d1_weights @ d1), float(self._d2_weights @ d2)
 
 
 def _one_problem(x, model, c_x, factor):
@@ -173,52 +168,12 @@ def _one_problem(x, model, c_x, factor):
     return _MpdrStack(x.data[None], c_x[None], factor[None], model.v, np.ones(1))
 
 
-def _at_state(x, state):
-    """:meth:`_MpdrStack.derivatives` of the one-problem kernel of ``x`` at ``state.lam``."""
-    c_x = sample_covariance(x)
-    kernel = _one_problem(x, state.model, c_x, covariance_factor(c_x))
-    return kernel.derivatives(kernel.states(state.lam))
-
-
-def grad_w(x: SnapshotMatrix, state: ExtractionState) -> np.ndarray:
-    """Wirtinger gradient of the contrast with respect to ``conj(w)``:
-
-        grad = a(w) - (1/nu) * mean(phi(u(n)) x(n) / sigma)
-
-    with ``a(w) = C_x w / sigma^2`` and the rational nonlinearity.
-    Vanishes at the exact solution.
-    """
-    return _at_state(x, state)[0][0]
-
-
-def first_derivative(x: SnapshotMatrix, state: ExtractionState) -> float:
-    """Analytic derivative of the contrast along ``lam``:
-
-        dC/dlam = -2 sigma^2 Im{ grad_w^H C_x^-1 (a * v) }
-    """
-    return float(_at_state(x, state)[1][0])
-
-
-def second_derivative_approx(x: SnapshotMatrix, state: ExtractionState) -> float:
-    """At-solution approximation of the second derivative:
-
-        2 c1 sigma^2 ( sigma^2 (a*v)^H C_x^-1 (a*v) - |w^H (a*v)|^2 )
-
-    The prefactor ``2 c1 sigma^2`` reduces to ``2 (nu - rho) / nu`` and uses
-    the sample statistics; inside the bracket, ``sigma^2`` is taken
-    solve-consistent (``1 / (a^H C^-1 a)`` on the loaded covariance) so the
-    bracket is nonnegative by Cauchy-Schwarz exactly, making the sign the
-    sign of ``c1`` (negative for super-Gaussian extracted signals).
-    """
-    return float(_at_state(x, state)[2][0])
-
-
-def _safeguarded_newton(start, build, derivatives, max_step, scale, project, max_iters):
+def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters):
     """Bracketed search for a maximum over one scalar parameter.
 
-    ``build(param)`` returns a state; ``derivatives(state)`` returns the
-    first and approximate second derivative ``(d1, d2)`` along the
-    parameter.  An iteration makes one call of each.
+    ``derivatives(param)`` returns the first and approximate second
+    derivative ``(d1, d2)`` along the parameter.  An iteration makes one
+    call, and none is made at the parameter the last step lands on.
 
     Until ``d1`` has taken both signs, the step is the Newton step
     ``-d1/d2`` when ``d2`` is negative (a maximum), and an ascent step of
@@ -242,21 +197,18 @@ def _safeguarded_newton(start, build, derivatives, max_step, scale, project, max
     step) and each stop (reason, iterations, param, fallbacks) is logged at
     DEBUG level.
 
-    Returns ``(state, param, iterations, converged, fallbacks)``, where
-    ``param`` is the parameter of ``state``.
+    Returns ``(param, iterations, converged, fallbacks)``.
     """
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     tol = _TOL_SCALE * scale
-    param = start
-    state = build(param)
-    unwrapped = param
+    param = unwrapped = start
     lo = hi = prev = None           # prev: (unwrapped, d1) of the last iterate
     step = 0.0
     stalls = fallbacks = iterations = 0
     reason = "max_iters"
     for iterations in range(1, max_iters + 1):
-        d1, d2 = derivatives(state)
+        d1, d2 = derivatives(param)
         if not (np.isfinite(d1) and np.isfinite(d2)):
             raise Diverged(f"non-finite derivatives at parameter {param}")
         if d1 > 0.0:
@@ -291,7 +243,6 @@ def _safeguarded_newton(start, build, derivatives, max_step, scale, project, max
         prev = (unwrapped, d1)
         unwrapped += moved
         param = new_param
-        state = build(param)
         if abs(moved) <= tol:
             reason = "step"
             break
@@ -302,7 +253,7 @@ def _safeguarded_newton(start, build, derivatives, max_step, scale, project, max
         "stop: %s after %d iterations at param %.12g, %d fallbacks",
         reason, iterations, param, fallbacks,
     )
-    return state, param, iterations, reason != "max_iters", fallbacks
+    return param, iterations, reason != "max_iters", fallbacks
 
 
 def _capon_start(c_x, factor, model, start, project):
@@ -392,19 +343,15 @@ def run(
         start = float(lambda_ini)
         project = functools.partial(_runaway_guard, lambda_ini)
     start = _capon_start(*covariance, model, start, project)
-    st, lam, iterations, converged, fallbacks = _safeguarded_newton(
-        start,
-        kernel.states,
-        kernel.joint_derivatives,
-        _STEP_CAP,
-        2.0 * np.pi,
-        project,
-        max_iters,
+    lam, iterations, converged, fallbacks = _safeguarded_newton(
+        start, kernel.joint_derivatives, _STEP_CAP, 2.0 * np.pi, project, max_iters,
     )
+    a = core.steering(model, lam)
+    w, _ = mpdr_weights(covariance[1], a)
     return CaponResult(
         lam=lam,
-        a=st.a[0],
-        w=st.w[0],
+        a=a,
+        w=w,
         iterations=iterations,
         converged=converged,
         gradient_fallbacks=fallbacks,

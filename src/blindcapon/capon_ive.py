@@ -256,10 +256,12 @@ def _loaded_factors(c: np.ndarray, loadings):
 _SEARCH_LOADINGS = COVARIANCE_EPS * 1e3 ** np.arange(4)
 
 
-def _bin_stack(tensor, geom, fmin_hz, bins=None):
+def _bin_stack(tensor, geom, fmin_hz, bins=None, covariances=None):
     """The included bins of a tensor as one :class:`capon_ice._MpdrStack`
     steered by the delay, its snapshots a view of the tensor; returns
     ``(kernel, bins, flagged)``, ``bins`` being the bins of the stack.
+    ``covariances`` is the :func:`_covariances` stack of all the tensor's
+    bins, computed when omitted.
 
     A bin whose covariance does not factor at the solver loading is loaded
     1e3 times more, up to 0.1, and flagged; a bin that never factors is
@@ -272,8 +274,10 @@ def _bin_stack(tensor, geom, fmin_hz, bins=None):
     bins = np.asarray(bins, dtype=int)
     if bins.size == 0:
         raise DomainError("no frequency bins left after exclusions")
+    if covariances is None:
+        covariances = _covariances(tensor.data)
     x = _take_bins(tensor.data, bins)
-    c = _covariances(x)
+    c = _take_bins(covariances, bins)
     factors, level = _loaded_factors(c, _SEARCH_LOADINGS)
     flagged = bins[level != 0]
     usable = level >= 0
@@ -318,18 +322,20 @@ def run_ive(
     """
     if not np.isfinite(theta_ini_deg):
         raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
-    kernel, bins, flagged = _bin_stack(tensor, geom, fmin_hz, bins)
+    covariances = _covariances(tensor.data)
+    kernel, bins, flagged = _bin_stack(tensor, geom, fmin_hz, bins, covariances)
     tau_max = geom.spacing_m / geom.c
-    _, tau, iterations, converged, fallbacks = _safeguarded_newton(
+    tau, iterations, converged, fallbacks = _safeguarded_newton(
         float(np.clip(theta_to_tau(geom, theta_ini_deg), -tau_max, tau_max)),
-        kernel.states,
         kernel.joint_derivatives,
         _STEP_CAP / float(np.max(kernel.omegas)),
         2.0 * tau_max,
         lambda tau: float(np.clip(tau, -tau_max, tau_max)),
         max_iters,
     )
-    weights, extracted = beamform_at(tensor, geom, tau_to_theta(geom, tau))
+    weights, extracted = _beamform(
+        tensor, geom, tau_to_theta(geom, tau), covariances, EXTRACTION_LOADING
+    )
     alias = np.flatnonzero(np.abs(2.0 * np.pi * tensor.bin_frequencies() * tau) > np.pi)
     return IveResult(
         theta_deg=tau_to_theta(geom, tau),
@@ -365,13 +371,19 @@ def beamform_at(
     whose MPDR problem is singular fall back to passing channel 0 through
     unchanged.
     """
-    k_all, d, _ = tensor.data.shape
-    if geom.d != d:
+    if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
+    return _beamform(tensor, geom, theta_deg, _covariances(tensor.data), loading)
+
+
+def _beamform(tensor, geom, theta_deg, covariances, loading):
+    """:func:`beamform_at` given the :func:`_covariances` stack of all the
+    tensor's bins."""
+    k_all, d, _ = tensor.data.shape
     tau = theta_to_tau(geom, theta_deg)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()
     a = np.exp(1j * np.outer(omegas * tau, np.arange(d, dtype=float)))
-    factors, level = _loaded_factors(_covariances(tensor.data), (loading,))
+    factors, level = _loaded_factors(covariances, (loading,))
     ok = level == 0
     weights = np.zeros((k_all, d), dtype=complex)
     weights[ok], _ = mpdr_weights(factors[ok], a[ok])
@@ -598,7 +610,12 @@ def anechoic_phase_mix(
 
 
 def projected_sir_db(y: np.ndarray, ref: np.ndarray) -> float:
-    """SIR of ``y`` against a reference by least-squares projection."""
+    """SIR of ``y`` against a reference by least-squares projection.
+
+    The projection is one scalar gain, so ``ref`` must be time-aligned with
+    ``y`` (for a mix channel, the source's image at that microphone); a
+    delayed or filtered reference reads low.
+    """
     n = min(y.size, ref.size)
     y, ref = y[:n], ref[:n]
     denom = float(ref @ ref)
@@ -620,7 +637,12 @@ def sir_improvement_db(y: np.ndarray, mix_channel: np.ndarray, refs: np.ndarray)
     """Output-minus-input SIR against the best-matching reference.
 
     Returns ``(improvement_db, soi, sir_in_db, sir_out_db)``; the SOI
-    is the reference with the highest projected SIR in the output.
+    is the reference with the highest projected SIR in the output.  Each
+    reference must be its source's image at the microphone of
+    ``mix_channel``, time-aligned with it (see :func:`projected_sir_db`):
+    with the dry signals of sources 1.5 m away in a simulated direct-path
+    room, the improvement read -0.3 and -9.8 dB where the exact output-SIR
+    gain was about 19 dB.
     """
     refs = np.atleast_2d(refs)
     sirs = [projected_sir_db(y, ref) for ref in refs]

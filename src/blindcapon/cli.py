@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--fmin-hz", type=float, default=100.0)
     ext.add_argument("--max-iters", type=int, default=100)
     ext.add_argument("--refs", default=None,
-                     help="comma-separated reference WAVs for SIR scoring")
+                     help="comma-separated reference WAVs for SIR scoring, each the "
+                          "source's image at microphone 0, time-aligned with the mix")
     ext.add_argument("--method", default="ive", choices=("ive", "srpphat+mpdr"))
     ext.add_argument("--out-dir", default=None)
     ext.set_defaults(func=cmd_extract)

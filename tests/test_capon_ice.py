@@ -48,7 +48,7 @@ def first_derivative_via_grad_a(x, state):
     av = state.a * state.model.v
     loaded = core.regularized(core.sample_covariance(x))
     grad_a = state.stats.sigma2 * scipy.linalg.solve(
-        loaded, capon_ice.grad_w(x, state), assume_a="her"
+        loaded, reference.grad_w(x, state), assume_a="her"
     )
     return float(-2.0 * np.imag(np.vdot(grad_a, av)))
 
@@ -96,7 +96,7 @@ def exact_gaussian_derivatives(x, model, lam):
     state = reference.extraction_state(x, model, lam, core.gaussian_score())
     c_x = core.sample_covariance(x)
     u = state.s / np.sqrt(state.stats.sigma2)
-    return capon_ice._mpdr_derivatives(
+    return reference._mpdr_derivatives(
         x.data, c_x, core.covariance_factor(c_x), state.a, model.v, state.w,
         np.conj(u), state.stats.sigma2, state.sigma2_solve, 1.0, 0.0,
     )
@@ -112,7 +112,7 @@ def test_grad_w_zero_for_exact_gaussian_score():
 def test_grad_w_small_at_ground_truth():
     x, _, _, model = random_mixture(RNG(31), 5, 100_000, 0.7)
     state = reference.extraction_state(x, model, 0.7, PHI)
-    assert np.linalg.norm(capon_ice.grad_w(x, state)) < 0.02
+    assert np.linalg.norm(reference.grad_w(x, state)) < 0.02
 
 
 def test_grad_w_matches_wirtinger_fd_of_plugin_functional():
@@ -121,7 +121,7 @@ def test_grad_w_matches_wirtinger_fd_of_plugin_functional():
     state = reference.extraction_state(x, model, lam0, PHI)
     nu0 = state.stats.nu
     cz0 = reference.background_covariance(x, state.a)
-    gw = capon_ice.grad_w(x, state)
+    gw = reference.grad_w(x, state)
     h = 1e-6
     w0 = state.w
     for j in range(x.d):
@@ -140,7 +140,7 @@ def test_first_derivative_matches_contrast_fd(seed, d, lam0):
     state = reference.extraction_state(x, model, lam0, PHI)
     nu0 = state.stats.nu
     cz0 = reference.background_covariance(x, state.a)
-    analytic = capon_ice.first_derivative(x, state)
+    analytic = reference.first_derivative(x, state)
     h = 1e-5
     fd = (
         frozen_contrast(x, lam0 + h, PHI, model, nu0, cz0)
@@ -152,7 +152,7 @@ def test_first_derivative_matches_contrast_fd(seed, d, lam0):
 def test_first_derivative_forms_agree():
     x, _, _, model = random_mixture(RNG(44), 5, 1500, 0.3)
     state = reference.extraction_state(x, model, -0.7, PHI)
-    d1 = capon_ice.first_derivative(x, state)
+    d1 = reference.first_derivative(x, state)
     d2 = first_derivative_via_grad_a(x, state)
     assert abs(d1 - d2) < 1e-10 * max(1.0, abs(d1))
 
@@ -171,9 +171,9 @@ def test_first_derivative_small_at_grid_maximum():
     values = [reference.contrast(x, lam, PHI, model) for lam in grid]
     lam_max = grid[int(np.argmax(values))]
     state = reference.extraction_state(x, model, lam_max, PHI)
-    d1 = capon_ice.first_derivative(x, state)
+    d1 = reference.first_derivative(x, state)
     # at the grid argmax the derivative is bounded by curvature * grid step
-    d2 = abs(capon_ice.second_derivative_approx(x, state))
+    d2 = abs(reference.second_derivative_approx(x, state))
     assert abs(d1) <= 2.0 * d2 * (grid[1] - grid[0])
 
 
@@ -181,7 +181,7 @@ def test_second_derivative_degenerate_weights():
     x, _, _, _ = random_mixture(RNG(50), 4, 500, 0.3)
     flat = core.SteeringModel(np.zeros(4))
     state = reference.extraction_state(x, flat, 0.4, PHI)
-    assert capon_ice.second_derivative_approx(x, state) == 0.0
+    assert reference.second_derivative_approx(x, state) == 0.0
 
 
 def test_second_derivative_closed_form_d2():
@@ -197,14 +197,14 @@ def test_second_derivative_closed_form_d2():
     )
     c1, _, _ = core.c_constants(stats)
     expected = 2.0 * c1 * 0.5 * 0.25
-    got = capon_ice.second_derivative_approx(x, state)
+    got = reference.second_derivative_approx(x, state)
     assert abs(got - expected) < 1e-8
 
 
 def test_second_derivative_negative_near_truth():
     x, _, _, model = random_mixture(RNG(51), 5, 50_000, -0.6)
     state = reference.extraction_state(x, model, -0.6, PHI)
-    assert capon_ice.second_derivative_approx(x, state) < 0.0
+    assert reference.second_derivative_approx(x, state) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +250,8 @@ def test_run_single_source_fast_convergence():
     assert abs(res.lam - lam_star) < 5e-3
     # the returned iterate is a 1e-6-accurate fixed point of the update
     state = reference.extraction_state(x, model, res.lam, PHI)
-    d1 = capon_ice.first_derivative(x, state)
-    d2 = capon_ice.second_derivative_approx(x, state)
+    d1 = reference.first_derivative(x, state)
+    d2 = reference.second_derivative_approx(x, state)
     assert d2 < 0.0
     assert abs(d1 / d2) < 1e-6
 
@@ -318,32 +318,30 @@ def bump_search(start, project=lambda p: p, scale=10.0, max_step=1.0):
     curvature turns positive beyond |p| = 1.  d2 is -2.5 everywhere, 2.5
     times the curvature at the maximum as with the at-solution d2 of the
     broadband fixture, so far out the Newton steps are e^(-p^2/2) / 2.5 of
-    the distance.  Returns the search's result and the built and the
-    differentiated points."""
-    built, seen = [], []
-
-    def build(p):
-        built.append(p)
-        return p
+    the distance.  Returns the search's result, the differentiated points
+    followed by the returned one, and the differentiated points with their
+    d1."""
+    seen = []
 
     def derivatives(p):
         d1 = -p * math.exp(-0.5 * p * p)
         seen.append((p, d1))
         return d1, -2.5
 
-    out = capon_ice._safeguarded_newton(start, build, derivatives, max_step, scale, project, 100)
-    return out, np.array(built), seen
+    out = capon_ice._safeguarded_newton(start, derivatives, max_step, scale, project, 100)
+    return out, np.array([p for p, _ in seen] + [out[0]]), seen
 
 
 # from 5.0 with steps of up to 3, one secant lands outside the bracket
 @pytest.mark.parametrize("start,max_step", [(4.0, 1.0), (5.0, 3.0)])
 def test_search_grows_steps_on_a_convex_approach_then_brackets(start, max_step):
-    (state, param, iterations, converged, fallbacks), built, seen = bump_search(
+    (param, iterations, converged, fallbacks), built, seen = bump_search(
         start, max_step=max_step
     )
     assert converged and fallbacks == 0
-    assert state == param == built[-1]
+    # one evaluation per iteration, none at the returned parameter
     assert len(seen) == iterations
+    assert param != seen[-1][0]
     assert abs(param) <= 1e-8
     # growth turns e^-8-short Newton steps into max_step strides
     assert iterations <= 30
@@ -366,8 +364,8 @@ def test_search_grows_steps_on_a_convex_approach_then_brackets(start, max_step):
 
 def test_search_stop_scales_with_the_range():
     # over a 1e6 times wider range the search stops at a 1e6 times longer step
-    (_, fine, fine_iters, _, _), _, _ = bump_search(0.3)
-    (_, coarse, coarse_iters, converged, _), built, _ = bump_search(0.3, scale=1e7)
+    (fine, fine_iters, _, _), _, _ = bump_search(0.3)
+    (coarse, coarse_iters, converged, _), built, _ = bump_search(0.3, scale=1e7)
     assert converged
     assert coarse_iters < fine_iters
     assert abs(np.diff(built)[-1]) <= 1e-2
@@ -378,12 +376,15 @@ def test_search_stops_on_the_boundary_of_a_clipped_range(caplog):
     # the maximum at 0 lies outside [-3, -1]: d1 > 0 throughout, and the
     # search ends on the edge, where the projected step does not move
     caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
-    (state, param, _, converged, _), built, _ = bump_search(
+    (param, iterations, converged, _), _, seen = bump_search(
         -2.5, project=lambda p: min(max(p, -3.0), -1.0), scale=2.0
     )
+    evaluated = np.array([p for p, _ in seen])
     assert converged
-    assert param == state == -1.0
-    assert np.all(np.diff(built) > 0.0)
+    # the last iteration is evaluated on the edge, and its step does not move
+    assert param == evaluated[-1] == -1.0
+    assert len(evaluated) == iterations
+    assert np.all(np.diff(evaluated) > 0.0)
     assert "stop: boundary" in caplog.records[-1].getMessage()
 
 
@@ -408,6 +409,20 @@ def test_run_distortionless_after_iterations():
     x, _, _, model = random_mixture(RNG(61), 5, 500, 0.5)
     res = capon_ice.run(x, model, 0.55)
     assert abs(np.vdot(res.w, res.a) - 1.0) < 1e-10
+
+
+def test_run_solves_once_per_iteration_and_once_at_the_answer(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return core.mpdr_weights(*args, **kwargs)
+
+    monkeypatch.setattr(capon_ice, "mpdr_weights", counted)
+    x, _, _, model = random_mixture(RNG(61), 5, 500, 0.5)
+    res = capon_ice.run(x, model, 0.55)
+    assert res.converged and res.iterations > 3
+    assert len(calls) == res.iterations + 1
 
 
 def test_run_restart_at_fixed_point_stays_put():

@@ -8,7 +8,7 @@ from blindcapon import capon_ice, capon_ive, core
 from blindcapon.errors import DomainError, SpatialAliasWarning
 
 import reference
-from conftest import riff_bytes, wav_fmt
+from conftest import random_mixture, riff_bytes, wav_fmt
 
 RNG = np.random.default_rng
 
@@ -141,7 +141,8 @@ def test_per_bin_first_derivative_matches_fd(small_tensor):
     bins = np.array([20, 40, 60, 80])
     tau = capon_ive.theta_to_tau(geom, 80.0)
     kernel, kept, _ = capon_ive._bin_stack(tensor, geom, 100.0, bins=bins)
-    _, d1, _, nu = kernel.derivatives(kernel.states(tau))
+    d1, _ = kernel.derivatives(kernel.state(tau))
+    nu = reference.kernel_derivatives(kernel, tau)[3]
     h = 1e-7
     for i, k in enumerate(kept):
         up = oracle_joint_log_pdf(tensor, geom, tau, bins, perturb=(k, h))
@@ -156,7 +157,8 @@ def test_tau_chain_rule_matches_fd(small_tensor):
     bins = np.array([20, 40, 60, 80])
     tau = capon_ive.theta_to_tau(geom, 80.0)
     kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0, bins=bins)
-    _, d1, _, nu = kernel.derivatives(kernel.states(tau))
+    d1, _ = kernel.derivatives(kernel.state(tau))
+    nu = reference.kernel_derivatives(kernel, tau)[3]
     h = 1e-10
     up = oracle_joint_log_pdf(tensor, geom, tau + h, bins)
     dn = oracle_joint_log_pdf(tensor, geom, tau - h, bins)
@@ -174,13 +176,37 @@ def test_one_bin_is_the_narrowband_problem(small_tensor):
     phi = core.rational_nonlinearity()
     for k in (20, 40, 60, 80):
         kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0, bins=[k])
-        _, bin_d1, bin_d2, _ = kernel.derivatives(kernel.states(tau))
+        bin_d1, bin_d2 = kernel.derivatives(kernel.state(tau))
         x = core.SnapshotMatrix(tensor.data[k])
         state = reference.extraction_state(x, core.ula(geom.d), omegas[k] * tau, phi)
-        d1 = capon_ice.first_derivative(x, state)
-        d2 = capon_ice.second_derivative_approx(x, state)
+        d1 = reference.first_derivative(x, state)
+        d2 = reference.second_derivative_approx(x, state)
         assert abs(bin_d1[0] - d1) <= 1e-9 * abs(d1)
         assert abs(bin_d2[0] - d2) <= 1e-9 * abs(d2)
+
+
+def test_kernel_derivatives_match_oracle(small_tensor):
+    # the kernel's per-problem (d1, d2) against the per-problem formula that
+    # includes grad_w, narrowband and on every bin of the stack
+    for seed, d in ((80, 3), (81, 5), (82, 8)):
+        x, _, _, model = random_mixture(RNG(seed), d, 1000, 0.4, competitor=-0.5)
+        c_x = core.sample_covariance(x)
+        kernel = capon_ice._one_problem(x, model, c_x, core.covariance_factor(c_x))
+        for lam in (-2.0, -0.5, 0.3, 0.45, 1.2, 3.0):
+            d1, d2 = kernel.derivatives(kernel.state(lam))
+            _, want_d1, want_d2, _ = reference.kernel_derivatives(kernel, lam)
+            assert abs(d1[0] - want_d1[0]) <= 1e-9 * abs(want_d1[0]), (d, lam)
+            assert abs(d2[0] - want_d2[0]) <= 1e-9 * abs(want_d2[0]), (d, lam)
+    tensor, geom = small_tensor
+    kernel, kept, _ = capon_ive._bin_stack(tensor, geom, 100.0)
+    assert kept.size == kernel.x.shape[0] > 100
+    for theta in (70.0, 80.0, 105.0):
+        tau = capon_ive.theta_to_tau(geom, theta)
+        d1, d2 = kernel.derivatives(kernel.state(tau))
+        _, want_d1, want_d2, _ = reference.kernel_derivatives(kernel, tau)
+        # relative to the largest bin: d1 changes sign across the bins
+        for got, want in ((d1, want_d1), (d2, want_d2)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), theta
 
 
 def test_bin_stack_is_a_view_of_the_tensor(small_tensor):
@@ -195,8 +221,9 @@ def test_stacked_kernel_matches_per_bin_loop(small_tensor, theta):
     tensor, geom = small_tensor
     kernel, kept, _ = capon_ive._bin_stack(tensor, geom, 100.0)
     tau = capon_ive.theta_to_tau(geom, theta)
-    st = kernel.states(tau)
-    _, kernel_d1, kernel_d2, kernel_nu = kernel.derivatives(st)
+    st = kernel.state(tau)
+    kernel_d1, kernel_d2 = kernel.derivatives(st)
+    kernel_nu = reference.kernel_derivatives(kernel, tau)[3]
     v = np.arange(geom.d, dtype=float)
     omegas = 2 * np.pi * tensor.bin_frequencies()
     per_bin = []
@@ -216,7 +243,7 @@ def test_stacked_kernel_matches_per_bin_loop(small_tensor, theta):
     rho = np.real(np.mean((s_tot - np.abs(u) ** 2) / s_tot ** 2, axis=1))
     c1 = (nu - rho) / (nu * sig2)
     d1, d2 = np.array([
-        capon_ice._mpdr_derivatives(
+        reference._mpdr_derivatives(
             xk, ck, fac, a, v, w, phi[i], sig2[i], sig2_solve, nu[i], c1[i]
         )[1:]
         for i, (xk, ck, fac, a, w, sig2_solve, _) in enumerate(per_bin)
@@ -242,7 +269,7 @@ def test_silent_bin_is_dropped_by_the_search_and_passed_by_beamform(small_tensor
     kernel, kept, flagged = capon_ive._bin_stack(silent, geom, 100.0)
     assert list(flagged) == [30]
     assert 30 not in kept and kept.size == kernel.x.shape[0] == kernel.factors.shape[0]
-    _, d1, d2, _ = kernel.derivatives(kernel.states(capon_ive.theta_to_tau(geom, 80.0)))
+    d1, d2 = kernel.derivatives(kernel.state(capon_ive.theta_to_tau(geom, 80.0)))
     assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
     weights, extracted = capon_ive.beamform_at(silent, geom, 80.0)
     assert np.array_equal(weights[30], np.eye(geom.d)[0])
@@ -251,6 +278,29 @@ def test_silent_bin_is_dropped_by_the_search_and_passed_by_beamform(small_tensor
     others = np.arange(tensor.n_bins) != 30
     np.testing.assert_allclose(weights[others], ref_weights[others], rtol=1e-12, atol=0)
     np.testing.assert_allclose(extracted[others], ref_extracted[others], rtol=1e-12, atol=0)
+
+
+def test_run_ive_forms_one_covariance_stack_and_one_solve_per_iteration(
+    small_tensor, monkeypatch
+):
+    # counted wherever run_ive, its kernel and its beamformer bind them: the
+    # bin covariances feed both the search and the final weights, and the
+    # search solves once per iteration, never at the point it stops on
+    calls = {"_covariances": 0, "mpdr_weights": 0}
+
+    def counted(name, fn):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return count
+
+    monkeypatch.setattr(capon_ive, "_covariances", counted("_covariances", capon_ive._covariances))
+    for module in (capon_ice, capon_ive):
+        monkeypatch.setattr(module, "mpdr_weights", counted("mpdr_weights", core.mpdr_weights))
+    tensor, geom = small_tensor
+    res = capon_ive.run_ive(tensor, geom, 80.0)
+    assert res.converged and res.iterations > 3
+    assert calls == {"_covariances": 1, "mpdr_weights": res.iterations + 1}
 
 
 def test_non_finite_start_is_a_domain_error(small_tensor):

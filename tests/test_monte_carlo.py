@@ -9,6 +9,8 @@ from blindcapon import baselines, capon_ice, core, monte_carlo
 from blindcapon.errors import Diverged, SingularCovariance
 from blindcapon.monte_carlo import MixtureSpec
 
+import reference
+
 RNG = np.random.default_rng
 
 
@@ -47,6 +49,19 @@ def measured_isir_db(s):
     gains = np.abs(a) ** 2 * per_source  # d x d channel/source powers
     interference = gains[:, 1:].sum(axis=1)
     return float(np.mean(10.0 * np.log10(gains[:, 0] / interference)))
+
+
+@pytest.mark.parametrize("law", ["laplacean", "gaussian"])
+def test_sources_are_the_per_source_draws(law):
+    # one sampler call per mixture draws the stream of one call per source
+    for seed, d, n in ((0, 3, 7), (5, 5, 500), (71000, 8, 5000), (2**40 + 3, 4, 64)):
+        s = spec(d=d, N=n, source_law=law, seed=seed)
+        rng = RNG(seed)
+        rng.random((d, d))                          # the mixing phases come first
+        u = reference.draw_sources_loop(rng, law, d, n)
+        assert np.array_equal(monte_carlo.draw_sources(s), u)
+        x, a, powers = monte_carlo.generate_mixture(s)
+        assert np.array_equal(x.data, a @ (np.sqrt(powers)[:, None] * u))
 
 
 def test_measured_isir_matches_target():
