@@ -1,6 +1,6 @@
 """Blind Capon beamforming for phase-shift mixing models.
 
-Modules: :mod:`core` (types, steering, statistics), :mod:`capon_ice`
+Modules: :mod:`core` (types, steering, MPDR solve), :mod:`capon_ice`
 (single-parameter Newton search), :mod:`bounds` (Cramer-Rao-induced ISR
 bounds), :mod:`baselines` (FastICA, Root MUSIC, TLS ESPRIT),
 :mod:`monte_carlo` (simulation harness), :mod:`capon_ive` (broadband STFT

@@ -88,7 +88,7 @@ class _MpdrStack:
 
         phi_k(u) = conj(u_k) / (1 + sum_j |u_j|^2)
 
-    which for one problem is :func:`core.rational_nonlinearity`.
+    which for one problem is the rational ``conj(u) / (1 + |u|^2)``.
     Narrowband CaponICE is the one-problem stack with ``omegas = [1]``; the
     broadband search stacks STFT bins at their angular frequencies.  An
     evaluation makes two passes over ``x``: ``s = w^H x`` and the score
@@ -105,14 +105,14 @@ class _MpdrStack:
 
     def state(self, param: float) -> _StackState:
         """MPDR weights and outputs of all problems at ``param``; an output
-        power below 1e-30 raises :class:`DegenerateSignal`."""
+        power at most 1e-30 of ``sig2_solve`` raises :class:`DegenerateSignal`."""
         a = np.exp(1j * (self._phases * param))
         w, sig2_solve = mpdr_weights(self.factors, a)
         s = np.matmul(w.conj()[:, None, :], self.x)[:, 0]       # w^H x per problem
         p = np.abs(s)
         p *= p
         sig2 = p.sum(axis=-1) / p.shape[-1]
-        if (sig2 < 1e-30).any():
+        if (sig2 <= 1e-30 * sig2_solve).any():
             raise DegenerateSignal("extracted signal has zero power")
         return _StackState(a, w, sig2_solve, s, p, sig2)
 

@@ -11,7 +11,6 @@ permutation ambiguity.
 """
 
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .capon_ice import _STEP_CAP, _MpdrStack, _safeguarded_newton
 from .core import COVARIANCE_EPS, covariance_factor, mpdr_weights
-from .errors import DomainError, SingularCovariance, SpatialAliasWarning
+from .errors import DomainError, SingularCovariance
 from .monte_carlo import SIR_CAP_DB
 
 
@@ -85,14 +84,16 @@ def stft(signal: np.ndarray, fft_len: int, hop: int, sample_rate: float) -> Stft
     ``signal`` is ``(channels, samples)``; the signal is zero-padded by one
     window on each side so that, together with the matching synthesis window
     in :func:`istft`, the round trip reconstructs the input exactly.  That
-    needs ``fft_len >= 2`` and ``1 <= hop < fft_len``; other values raise
-    :class:`DomainError`.
+    needs ``fft_len >= 2`` and ``1 <= hop < fft_len``; other values, or a
+    NaN or infinite sample, raise :class:`DomainError`.
     """
     if fft_len < 2:
         raise DomainError(f"FFT length must be >= 2, got {fft_len}")
     if not 1 <= hop < fft_len:
         raise DomainError(f"hop must be in [1, FFT length {fft_len}), got {hop}")
     signal = np.atleast_2d(np.asarray(signal, dtype=float))
+    if not np.isfinite(signal).all():
+        raise DomainError("signal has non-finite samples")
     d, length = signal.shape
     if length < fft_len:
         raise DomainError("signal shorter than one analysis window")
@@ -160,29 +161,6 @@ def tau_to_theta(geom: ArrayGeometry, tau_s: float) -> float:
     return float(np.degrees(np.arccos(np.clip(tau_s * geom.c / geom.spacing_m, -1.0, 1.0))))
 
 
-def steering_broadband(
-    geom: ArrayGeometry, theta_deg: float, k: int, sample_rate: float, fft_len: int
-) -> np.ndarray:
-    """Per-bin steering vector ``exp(1j omega_k tau(theta) v)``.
-
-    Emits :class:`SpatialAliasWarning` when the per-sensor phase step
-    ``|omega_k tau|`` exceeds pi (ambiguous at this bin).
-    """
-    if not 0 <= k <= fft_len // 2:
-        raise ValueError(f"bin index {k} out of range")
-    tau = theta_to_tau(geom, theta_deg)
-    omega = 2.0 * np.pi * k * sample_rate / fft_len
-    lam_k = omega * tau
-    if abs(lam_k) > np.pi:
-        warnings.warn(
-            f"spatial aliasing at bin {k}: |omega_k tau| = {abs(lam_k):.3f} > pi",
-            SpatialAliasWarning,
-            stacklevel=2,
-        )
-    v = np.arange(geom.d, dtype=float)
-    return np.exp(1j * lam_k * v)
-
-
 @dataclass(frozen=True)
 class IveResult:
     theta_deg: float
@@ -193,7 +171,7 @@ class IveResult:
     extracted: np.ndarray               # (K, n_frames) extracted spectrogram
     included_bins: np.ndarray
     alias_bins: np.ndarray
-    flagged_bins: np.ndarray            # bins whose covariance needed extra care
+    flagged_bins: np.ndarray            # bins dropped: their covariance does not factor
     gradient_fallbacks: int             # Newton steps taken as ascent steps
 
 
@@ -225,35 +203,24 @@ def _covariances(x: np.ndarray) -> np.ndarray:
     return 0.5 * (c + np.conj(np.swapaxes(c, -1, -2)))
 
 
-def _loaded_factors(c: np.ndarray, loadings):
+def _loaded_factors(c: np.ndarray, eps: float):
     """:func:`covariance_factor` of each matrix of the stack ``c`` at the
-    first of ``loadings`` that factors it.
-
-    Returns ``(factors, level)``: ``level[k]`` indexes the loading used for
-    matrix ``k``, or is -1 where none works (that factor is left zero).
-    The whole stack is factored at once when the first loading suits every
-    matrix, and matrix by matrix otherwise.
-    """
-    level = np.zeros(len(c), dtype=int)
+    relative loading ``eps``; returns ``(factors, ok)``, ``ok[k]`` false
+    where matrix ``k`` does not factor (its factor is left zero).  The
+    whole stack is factored at once, and matrix by matrix only if that
+    fails."""
+    ok = np.ones(len(c), dtype=bool)
     try:
-        return covariance_factor(c, loadings[0]), level
+        return covariance_factor(c, eps), ok
     except SingularCovariance:
         pass
     factors = np.zeros_like(c)
-    level[:] = -1
     for k, ck in enumerate(c):
-        for j, eps in enumerate(loadings):
-            try:
-                factors[k] = covariance_factor(ck, eps)
-            except SingularCovariance:
-                continue
-            level[k] = j
-            break
-    return factors, level
-
-
-# per-bin loadings tried during the parameter search, lightest first
-_SEARCH_LOADINGS = COVARIANCE_EPS * 1e3 ** np.arange(4)
+        try:
+            factors[k] = covariance_factor(ck, eps)
+        except SingularCovariance:
+            ok[k] = False
+    return factors, ok
 
 
 def _bin_stack(tensor, geom, fmin_hz, bins=None, covariances=None):
@@ -261,32 +228,26 @@ def _bin_stack(tensor, geom, fmin_hz, bins=None, covariances=None):
     steered by the delay, its snapshots a view of the tensor; returns
     ``(kernel, bins, flagged)``, ``bins`` being the bins of the stack.
     ``covariances`` is the :func:`_covariances` stack of all the tensor's
-    bins, computed when omitted.
-
-    A bin whose covariance does not factor at the solver loading is loaded
-    1e3 times more, up to 0.1, and flagged; a bin that never factors is
-    flagged and dropped.
+    bins, computed when omitted.  A bin whose covariance does not factor
+    at the solver loading is flagged and dropped.
     """
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
     if bins is None:
         bins = _included_bins(tensor, fmin_hz)
     bins = np.asarray(bins, dtype=int)
-    if bins.size == 0:
-        raise DomainError("no frequency bins left after exclusions")
     if covariances is None:
         covariances = _covariances(tensor.data)
     x = _take_bins(tensor.data, bins)
     c = _take_bins(covariances, bins)
-    factors, level = _loaded_factors(c, _SEARCH_LOADINGS)
-    flagged = bins[level != 0]
-    usable = level >= 0
-    if not usable.any():
+    factors, ok = _loaded_factors(c, COVARIANCE_EPS)
+    flagged = bins[~ok]
+    if not ok.any():
         raise SingularCovariance("every included bin has a singular covariance")
-    if not usable.all():
-        bins = bins[usable]
+    if flagged.size:
+        bins = bins[ok]
         x = _take_bins(tensor.data, bins)
-        c, factors = c[usable], factors[usable]
+        c, factors = c[ok], factors[ok]
     omegas = 2.0 * np.pi * tensor.bin_frequencies()[bins]
     kernel = _MpdrStack(x, c, factors, np.arange(geom.d, dtype=float), omegas)
     return kernel, bins, flagged
@@ -298,7 +259,6 @@ def run_ive(
     theta_ini_deg: float,
     max_iters: int = 100,
     fmin_hz: float = 100.0,
-    bins=None,
 ) -> IveResult:
     """Joint bracketed Newton search over the single delay parameter, from
     the DOA ``theta_ini_deg`` (degrees), at most ``max_iters`` iterations.
@@ -317,13 +277,13 @@ def run_ive(
     physical range ``|tau| <= spacing/c``.  The search has converged when a
     step or the bracket falls to 1e-9 of that range, ``2 spacing/c``, or
     when it rests on an end of the range.  Bins below ``fmin_hz`` and the
-    Nyquist bin are excluded; pass ``bins`` to choose the bins instead.  A
-    non-finite start raises :class:`DomainError`.
+    Nyquist bin are excluded.  A non-finite start raises
+    :class:`DomainError`.
     """
     if not np.isfinite(theta_ini_deg):
         raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
     covariances = _covariances(tensor.data)
-    kernel, bins, flagged = _bin_stack(tensor, geom, fmin_hz, bins, covariances)
+    kernel, bins, flagged = _bin_stack(tensor, geom, fmin_hz, covariances=covariances)
     tau_max = geom.spacing_m / geom.c
     tau, iterations, converged, fallbacks = _safeguarded_newton(
         float(np.clip(theta_to_tau(geom, theta_ini_deg), -tau_max, tau_max)),
@@ -383,8 +343,7 @@ def _beamform(tensor, geom, theta_deg, covariances, loading):
     tau = theta_to_tau(geom, theta_deg)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()
     a = np.exp(1j * np.outer(omegas * tau, np.arange(d, dtype=float)))
-    factors, level = _loaded_factors(covariances, (loading,))
-    ok = level == 0
+    factors, ok = _loaded_factors(covariances, loading)
     weights = np.zeros((k_all, d), dtype=complex)
     weights[ok], _ = mpdr_weights(factors[ok], a[ok])
     weights[~ok, 0] = 1.0

@@ -31,7 +31,3 @@ class RankDeficient(BlindCaponError):
 
 class Diverged(BlindCaponError):
     """Iterate left the admissible parameter region."""
-
-
-class SpatialAliasWarning(UserWarning):
-    """Inter-sensor phase shift exceeds pi at some frequency bin."""

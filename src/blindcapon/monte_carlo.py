@@ -83,11 +83,6 @@ def _draw(spec: MixtureSpec):
     return phases, sample(rng, (spec.d, spec.N))
 
 
-def draw_sources(spec: MixtureSpec) -> np.ndarray:
-    """Unit-variance source matrix ``d x N`` for the spec's seed and law."""
-    return _draw(spec)[1]
-
-
 def source_powers(spec: MixtureSpec) -> np.ndarray:
     """SOI power 1; equal interferer powers summing to ``10^(-iSIR/10)``."""
     p_int = 10.0 ** (-spec.isir_db / 10.0)

@@ -1,20 +1,27 @@
 """Test-only reference implementations the package is checked against.
 
-The sample contrast of the orthogonally-constrained likelihood, the
-blocking matrix of its background signals and the extraction state (a, w,
-s and output statistics) at one parameter: the solvers need only the
-contrast's derivatives, so these live here as the independent oracle for
-the finite-difference and statistics checks.  The derivatives themselves
-are here too, in the per-problem form that includes the gradient in ``w``
+The nonlinearities, the output statistics and Hessian constants, the
+sample contrast of the orthogonally-constrained likelihood, the blocking
+matrix of its background signals and the extraction state (a, w, s and
+output statistics) at one parameter: the solvers need only the contrast's
+derivatives, so these live here as the independent oracle for the
+finite-difference and statistics checks.  The derivatives themselves are
+here too, in the per-problem form that includes the gradient in ``w``
 (:func:`_mpdr_derivatives`), as the oracle of the solvers' kernel, and so
-are the per-source loops that draw the Monte Carlo sources.
+are the draws of the Monte Carlo sources.
+
+Nonlinearities follow the conjugating score convention: for a circular
+Gaussian source the score is ``phi(s) = conj(s)``, and the normalizer
+``nu = E[phi(u) u]`` equals 1 for any exact score.
 """
+
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
+from blindcapon import monte_carlo
 from blindcapon.core import (
-    ExtractionState,
-    Nonlinearity,
     SnapshotMatrix,
     SteeringModel,
     complex_gaussian,
@@ -22,9 +29,144 @@ from blindcapon.core import (
     covariance_factor,
     mpdr_weights,
     sample_covariance,
-    soi_statistics,
     steering,
 )
+from blindcapon.errors import DegenerateSignal, ScoreDegenerate
+
+
+@dataclass(frozen=True)
+class Nonlinearity:
+    """Score surrogate ``phi`` with its Wirtinger derivatives.
+
+    ``dphi_ds`` and ``dphi_dsconj`` are the derivatives of ``phi`` with
+    respect to ``s`` and ``conj(s)`` of the (already normalized) argument.
+    ``log_pdf`` is the log of the model density whose negative s-derivative
+    is ``phi``; it is only needed for contrast evaluation, never by the
+    optimizer itself.
+    """
+
+    name: str
+    phi: Callable[[np.ndarray], np.ndarray]
+    dphi_ds: Callable[[np.ndarray], np.ndarray]
+    dphi_dsconj: Callable[[np.ndarray], np.ndarray]
+    log_pdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+
+def rational_nonlinearity() -> Nonlinearity:
+    """``phi(s) = conj(s) / (1 + |s|^2)``.
+
+    Satisfies ``phi(0) = 0`` and ``|phi(s)| <= 1/2``.  The derivatives are
+    obtained by treating ``s`` and ``conj(s)`` as independent variables:
+
+        dphi/ds       = -conj(s)^2 / (1 + |s|^2)^2
+        dphi/dconj(s) =  1         / (1 + |s|^2)^2
+
+    The matching log-density is ``-log(1 + |s|^2)`` (up to normalization).
+    """
+    def phi(s):
+        return np.conj(s) / (1.0 + np.abs(s) ** 2)
+
+    def dphi_ds(s):
+        return -np.conj(s) ** 2 / (1.0 + np.abs(s) ** 2) ** 2
+
+    def dphi_dsconj(s):
+        return 1.0 / (1.0 + np.abs(s) ** 2) ** 2
+
+    def log_pdf(s):
+        return -np.log1p(np.abs(s) ** 2)
+
+    return Nonlinearity("rational", phi, dphi_ds, dphi_dsconj, log_pdf)
+
+
+def gaussian_score() -> Nonlinearity:
+    """Exact circular-Gaussian score ``phi(s) = conj(s)`` (linear surrogate)."""
+    return Nonlinearity(
+        "gaussian",
+        phi=np.conj,
+        dphi_ds=lambda s: np.zeros_like(s),
+        dphi_dsconj=lambda s: np.ones_like(s),
+        log_pdf=lambda s: -np.abs(s) ** 2,
+    )
+
+
+@dataclass(frozen=True)
+class SoiStatistics:
+    """Sample statistics of an extracted signal under a given nonlinearity.
+
+    All shape statistics (``nu``, ``rho``, ``xi``, ``eta``) are computed on
+    the normalized samples ``u = s / sigma`` and therefore do not change
+    when ``s`` is rescaled.  ``nu_imag`` is the imaginary part discarded
+    when forming the real normalizer ``nu`` (diagnostic only).
+    """
+
+    sigma2: float
+    nu: float
+    rho: complex
+    xi: float
+    eta: complex
+    nu_imag: float = 0.0
+
+
+@dataclass(frozen=True)
+class ExtractionState:
+    """Consistent snapshot of the extractor at a parameter value ``lam``."""
+
+    lam: float
+    a: np.ndarray
+    w: np.ndarray
+    s: np.ndarray
+    stats: SoiStatistics
+    model: SteeringModel
+    sigma2_solve: float     # 1 / (a^H C^-1 a) of the solve that gave w
+
+
+def soi_statistics(s: np.ndarray, phi: Nonlinearity) -> SoiStatistics:
+    """Sample statistics of the extracted signal.
+
+    ``sigma2`` is the sample mean of ``|s|^2``; the remaining quantities
+    are sample means over the normalized samples ``u = s / sigma``:
+
+        nu  = Re E[phi(u) u]          rho = E[dphi/dconj(u)]
+        xi  = Re E[dphi/dconj(u) |u|^2]
+        eta = E[dphi/du u^2]
+    """
+    s = np.asarray(s)
+    if s.size < 2:
+        raise ValueError("need at least two samples")
+    sigma2 = float(np.mean(np.abs(s) ** 2))
+    if sigma2 < 1e-30:
+        raise DegenerateSignal("extracted signal has zero power")
+    u = s / np.sqrt(sigma2)
+    nu_c = np.mean(phi.phi(u) * u)
+    rho = complex(np.mean(phi.dphi_dsconj(u)))
+    xi = float(np.real(np.mean(phi.dphi_dsconj(u) * np.abs(u) ** 2)))
+    eta = complex(np.mean(phi.dphi_ds(u) * u ** 2))
+    return SoiStatistics(
+        sigma2=sigma2,
+        nu=float(np.real(nu_c)),
+        rho=rho,
+        xi=xi,
+        eta=eta,
+        nu_imag=float(np.imag(nu_c)),
+    )
+
+
+def c_constants(stats: SoiStatistics):
+    """Hessian constants ``(c1, c2, c3)`` from the sample statistics.
+
+        c1 = (nu - rho) / (nu * sigma2)
+        c3 = (xi - eta - nu) / (2 nu)
+        c2 = -sigma2 * c1 - Re(c3)
+
+    ``c1`` and ``c2`` are returned as reals (imaginary parts of ``rho`` and
+    ``c3`` vanish for score-consistent nonlinearities and are discarded).
+    """
+    if abs(stats.nu) < 1e-12:
+        raise ScoreDegenerate("nu is numerically zero")
+    c1 = float(np.real(stats.nu - stats.rho)) / (stats.nu * stats.sigma2)
+    c3 = (stats.xi - stats.eta - stats.nu) / (2.0 * stats.nu)
+    c2 = -stats.sigma2 * c1 - float(np.real(c3))
+    return c1, c2, complex(c3)
 
 
 def extraction_state(
@@ -213,3 +355,8 @@ def draw_sources_loop(rng: np.random.Generator, law: str, d: int, n: int) -> np.
     """``d x n`` sources of ``law`` drawn one source at a time."""
     sample = complex_laplacean if law == "laplacean" else complex_gaussian
     return np.vstack([sample(rng, n) for _ in range(d)])
+
+
+def draw_sources(spec: monte_carlo.MixtureSpec) -> np.ndarray:
+    """Unit-variance source matrix ``d x N`` for the spec's seed and law."""
+    return monte_carlo._draw(spec)[1]

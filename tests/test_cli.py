@@ -315,6 +315,22 @@ def test_extract_non_finite_start_exit_code(tmp_path, capsys, broadband_wavs, me
     )
 
 
+@pytest.mark.parametrize("sample", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("method", ["ive", "srpphat+mpdr"])
+def test_extract_non_finite_sample_exit_code(tmp_path, capsys, broadband_wavs, method, sample):
+    _, _, fx = broadband_wavs
+    mix = fx.mix.copy()
+    mix[1, 1000] = sample
+    path = tmp_path / "bad.wav"
+    capon_ive.write_wav(path, fx.sample_rate, mix)
+    out = tmp_path / "ive"
+    args = ["extract", "--in", str(path), "--theta-ini", str(fx.thetas_deg[0] + 5.0),
+            "--method", method, "--out-dir", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: signal has non-finite samples")
+    assert not (out / "extracted.wav").exists()
+
+
 # 16000 frames of 16-bit stereo noise: extraction runs on it if it is read at all
 PCM16_STEREO = np.random.default_rng(5).integers(0, 256, 4 * 16000, dtype=np.uint8).tobytes()
 
