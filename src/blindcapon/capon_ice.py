@@ -93,6 +93,11 @@ class _MpdrStack:
     broadband search stacks STFT bins at their angular frequencies.  An
     evaluation makes two passes over ``x``: ``s = w^H x`` and the score
     mean ``x conj(s r)``.
+
+    Those two passes and the ``(B, N)`` arrays ``s``, ``p`` and ``r`` are in
+    ``x``'s precision, single for the complex64 STFT of float32 audio.  The
+    per-problem algebra is double: ``c``, ``factors``, the MPDR solves, the
+    output powers and ``(d1, d2)``.
     """
 
     def __init__(self, x, c, factors, v, omegas):
@@ -108,10 +113,11 @@ class _MpdrStack:
         power at most 1e-30 of ``sig2_solve`` raises :class:`DegenerateSignal`."""
         a = np.exp(1j * (self._phases * param))
         w, sig2_solve = mpdr_weights(self.factors, a)
-        s = np.matmul(w.conj()[:, None, :], self.x)[:, 0]       # w^H x per problem
+        w_h = w.conj().astype(self.x.dtype, copy=False)
+        s = np.matmul(w_h[:, None, :], self.x)[:, 0]            # w^H x per problem
         p = np.abs(s)
         p *= p
-        sig2 = p.sum(axis=-1) / p.shape[-1]
+        sig2 = p.sum(axis=-1, dtype=float) / p.shape[-1]
         if (sig2 <= 1e-30 * sig2_solve).any():
             raise DegenerateSignal("extracted signal has zero power")
         return _StackState(a, w, sig2_solve, s, p, sig2)
@@ -138,7 +144,7 @@ class _MpdrStack:
         frames = st.p.shape[-1]
         # r = 1 / (1 + sum_k |u_k|^2); nu_k = mean(|u_k|^2 r) and
         # rho_k = mean(r - |u_k|^2 r^2), with |u_k|^2 = p_k / sigma_k^2
-        r = 1.0 / (1.0 + (1.0 / st.sig2) @ st.p)                 # (N,)
+        r = 1.0 / (1.0 + (1.0 / st.sig2).astype(st.p.dtype, copy=False) @ st.p)  # (N,)
         nu = st.p @ r / (frames * st.sig2)
         if (nu < 1e-12).any():
             raise ScoreDegenerate("nu is numerically zero")

@@ -39,7 +39,12 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class StftTensor:
-    """Complex STFT data of shape ``(K, d, n_frames)`` with K = fft_len/2+1."""
+    """Complex STFT data of shape ``(K, d, n_frames)`` with K = fft_len/2+1.
+
+    ``data`` keeps the precision it is given: complex64 data (what
+    :func:`stft` makes of float32 samples) stays single precision, and any
+    other data is stored as complex128.
+    """
 
     data: np.ndarray
     sample_rate: float
@@ -47,7 +52,8 @@ class StftTensor:
     hop: int
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
+        data = np.asarray(self.data)
+        data = data.astype(np.complex64 if data.dtype == np.complex64 else complex, copy=False)
         if data.ndim != 3:
             raise ValueError("expected (bins, channels, frames) tensor")
         k, d, frames = data.shape
@@ -86,12 +92,17 @@ def stft(signal: np.ndarray, fft_len: int, hop: int, sample_rate: float) -> Stft
     in :func:`istft`, the round trip reconstructs the input exactly.  That
     needs ``fft_len >= 2`` and ``1 <= hop < fft_len``; other values, or a
     NaN or infinite sample, raise :class:`DomainError`.
+
+    float32 samples give a complex64 tensor, any other samples (int16
+    included) a complex128 one.  The FFTs run in double precision either
+    way; only the stored result is rounded.
     """
     if fft_len < 2:
         raise DomainError(f"FFT length must be >= 2, got {fft_len}")
     if not 1 <= hop < fft_len:
         raise DomainError(f"hop must be in [1, FFT length {fft_len}), got {hop}")
-    signal = np.atleast_2d(np.asarray(signal, dtype=float))
+    signal = np.atleast_2d(np.asarray(signal))
+    dtype = np.complex64 if signal.dtype == np.float32 else complex
     if not np.isfinite(signal).all():
         raise DomainError("signal has non-finite samples")
     d, length = signal.shape
@@ -100,9 +111,9 @@ def stft(signal: np.ndarray, fft_len: int, hop: int, sample_rate: float) -> Stft
     win = _sqrt_hann(fft_len)
     pad = np.zeros(fft_len)
     n_frames = (length + fft_len) // hop + 1
-    out = np.empty((fft_len // 2 + 1, d, n_frames), dtype=complex)
+    out = np.empty((fft_len // 2 + 1, d, n_frames), dtype=dtype)
     for ch in range(d):
-        padded = np.concatenate([pad, signal[ch], pad])
+        padded = np.concatenate([pad, signal[ch], pad], dtype=float)
         frames = np.lib.stride_tricks.sliding_window_view(padded, fft_len)[::hop]
         out[:, ch, :] = np.fft.rfft(frames * win, axis=1).T
     return StftTensor(out, sample_rate, fft_len, hop)
@@ -123,7 +134,11 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
 
 
 def istft(tensor: StftTensor, length: Optional[int] = None) -> np.ndarray:
-    """Overlap-add inverse of :func:`stft` (square-root Hann synthesis)."""
+    """Overlap-add inverse of :func:`stft` (square-root Hann synthesis).
+
+    The inverse FFTs run in the tensor's precision, single for complex64
+    (faster than in double, and no double copy of the spectrogram); the
+    overlap-add sums in double."""
     k, d, n_frames = tensor.data.shape
     fft_len, hop = tensor.fft_len, tensor.hop
     win = _sqrt_hann(fft_len)
@@ -197,9 +212,11 @@ def _take_bins(data: np.ndarray, bins: np.ndarray) -> np.ndarray:
 def _covariances(x: np.ndarray) -> np.ndarray:
     """Sample covariance of each ``(d, frames)`` matrix of the stack ``x``,
     as :func:`core.sample_covariance` forms one, with no conjugated copy
-    of ``x``."""
+    of ``x``.  The products are summed in ``x``'s precision; the
+    covariances are complex128."""
     # vecdot conjugates its first argument: c[k, i, j] = mean_t x_ki conj(x_kj)
-    c = np.vecdot(x[:, None, :, :], x[:, :, None, :]) / x.shape[-1]
+    c = np.vecdot(x[:, None, :, :], x[:, :, None, :]).astype(complex, copy=False)
+    c /= x.shape[-1]
     return 0.5 * (c + np.conj(np.swapaxes(c, -1, -2)))
 
 
@@ -322,6 +339,7 @@ def beamform_at(
 ):
     """Per-bin distortionless weights at a fixed DOA, plus the extracted
     spectrogram; returns ``(weights (K, d), extracted (K, n_frames))``.
+    The weights are complex128; the spectrogram has the tensor's dtype.
 
     ``loading`` is the relative diagonal load of the per-bin covariances.
     The default is far heavier than the solver epsilon used during the
@@ -347,7 +365,8 @@ def _beamform(tensor, geom, theta_deg, covariances, loading):
     weights = np.zeros((k_all, d), dtype=complex)
     weights[ok], _ = mpdr_weights(factors[ok], a[ok])
     weights[~ok, 0] = 1.0
-    extracted = np.matmul(weights.conj()[:, None, :], tensor.data)[:, 0]
+    w_h = weights.conj().astype(tensor.data.dtype, copy=False)
+    extracted = np.matmul(w_h[:, None, :], tensor.data)[:, 0]
     extracted[~ok] = tensor.data[~ok, 0]
     return weights, extracted
 

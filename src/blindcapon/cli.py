@@ -176,7 +176,13 @@ def cmd_extract(args) -> int:
     if mix.shape[0] < 2:
         raise BlindCaponError("extraction needs at least two channels")
     geom = capon_ive.ArrayGeometry(spacing_m=args.spacing_m, d=mix.shape[0])
-    tensor = capon_ive.stft(mix, args.fft, args.hop, rate)
+    # the STFT is single precision: scaling by the power of two that puts
+    # the peak in [0.5, 1) is exact, and keeps float32 away from its range
+    # limits at any input level
+    _, exponent = np.frexp(np.max(np.abs(mix), initial=0.0))
+    tensor = capon_ive.stft(
+        np.ldexp(mix, -exponent).astype(np.float32), args.fft, args.hop, rate
+    )
 
     report = {"method": args.method, "theta_ini_deg": args.theta_ini}
     if args.method == "ive":
@@ -204,7 +210,7 @@ def cmd_extract(args) -> int:
     else:
         raise DomainError(f"unknown method {args.method!r}")
 
-    y = capon_ive.istft_mono(extracted_spec, tensor, length=mix.shape[1])
+    y = np.ldexp(capon_ive.istft_mono(extracted_spec, tensor, length=mix.shape[1]), exponent)
     wav_path = os.path.join(out_dir, "extracted.wav")
     capon_ive.write_wav(wav_path, rate, y)
     outputs = [wav_path]
@@ -278,7 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--out", default=None, help="optional JSON output path")
     bnd.set_defaults(func=cmd_bounds)
 
-    ext = sub.add_parser("extract", help="broadband extraction from WAV")
+    ext = sub.add_parser(
+        "extract", help="broadband extraction from WAV",
+        description="Broadband extraction from a multichannel WAV file.  The "
+        "STFT snapshots are single precision (complex64); covariances, "
+        "beamformer weights and the DOA search are double.",
+    )
     ext.add_argument("--in", dest="infile", required=True)
     ext.add_argument("--spacing-m", type=float, default=0.05)
     ext.add_argument("--theta-ini", type=float, required=True)

@@ -84,21 +84,29 @@ class SnapshotMatrix:
 # sources used throughout tests and the simulation harness
 # ---------------------------------------------------------------------------
 
+def _pairs_to_complex(parts: np.ndarray) -> np.ndarray:
+    """``(parts[..., 0, :] + 1j * parts[..., 1, :]) / sqrt(2)`` bit for bit
+    (numpy divides a complex by a real through its reciprocal), written
+    into the real and imaginary parts of one complex array."""
+    out = np.empty(parts.shape[:-2] + parts.shape[-1:], dtype=complex)
+    np.multiply(parts[..., 0, :], 1.0 / np.sqrt(2.0), out=out.real)
+    np.multiply(parts[..., 1, :], 1.0 / np.sqrt(2.0), out=out.imag)
+    return out
+
+
 def complex_laplacean(rng: np.random.Generator, n) -> np.ndarray:
     """Unit-variance complex Laplacean samples ``(L1 + i L2)/sqrt(2)``: ``n``
     of them, or an array of shape ``n = (d, N)`` whose rows are the stream
     of ``d`` calls with ``N``, each drawing its real parts first."""
     *rows, length = np.atleast_1d(n)
-    L = rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=(*rows, 2, length))
-    return (L[..., 0, :] + 1j * L[..., 1, :]) / np.sqrt(2.0)
+    return _pairs_to_complex(rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=(*rows, 2, length)))
 
 
 def complex_gaussian(rng: np.random.Generator, n) -> np.ndarray:
     """Unit-variance circular Gaussian samples: ``n`` of them, or an array of
     shape ``n = (d, N)`` drawn as :func:`complex_laplacean` draws its rows."""
     *rows, length = np.atleast_1d(n)
-    g = rng.standard_normal((*rows, 2, length))
-    return (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2.0)
+    return _pairs_to_complex(rng.standard_normal((*rows, 2, length)))
 
 
 def laplacean_score(s: np.ndarray) -> np.ndarray:

@@ -103,7 +103,8 @@ def generate_mixture(spec: MixtureSpec):
     a[:, 0] = core.steering(model, spec.lambda_star)
     a[:, 1] = core.steering(model, spec.lambda_competitor)
     powers = source_powers(spec)
-    x = a @ (np.sqrt(powers)[:, None] * u)
+    u *= np.sqrt(powers)[:, None]
+    x = a @ u
     return SnapshotMatrix(x), a, powers
 
 

@@ -58,6 +58,24 @@ def test_stft_matches_frame_loop():
     assert np.max(np.abs(t.data - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_stft_of_float32_samples_is_the_double_stft_rounded_once():
+    sig = RNG(3).standard_normal((3, 5000)).astype(np.float32)
+    single = capon_ive.stft(sig, 512, 96, 16000)
+    double = capon_ive.stft(sig.astype(float), 512, 96, 16000)
+    assert single.data.dtype == np.complex64 and double.data.dtype == np.complex128
+    # the FFTs run in double precision; only the stored result is rounded
+    assert np.array_equal(single.data, double.data.astype(np.complex64))
+    exact = capon_ive.stft(RNG(3).standard_normal((3, 5000)), 512, 96, 16000)
+    assert np.max(np.abs(single.data - exact.data)) <= 1e-6 * np.max(np.abs(exact.data))
+
+
+def test_stft_of_int16_samples_is_double_precision():
+    sig = RNG(4).integers(-2000, 2000, (2, 5000)).astype(np.int16)
+    t = capon_ive.stft(sig, 512, 96, 16000)
+    assert t.data.dtype == np.complex128
+    assert np.array_equal(t.data, capon_ive.stft(sig.astype(float), 512, 96, 16000).data)
+
+
 def test_stft_shape_contract():
     t = capon_ive.stft(np.zeros((2, 3000)), 512, 128, 8000)
     assert t.n_bins == 257
@@ -329,6 +347,24 @@ def test_run_ive_converges_from_twelve_degrees_off(broadband_fixture, theta_ini)
     res = capon_ive.run_ive(broadband_fixture.tensor(), broadband_fixture.geom, theta_ini)
     assert res.converged
     assert min(abs(res.theta_deg - t) for t in broadband_fixture.thetas_deg) < 0.5
+
+
+def test_run_ive_in_single_precision_matches_double(broadband_fixture):
+    # the complex64 STFT of float32 audio, as extract forms it: the same
+    # search to float32 rounding, every bin kept
+    fx = broadband_fixture
+    double = fx.tensor()
+    single = capon_ive.stft(fx.mix.astype(np.float32), fx.fft_len, fx.hop, fx.sample_rate)
+    assert single.data.dtype == np.complex64
+    for theta in fx.thetas_deg:
+        for offset in (5.0, -5.0):
+            want = capon_ive.run_ive(double, fx.geom, theta + offset)
+            got = capon_ive.run_ive(single, fx.geom, theta + offset)
+            assert got.converged and want.converged, theta + offset
+            assert got.flagged_bins.size == 0
+            assert abs(got.iterations - want.iterations) <= 2, theta + offset
+            assert got.theta_deg == pytest.approx(want.theta_deg, abs=1e-5)
+            assert got.weights.dtype == np.complex128 and got.extracted.dtype == np.complex64
 
 
 def test_run_ive_improves_sir(broadband_fixture):

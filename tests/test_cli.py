@@ -200,6 +200,63 @@ def test_extract_srpphat_mpdr(tmp_path, broadband_wavs):
     assert "sir_improvement_db" not in report
 
 
+def extract_report(out, mix_path, theta_ini):
+    """``extract.json`` of ``extract`` with the defaults on ``mix_path``."""
+    assert cli.main(["extract", "--in", str(mix_path), "--theta-ini", str(theta_ini),
+                     "--out-dir", str(out)]) == 0
+    return read_json(out / "extract.json")
+
+
+def test_extract_reports_the_single_precision_search(tmp_path, broadband_wavs):
+    # the float32 WAV scaled by a power of two is the float32 mix exactly
+    mix_path, _, fx = broadband_wavs
+    theta_ini = fx.thetas_deg[0] + 5.0
+    report = extract_report(tmp_path, mix_path, theta_ini)
+    tensor = capon_ive.stft(fx.mix.astype(np.float32), fx.fft_len, fx.hop, fx.sample_rate)
+    res = capon_ive.run_ive(tensor, fx.geom, theta_ini)
+    assert report["theta_hat_deg"] == float(f"{res.theta_deg:.9g}")
+    assert report["iterations"] == res.iterations
+
+
+def write_float64_wav(path, sample_rate, signal):
+    data = np.ascontiguousarray(signal.T, dtype="<f8").tobytes()
+    fmt = wav_fmt(3, signal.shape[0], 64, rate=sample_rate)
+    path.write_bytes(riff_bytes((b"fmt ", fmt), (b"data", data)))
+
+
+@pytest.mark.parametrize(
+    "scale, write", [(1e-20, capon_ive.write_wav), (1e30, write_float64_wav)],
+    ids=["1e-20-float32", "1e30-float64"],
+)
+def test_extract_is_scale_invariant(tmp_path, broadband_wavs, scale, write):
+    # far below and above float32's 1/sigma^2 range: the single-precision
+    # STFT is formed from the mix scaled to a peak in [0.5, 1)
+    mix_path, _, fx = broadband_wavs
+    theta_ini = fx.thetas_deg[1] + 5.0
+    unit = extract_report(tmp_path / "unit", mix_path, theta_ini)
+    scaled_path = tmp_path / "scaled.wav"
+    write(scaled_path, fx.sample_rate, scale * fx.mix)
+    scaled = extract_report(tmp_path / "scaled", scaled_path, theta_ini)
+    assert scaled["converged"] and scaled["per_bin_flags"]["covariance_flagged"] == []
+    assert scaled["theta_hat_deg"] == pytest.approx(unit["theta_hat_deg"], abs=1e-6)
+    # and the output is scaled back
+    _, y_unit = capon_ive.read_wav(tmp_path / "unit" / "extracted.wav")
+    _, y_scaled = capon_ive.read_wav(tmp_path / "scaled" / "extracted.wav")
+    assert np.std(y_scaled) == pytest.approx(scale * np.std(y_unit), rel=1e-4)
+
+
+def test_extract_of_a_silent_mix_fails(tmp_path, capsys, broadband_wavs):
+    _, _, fx = broadband_wavs
+    path = tmp_path / "silent.wav"
+    capon_ive.write_wav(path, fx.sample_rate, np.zeros_like(fx.mix))
+    out = tmp_path / "ive"
+    args = ["extract", "--in", str(path), "--theta-ini", "70", "--out-dir", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: every included bin has a singular covariance")
+    assert not (out / "extracted.wav").exists()
+
+
 def test_extract_missing_file_fails(tmp_path):
     args = [
         "extract", "--in", str(tmp_path / "nope.wav"),

@@ -268,6 +268,21 @@ def test_laplacean_unit_variance_and_score():
     assert abs(np.mean(s * psi) - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("shape", [(8, 5000), (3, 7), (64,)])
+@pytest.mark.parametrize("law", ["laplacean", "gaussian"])
+def test_complex_samples_are_the_pair_formula_bit_for_bit(law, shape):
+    # the samplers write the scaled pairs straight into one complex array
+    *rows, n = shape
+    if law == "laplacean":
+        got = core.complex_laplacean(RNG(21), shape)
+        pairs = RNG(21).laplace(0.0, 1.0 / np.sqrt(2.0), (*rows, 2, n))
+    else:
+        got = core.complex_gaussian(RNG(21), shape)
+        pairs = RNG(21).standard_normal((*rows, 2, n))
+    want = (pairs[..., 0, :] + 1j * pairs[..., 1, :]) / np.sqrt(2.0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_blocking_matrix_annihilates_steering():
     model = core.ula(5)
     a = core.steering(model, 0.37)
