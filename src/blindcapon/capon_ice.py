@@ -262,6 +262,21 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     return param, iterations, reason != "max_iters", fallbacks
 
 
+def _steered_power(m, phases, param):
+    """``(P, P', P'')``: the power ``P = sum_k a_k^H m_k a_k`` steered at
+    ``a_k = exp(1j param phases_k)`` for Hermitian ``m`` ``(B, d, d)`` and
+    ``phases`` ``(B, d)``, and its derivatives along ``param``: with
+    ``b = 1j phases * a``, ``P' = 2 Re sum b^H m a`` and
+    ``P'' = 2 Re sum (b^H m b - (phases^2 * a)^H m a)``."""
+    a = np.exp(1j * (phases * param))
+    b = 1j * phases * a
+    m_a = np.matvec(m, a)
+    p = np.real(np.vecdot(a, m_a)).sum()
+    d1 = 2.0 * np.real(np.vecdot(b, m_a)).sum()
+    d2 = 2.0 * np.real(np.vecdot(b, np.matvec(m, b)) - np.vecdot(phases * phases * a, m_a)).sum()
+    return float(p), float(d1), float(d2)
+
+
 def _capon_start(c_x, factor, model, start, project):
     """Move a self-cancelling start to the Capon-spectrum peak nearby.
 
@@ -270,32 +285,28 @@ def _capon_start(c_x, factor, model, start, project):
     contrast is flat and the Newton search walks away.  The ratio of the
     Capon power ``1 / (a^H C^-1 a)`` to the delay-and-sum power
     ``a^H C a / d^2`` detects this; below ``_SELF_CANCELLATION`` the start
-    is replaced by the maximizer of the Capon spectrum in
-    ``[start - _STEP_CAP, start + _STEP_CAP]``: a coarse grid, then a bounded
-    scalar search inside the bracket of the best grid point.  Any other
-    start is returned unchanged.
+    is replaced by the maximizer of the Capon spectrum, ``-log(a^H C^-1 a)``,
+    that :func:`_safeguarded_newton` finds from the start within
+    ``[start - _STEP_CAP, start + _STEP_CAP]``.  Any other start is returned
+    unchanged.
     """
-    def inverse_power(lam):
-        # a^H C^-1 a on the loaded covariance, for one lam or a grid of them
-        a = np.exp(1j * np.multiply.outer(model.v, lam))
-        return np.sum(np.abs(factor @ a) ** 2, axis=0)
-
     a = core.steering(model, start)
-    ratio = model.d ** 2 / (inverse_power(start) * np.real(np.vdot(a, c_x @ a)))
+    g_a = factor @ a                                    # a^H C^-1 a = |G a|^2
+    ratio = model.d ** 2 / (np.real(np.vdot(g_a, g_a)) * np.real(np.vdot(a, c_x @ a)))
     if ratio >= _SELF_CANCELLATION:
         return start
-    import scipy.optimize
+    inverse = (factor.conj().T @ factor)[None]          # C^-1 = G^H G
 
-    # spacing _STEP_CAP / 32 = 1/64, well inside the 2 pi / d main lobe of
-    # a d-sensor ULA, so the best point brackets the peak
-    grid = start + np.linspace(-_STEP_CAP, _STEP_CAP, 65)
-    k = int(np.argmin(inverse_power(grid)))
-    bracket = (grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
-    peak = scipy.optimize.minimize_scalar(
-        lambda lam: np.log(inverse_power(lam)),
-        bounds=bracket, method="bounded", options={"xatol": 1e-10},
+    def derivatives(lam):
+        # of -log P: -P'/P and -P''/P + (P'/P)^2
+        p, d1, d2 = _steered_power(inverse, model.v[None], lam)
+        return -d1 / p, (d1 / p) ** 2 - d2 / p
+
+    lo, hi = start - _STEP_CAP, start + _STEP_CAP
+    peak, _, _, _ = _safeguarded_newton(
+        start, derivatives, _STEP_CAP, 2.0 * np.pi, lambda lam: min(max(lam, lo), hi), 100,
     )
-    moved = project(float(peak.x))
+    moved = project(peak)
     logger.debug(
         "start %.6g cancels its source (Capon/delay-and-sum power %.3g); "
         "moved to the Capon-spectrum peak %.10g", start, ratio, moved,

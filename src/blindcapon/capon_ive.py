@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capon_ice import _STEP_CAP, _MpdrStack, _safeguarded_newton
+from .capon_ice import _STEP_CAP, _MpdrStack, _safeguarded_newton, _steered_power
 from .core import COVARIANCE_EPS, covariance_factor, mpdr_weights
 from .errors import DomainError, SingularCovariance
 from .monte_carlo import SIR_CAP_DB
@@ -270,6 +270,20 @@ def _bin_stack(tensor, geom, fmin_hz, bins=None, covariances=None):
     return kernel, bins, flagged
 
 
+def _delay_search(geom, theta_ini_deg, omegas, derivatives, max_iters):
+    """The scalar search of :func:`run_ive` from ``theta_ini_deg``, for bins
+    at ``omegas``: its step cap, clip to ``|tau| <= spacing/c`` and stop."""
+    tau_max = geom.spacing_m / geom.c
+
+    def clip(tau):
+        return float(np.clip(tau, -tau_max, tau_max))
+
+    return _safeguarded_newton(
+        clip(theta_to_tau(geom, theta_ini_deg)), derivatives,
+        _STEP_CAP / float(np.max(omegas)), 2.0 * tau_max, clip, max_iters,
+    )
+
+
 def run_ive(
     tensor: StftTensor,
     geom: ArrayGeometry,
@@ -301,14 +315,8 @@ def run_ive(
         raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
     covariances = _covariances(tensor.data)
     kernel, bins, flagged = _bin_stack(tensor, geom, fmin_hz, covariances=covariances)
-    tau_max = geom.spacing_m / geom.c
-    tau, iterations, converged, fallbacks = _safeguarded_newton(
-        float(np.clip(theta_to_tau(geom, theta_ini_deg), -tau_max, tau_max)),
-        kernel.joint_derivatives,
-        _STEP_CAP / float(np.max(kernel.omegas)),
-        2.0 * tau_max,
-        lambda tau: float(np.clip(tau, -tau_max, tau_max)),
-        max_iters,
+    tau, iterations, converged, fallbacks = _delay_search(
+        geom, theta_ini_deg, kernel.omegas, kernel.joint_derivatives, max_iters
     )
     weights, extracted = _beamform(
         tensor, geom, tau_to_theta(geom, tau), covariances, EXTRACTION_LOADING
@@ -384,16 +392,14 @@ def srp_phat(
     fmin_hz: float = 100.0,
 ) -> SrpPhatResult:
     """Steered-response power with phase transform, refined by a local
-    derivative-free search from ``theta_ini_deg``.
+    search from ``theta_ini_deg``.
 
     The per-bin cross-spectra are PHAT-normalized elementwise and averaged
-    over frames; the steered power is maximized with Nelder-Mead.  If the
-    search cannot improve on the initial point (no spatial structure) the
-    initial angle is returned with ``stalled=True``.  A non-finite start
-    raises :class:`DomainError`.
+    over frames; the steered power is maximized in the delay by the scalar
+    search of :func:`run_ive`, at most 100 iterations.  If the power there
+    shows no spatial structure the initial angle is returned with
+    ``stalled=True``.  A non-finite start raises :class:`DomainError`.
     """
-    import scipy.optimize
-
     if not np.isfinite(theta_ini_deg):
         raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
     if geom.d != tensor.n_channels:
@@ -401,28 +407,16 @@ def srp_phat(
     included = _included_bins(tensor, fmin_hz)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()[included]
     xn = tensor.data[included]
-    mag = np.abs(xn)
-    xn = xn / np.maximum(mag, 1e-30)
-    r = np.einsum("kdt,ket->kde", xn, xn.conj()) / tensor.n_frames
-    v = np.arange(geom.d, dtype=float)
-
-    def power(theta):
-        theta = float(np.clip(theta, 0.0, 180.0))
-        tau = theta_to_tau(geom, theta)
-        a = np.exp(1j * np.outer(omegas * tau, v))               # (B, d)
-        return float(np.real(np.einsum("kd,kde,ke->", a.conj(), r, a)))
-
-    res = scipy.optimize.minimize(
-        lambda t: -power(t[0]),
-        x0=[theta_ini_deg],
-        method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 200},
+    r = _covariances(xn / np.maximum(np.abs(xn), 1e-30))
+    phases = omegas[:, None] * np.arange(geom.d, dtype=float)
+    tau, _, _, _ = _delay_search(
+        geom, theta_ini_deg, omegas, lambda tau: _steered_power(r, phases, tau)[1:], 100
     )
-    theta = float(np.clip(res.x[0], 0.0, 180.0))
+    theta = tau_to_theta(geom, tau)
     # the PHAT-normalized diagonal contributes exactly K*d; the off-diagonal
     # mass measures spatial coherence.  No coherence -> flagged stall.
     baseline = included.size * geom.d
-    structure = (power(theta) - baseline) / (baseline * (geom.d - 1))
+    structure = (_steered_power(r, phases, tau)[0] - baseline) / (baseline * (geom.d - 1))
     stalled = structure < 0.01
     if stalled:
         theta = float(theta_ini_deg)

@@ -21,7 +21,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import bounds as bounds_mod
@@ -45,7 +44,6 @@ def _versions() -> dict:
     return {
         "blindcapon": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
 

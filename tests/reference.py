@@ -8,7 +8,8 @@ derivatives, so these live here as the independent oracle for the
 finite-difference and statistics checks.  The derivatives themselves are
 here too, in the per-problem form that includes the gradient in ``w``
 (:func:`_mpdr_derivatives`), as the oracle of the solvers' kernel, and so
-are the draws of the Monte Carlo sources.
+are the draws of the Monte Carlo sources and the SRP-PHAT search as it ran
+on scipy's Nelder-Mead (:func:`srp_phat_nelder_mead`).
 
 Nonlinearities follow the conjugating score convention: for a circular
 Gaussian source the score is ``phi(s) = conj(s)``, and the normalizer
@@ -20,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from blindcapon import monte_carlo
+from blindcapon import capon_ive, monte_carlo
 from blindcapon.core import (
     SnapshotMatrix,
     SteeringModel,
@@ -360,3 +361,31 @@ def draw_sources_loop(rng: np.random.Generator, law: str, d: int, n: int) -> np.
 def draw_sources(spec: monte_carlo.MixtureSpec) -> np.ndarray:
     """Unit-variance source matrix ``d x N`` for the spec's seed and law."""
     return monte_carlo._draw(spec)[1]
+
+
+def srp_phat_nelder_mead(tensor, geom, theta_ini_deg, fmin_hz=100.0) -> float:
+    """The SRP-PHAT DOA (degrees) maximized by Nelder-Mead in the angle
+    from ``theta_ini_deg``: the per-bin cross-spectra PHAT-normalized
+    elementwise and averaged over frames, as ``capon_ive.srp_phat`` forms
+    them."""
+    import scipy.optimize
+
+    included = capon_ive._included_bins(tensor, fmin_hz)
+    omegas = 2.0 * np.pi * tensor.bin_frequencies()[included]
+    xn = tensor.data[included]
+    xn = xn / np.maximum(np.abs(xn), 1e-30)
+    r = np.einsum("kdt,ket->kde", xn, xn.conj()) / tensor.n_frames
+    v = np.arange(geom.d, dtype=float)
+
+    def power(theta):
+        tau = capon_ive.theta_to_tau(geom, float(np.clip(theta, 0.0, 180.0)))
+        a = np.exp(1j * np.outer(omegas * tau, v))               # (B, d)
+        return float(np.real(np.einsum("kd,kde,ke->", a.conj(), r, a)))
+
+    res = scipy.optimize.minimize(
+        lambda t: -power(t[0]),
+        x0=[theta_ini_deg],
+        method="Nelder-Mead",
+        options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 200},
+    )
+    return float(np.clip(res.x[0], 0.0, 180.0))

@@ -207,6 +207,25 @@ def test_second_derivative_negative_near_truth():
     assert reference.second_derivative_approx(x, state) < 0.0
 
 
+def test_steered_power_derivatives_match_finite_differences():
+    rng = RNG(52)
+    z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    m = z + np.conj(np.swapaxes(z, -1, -2))                     # Hermitian, indefinite
+    phases = rng.uniform(-3.0, 3.0, (3, 4))                      # non-integer
+    param, h = 0.37, 1e-4
+
+    def power(p):
+        a = np.exp(1j * phases * p)
+        return float(np.real(np.einsum("kd,kde,ke->", a.conj(), m, a)))
+
+    p, d1, d2 = capon_ice._steered_power(m, phases, param)
+    assert p == pytest.approx(power(param), rel=1e-12)
+    fd1 = (power(param + h) - power(param - h)) / (2 * h)
+    fd2 = (power(param + h) - 2 * power(param) + power(param - h)) / h ** 2
+    assert d1 == pytest.approx(fd1, rel=1e-6)
+    assert d2 == pytest.approx(fd2, rel=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # the Newton search
 # ---------------------------------------------------------------------------
@@ -306,7 +325,11 @@ def test_capon_start_moves_only_self_cancelling_starts(caplog):
         c_x, core.covariance_factor(c_x), model, 0.9, capon_ice.wrap_angle
     )
     assert abs(start - 0.8) <= 1e-6
-    assert len(caplog.records) == 1
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("cancels its source" in m for m in messages) == 1
+    # the move is the scalar search's, which logs its iterations and stop
+    assert any(m.startswith("param ") for m in messages)
+    assert any(m.startswith("stop: ") for m in messages)
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,18 @@ def test_srp_phat_two_sources(broadband_fixture):
         assert abs(res.theta_deg - theta_true) < 1.0
 
 
+@pytest.mark.parametrize("offset", [-5.0, 5.0])
+def test_srp_phat_matches_nelder_mead(broadband_fixture, offset):
+    # the scalar search and the derivative-free oracle find the same peak
+    fx = broadband_fixture
+    tensor = fx.tensor()
+    for theta_true in fx.thetas_deg:
+        res = capon_ive.srp_phat(tensor, fx.geom, theta_true + offset)
+        want = reference.srp_phat_nelder_mead(tensor, fx.geom, theta_true + offset)
+        assert not res.stalled
+        assert abs(res.theta_deg - want) < 1e-4
+
+
 def test_srp_phat_stalls_on_white_noise():
     rng = RNG(12)
     geom = capon_ive.ArrayGeometry(spacing_m=0.05, d=4)

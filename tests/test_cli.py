@@ -11,7 +11,7 @@ import pytest
 
 import blindcapon
 from blindcapon import bounds, capon_ive, cli, monte_carlo
-from conftest import build_broadband_fixture, riff_bytes, wav_fmt
+from conftest import riff_bytes, wav_fmt
 
 
 def read_csv(path):
@@ -418,21 +418,14 @@ def test_extract_malformed_wav_exit_code(tmp_path, capsys, case):
 
 
 # ---------------------------------------------------------------------------
-# start-up: a command loads only the scipy subpackages it uses
+# the runtime is numpy only
 # ---------------------------------------------------------------------------
 
-HEAVY_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.linalg", "scipy.io", "scipy.stats",
-               "scipy.sparse")
-
-
-def heavy_scipy_loaded(code):
+def run_without_scipy(code):
     """Run ``code`` in a fresh interpreter, with the package and this
-    directory importable, and return the :data:`HEAVY_SCIPY` subpackages
-    loaded by its end."""
-    code += (
-        "import json, sys\n"
-        f"print(json.dumps([m for m in {HEAVY_SCIPY!r} if m in sys.modules]))\n"
-    )
+    directory importable and every scipy import raising, and fail unless it
+    exits cleanly."""
+    code = "import sys\nsys.modules['scipy'] = None\n" + code
     src = os.path.dirname(os.path.dirname(blindcapon.__file__))
     path = [src, os.path.dirname(__file__), *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
@@ -441,16 +434,31 @@ def heavy_scipy_loaded(code):
         capture_output=True, text=True, timeout=300, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
-def heavy_scipy_after(commands):
-    """:func:`heavy_scipy_loaded` after ``cli.main`` on each argv."""
-    return heavy_scipy_loaded(
-        "from blindcapon import cli\n"
+def run_without_scipy_after(commands, code=""):
+    """:func:`run_without_scipy` of ``code``, then ``cli.main`` on each argv."""
+    run_without_scipy(
+        code
+        + "from blindcapon import cli\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
     )
+
+
+def write_fixture_code(mix_path):
+    """Code that builds the conftest broadband fixture and writes its mix."""
+    return (
+        "from blindcapon import capon_ive\n"
+        "from conftest import build_broadband_fixture\n"
+        "fx = build_broadband_fixture(duration_s=0.5)\n"
+        f"capon_ive.write_wav({str(mix_path)!r}, fx.sample_rate, fx.mix)\n"
+    )
+
+
+def extract_args(mix_path, method, out_dir):
+    return ["extract", "--in", str(mix_path), "--theta-ini", "70", "--fft", "512",
+            "--hop", "128", "--method", method, "--out-dir", str(out_dir)]
 
 
 def test_bounds_and_simulate_load_no_heavy_scipy(tmp_path):
@@ -459,26 +467,35 @@ def test_bounds_and_simulate_load_no_heavy_scipy(tmp_path):
         ["simulate", "--trials", "2", "--lambda-grid", "0.3:0.3:1",
          "--methods", ",".join(monte_carlo.KNOWN_METHODS), "--out", str(tmp_path)],
     ]
-    assert heavy_scipy_after(commands) == []
+    run_without_scipy_after(commands)
+    manifest = read_json(tmp_path / "simulate.manifest.json")
+    assert "numpy" in manifest["versions"]
+    assert "scipy" not in manifest["versions"]
 
 
 def test_extract_ive_loads_no_heavy_scipy(tmp_path):
-    fx = build_broadband_fixture(duration_s=0.5)
     mix_path = tmp_path / "mix.wav"
-    capon_ive.write_wav(mix_path, fx.sample_rate, fx.mix)
-    commands = [[
-        "extract", "--in", str(mix_path), "--theta-ini", "70", "--fft", "512",
-        "--hop", "128", "--out-dir", str(tmp_path / "ive"),
-    ]]
-    assert heavy_scipy_after(commands) == []
+    run_without_scipy_after([extract_args(mix_path, "ive", tmp_path / "ive")],
+                            write_fixture_code(mix_path))
 
 
 def test_broadband_fixture_build_loads_no_heavy_scipy(tmp_path):
     # speech_shaped_noise, anechoic_phase_mix and write_wav
-    code = (
-        "from blindcapon import capon_ive\n"
-        "from conftest import build_broadband_fixture\n"
-        "fx = build_broadband_fixture(duration_s=0.5)\n"
-        f"capon_ive.write_wav({str(tmp_path / 'mix.wav')!r}, fx.sample_rate, fx.mix)\n"
+    run_without_scipy(write_fixture_code(tmp_path / "mix.wav"))
+
+
+def test_srpphat_mpdr_and_capon_start_need_no_scipy(tmp_path):
+    # the SRP-PHAT delay search, and the criterion-6 lone source whose
+    # CaponICE start 0.1 away cancels it and is refined
+    mix_path = tmp_path / "mix.wav"
+    code = write_fixture_code(mix_path) + (
+        "import numpy as np\n"
+        "from blindcapon import capon_ice, core\n"
+        "rng, model = np.random.default_rng(606), core.ula(5)\n"
+        "s = core.complex_laplacean(rng, 10_000)\n"
+        "floor = 1e-5 * np.vstack([core.complex_gaussian(rng, 10_000) for _ in range(5)])\n"
+        "x = core.SnapshotMatrix(np.outer(core.steering(model, 0.8), s) + floor)\n"
+        "res = capon_ice.run(x, model, 0.9, max_iters=300)\n"
+        "assert abs(res.lam - 0.8) <= 1e-6, res.lam\n"
     )
-    assert heavy_scipy_loaded(code) == []
+    run_without_scipy_after([extract_args(mix_path, "srpphat+mpdr", tmp_path / "mpdr")], code)
