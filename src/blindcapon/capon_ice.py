@@ -4,8 +4,9 @@ The search maximizes the orthogonally-constrained sample contrast over the
 scalar ``lam`` on the one-problem case of :class:`_MpdrStack`, the kernel
 that the broadband search also uses.  Each iteration rebuilds the steering
 vectors, MPDR weights and extracted signals, then steps the parameter by
-the bracketed scalar search of :func:`_safeguarded_newton`: Newton steps
-until the first derivative changes sign, then secant or bisection steps.
+the bracketed scalar search of :func:`_safeguarded_newton`: Newton steps,
+grown or replaced by secant steps where they fall short, until the first
+derivative changes sign, then secant or bisection steps.
 """
 
 import functools
@@ -186,11 +187,17 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     ``0.1 * max_step`` otherwise (a fallback).  On a convex approach the
     at-solution ``d2`` makes those steps far too short: once ``|d1|`` has
     not fallen for ``_STALLS_BEFORE_GROWTH`` consecutive iterations, each
-    step is at least twice the previous one.  Steps are capped at
-    ``max_step``.  Once ``d1`` has taken both signs, ``lo`` (``d1 > 0``) and
-    ``hi`` (``d1 < 0``) bracket a maximum, and the step is the secant
-    through the last two iterates when it lands strictly inside the
-    bracket, the bisection otherwise.
+    step is at least twice the previous one.  Where ``d2`` overstates the
+    curvature on a concave approach, ``|d1|`` falls by a steady ratio:
+    once it has fallen to between half and all of its last value for
+    ``_STALLS_BEFORE_GROWTH`` consecutive iterations, and the secant slope
+    ``s`` of ``d1`` through the last two iterates satisfies ``d2 < s < 0``,
+    the step is the secant step ``-d1/s``, at most the longer of the Newton
+    step and twice the previous step.  Steps are capped at ``max_step``.
+    Once ``d1`` has taken both signs, ``lo`` (``d1 > 0``) and ``hi``
+    (``d1 < 0``) bracket a maximum, and the step is the secant through the
+    last two iterates when it lands strictly inside the bracket, the
+    bisection otherwise.
 
     The bracket lives in unwrapped coordinates; ``project`` maps a parameter
     into the admissible region (a wrap, a clip or a guard that raises) only
@@ -211,7 +218,7 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     param = unwrapped = start
     lo = hi = prev = None           # prev: (unwrapped, d1) of the last iterate
     step = 0.0
-    stalls = fallbacks = iterations = 0
+    stalls = slow = fallbacks = iterations = 0
     reason = "max_iters"
     for iterations in range(1, max_iters + 1):
         d1, d2 = derivatives(param)
@@ -235,9 +242,17 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
                 # wrong curvature (c1 >= 0 mid-iteration): safeguarded ascent step
                 newton = math.copysign(0.1 * max_step, d1)
                 fallbacks += 1
-            stalls = stalls + 1 if prev is not None and abs(d1) >= abs(prev[1]) else 0
+            # |d1| over its last value: >= 1 stalls, [0.5, 1) falls slowly
+            ratio = 0.0 if prev is None else abs(d1) / abs(prev[1]) if prev[1] else math.inf
+            stalls = stalls + 1 if ratio >= 1.0 else 0
+            slow = slow + 1 if 0.5 <= ratio < 1.0 else 0
+            longest = max(abs(newton), 2.0 * abs(step))
             if stalls >= _STALLS_BEFORE_GROWTH:
-                newton = math.copysign(max(abs(newton), 2.0 * abs(step)), newton)
+                newton = math.copysign(longest, newton)
+            elif slow >= _STALLS_BEFORE_GROWTH:
+                slope = (d1 - prev[1]) / (unwrapped - prev[0])
+                if d2 < slope < 0.0:
+                    newton = math.copysign(min(abs(d1 / slope), longest), d1)
             step = min(max(newton, -max_step), max_step)
         logger.debug("param %.12g d1 %.6g d2 %.6g step %.6g", param, d1, d2, step)
         new_param = project(param + step)
@@ -262,19 +277,39 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     return param, iterations, reason != "max_iters", fallbacks
 
 
-def _steered_power(m, phases, param):
-    """``(P, P', P'')``: the power ``P = sum_k a_k^H m_k a_k`` steered at
-    ``a_k = exp(1j param phases_k)`` for Hermitian ``m`` ``(B, d, d)`` and
-    ``phases`` ``(B, d)``, and its derivatives along ``param``: with
-    ``b = 1j phases * a``, ``P' = 2 Re sum b^H m a`` and
-    ``P'' = 2 Re sum (b^H m b - (phases^2 * a)^H m a)``."""
+def _steered_powers(m, phases, param):
+    """Per problem ``(P, P', P'')``: the power ``P_k = a_k^H m_k a_k``
+    steered at ``a_k = exp(1j param phases_k)`` for Hermitian ``m``
+    ``(B, d, d)`` and ``phases`` ``(B, d)``, and its derivatives along
+    ``param``: with ``b = 1j phases * a``, ``P' = 2 Re b^H m a`` and
+    ``P'' = 2 Re (b^H m b - (phases^2 * a)^H m a)``; three ``(B,)`` arrays."""
     a = np.exp(1j * (phases * param))
     b = 1j * phases * a
     m_a = np.matvec(m, a)
-    p = np.real(np.vecdot(a, m_a)).sum()
-    d1 = 2.0 * np.real(np.vecdot(b, m_a)).sum()
-    d2 = 2.0 * np.real(np.vecdot(b, np.matvec(m, b)) - np.vecdot(phases * phases * a, m_a)).sum()
-    return float(p), float(d1), float(d2)
+    p = np.real(np.vecdot(a, m_a))
+    d1 = 2.0 * np.real(np.vecdot(b, m_a))
+    d2 = 2.0 * np.real(np.vecdot(b, np.matvec(m, b)) - np.vecdot(phases * phases * a, m_a))
+    return p, d1, d2
+
+
+def _steered_power(m, phases, param):
+    """:func:`_steered_powers` summed over the problems, as floats."""
+    return tuple(float(t.sum()) for t in _steered_powers(m, phases, param))
+
+
+def _capon_spectrum(inverses, phases):
+    """``derivatives(param)`` for :func:`_safeguarded_newton` of the Capon
+    spectrum ``-mean_k log(a_k^H C_k^-1 a_k)`` of the stack of inverse
+    covariances ``inverses`` ``(B, d, d)``, steered at
+    ``a_k = exp(1j param phases_k)``: per problem ``-log P`` has the
+    derivatives ``-P'/P`` and ``(P'/P)^2 - P''/P``."""
+
+    def derivatives(param):
+        p, d1, d2 = _steered_powers(inverses, phases, param)
+        slope = d1 / p
+        return float(-slope.mean()), float((slope * slope - d2 / p).mean())
+
+    return derivatives
 
 
 def _capon_start(c_x, factor, model, start, project):
@@ -296,15 +331,10 @@ def _capon_start(c_x, factor, model, start, project):
     if ratio >= _SELF_CANCELLATION:
         return start
     inverse = (factor.conj().T @ factor)[None]          # C^-1 = G^H G
-
-    def derivatives(lam):
-        # of -log P: -P'/P and -P''/P + (P'/P)^2
-        p, d1, d2 = _steered_power(inverse, model.v[None], lam)
-        return -d1 / p, (d1 / p) ** 2 - d2 / p
-
     lo, hi = start - _STEP_CAP, start + _STEP_CAP
     peak, _, _, _ = _safeguarded_newton(
-        start, derivatives, _STEP_CAP, 2.0 * np.pi, lambda lam: min(max(lam, lo), hi), 100,
+        start, _capon_spectrum(inverse, model.v[None]), _STEP_CAP, 2.0 * np.pi,
+        lambda lam: min(max(lam, lo), hi), 100,
     )
     moved = project(peak)
     logger.debug(

@@ -16,7 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capon_ice import _STEP_CAP, _MpdrStack, _safeguarded_newton, _steered_power
+from .capon_ice import (
+    _STEP_CAP, _MpdrStack, _capon_spectrum, _safeguarded_newton, _steered_power,
+)
 from .core import COVARIANCE_EPS, covariance_factor, mpdr_weights
 from .errors import DomainError, SingularCovariance
 from .monte_carlo import SIR_CAP_DB
@@ -180,7 +182,8 @@ def tau_to_theta(geom: ArrayGeometry, tau_s: float) -> float:
 class IveResult:
     theta_deg: float
     tau_s: float
-    iterations: int
+    iterations: int                     # of the search from the Capon-spectrum peak
+    start_iterations: int               # of the climb to that peak
     converged: bool
     weights: np.ndarray                 # (K, d) per-bin separating vectors
     extracted: np.ndarray               # (K, n_frames) extracted spectrogram
@@ -270,8 +273,8 @@ def _bin_stack(tensor, geom, fmin_hz, bins=None, covariances=None):
     return kernel, bins, flagged
 
 
-def _delay_search(geom, theta_ini_deg, omegas, derivatives, max_iters):
-    """The scalar search of :func:`run_ive` from ``theta_ini_deg``, for bins
+def _delay_search(geom, tau, omegas, derivatives, max_iters):
+    """The scalar search of :func:`run_ive` from the delay ``tau``, for bins
     at ``omegas``: its step cap, clip to ``|tau| <= spacing/c`` and stop."""
     tau_max = geom.spacing_m / geom.c
 
@@ -279,9 +282,22 @@ def _delay_search(geom, theta_ini_deg, omegas, derivatives, max_iters):
         return float(np.clip(tau, -tau_max, tau_max))
 
     return _safeguarded_newton(
-        clip(theta_to_tau(geom, theta_ini_deg)), derivatives,
-        _STEP_CAP / float(np.max(omegas)), 2.0 * tau_max, clip, max_iters,
+        clip(tau), derivatives, _STEP_CAP / float(np.max(omegas)), 2.0 * tau_max, clip,
+        max_iters,
     )
+
+
+def _capon_peak(kernel, geom, tau, max_iters):
+    """The peak of the broadband Capon spectrum
+    ``-mean_k log(a_k^H C_k^-1 a_k)`` over the bins of ``kernel`` that
+    :func:`_delay_search` climbs to from ``tau``; returns ``(tau, iterations)``.
+    An evaluation costs ``O(B d^2)`` on the kernel's factors, with no pass
+    over the frames."""
+    f = kernel.factors
+    inverses = np.conj(np.swapaxes(f, -1, -2)) @ f          # C^-1 = G^H G
+    derivatives = _capon_spectrum(inverses, kernel.omegas[:, None] * kernel.v)
+    peak, iterations, _, _ = _delay_search(geom, tau, kernel.omegas, derivatives, max_iters)
+    return peak, iterations
 
 
 def run_ive(
@@ -294,6 +310,11 @@ def run_ive(
     """Joint bracketed Newton search over the single delay parameter, from
     the DOA ``theta_ini_deg`` (degrees), at most ``max_iters`` iterations.
 
+    The search starts at the peak of the broadband Capon spectrum
+    ``-mean_k log(a_k^H C_k^-1 a_k)`` that the same scalar search climbs to
+    from ``theta_ini_deg``, in at most ``max_iters`` iterations of
+    ``O(bins d^2)`` each on the bins' covariance factors
+    (``start_iterations``); ``iterations`` counts the search from there.
     Per iteration each included bin rebuilds its steering vector,
     distortionless weights and normalized source samples; the joint
     rational nonlinearity
@@ -308,15 +329,30 @@ def run_ive(
     physical range ``|tau| <= spacing/c``.  The search has converged when a
     step or the bracket falls to 1e-9 of that range, ``2 spacing/c``, or
     when it rests on an end of the range.  Bins below ``fmin_hz`` and the
-    Nyquist bin are excluded.  A non-finite start raises
+    Nyquist bin are excluded.  When the loudest bin's power lies outside
+    ``[sqrt(tiny), sqrt(max)]`` of the tensor's precision (single precision
+    audio near 1e-19 of full scale), both searches run on the tensor scaled
+    by the power of two that brings that power near 1, which is exact; the
+    result is on the input's scale.  A non-finite start raises
     :class:`DomainError`.
     """
     if not np.isfinite(theta_ini_deg):
         raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
     covariances = _covariances(tensor.data)
-    kernel, bins, flagged = _bin_stack(tensor, geom, fmin_hz, covariances=covariances)
+    searched = tensor
+    # the search squares the snapshots in their own precision
+    info = np.finfo(tensor.data.real.dtype)
+    loudest = np.max(np.real(np.diagonal(covariances, axis1=-2, axis2=-1)))
+    if not np.sqrt(info.tiny) <= loudest <= np.sqrt(info.max):
+        scale = info.dtype.type(2.0 ** -(np.frexp(loudest)[1] // 2))
+        searched = StftTensor(tensor.data * scale, tensor.sample_rate, tensor.fft_len, tensor.hop)
+        covariances = _covariances(searched.data)
+    kernel, bins, flagged = _bin_stack(searched, geom, fmin_hz, covariances=covariances)
+    start, start_iterations = _capon_peak(
+        kernel, geom, theta_to_tau(geom, theta_ini_deg), max_iters
+    )
     tau, iterations, converged, fallbacks = _delay_search(
-        geom, theta_ini_deg, kernel.omegas, kernel.joint_derivatives, max_iters
+        geom, start, kernel.omegas, kernel.joint_derivatives, max_iters
     )
     weights, extracted = _beamform(
         tensor, geom, tau_to_theta(geom, tau), covariances, EXTRACTION_LOADING
@@ -326,6 +362,7 @@ def run_ive(
         theta_deg=tau_to_theta(geom, tau),
         tau_s=tau,
         iterations=iterations,
+        start_iterations=start_iterations,
         converged=converged,
         weights=weights,
         extracted=extracted,
@@ -410,7 +447,8 @@ def srp_phat(
     r = _covariances(xn / np.maximum(np.abs(xn), 1e-30))
     phases = omegas[:, None] * np.arange(geom.d, dtype=float)
     tau, _, _, _ = _delay_search(
-        geom, theta_ini_deg, omegas, lambda tau: _steered_power(r, phases, tau)[1:], 100
+        geom, theta_to_tau(geom, theta_ini_deg), omegas,
+        lambda tau: _steered_power(r, phases, tau)[1:], 100,
     )
     theta = tau_to_theta(geom, tau)
     # the PHAT-normalized diagonal contributes exactly K*d; the off-diagonal

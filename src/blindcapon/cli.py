@@ -191,6 +191,7 @@ def cmd_extract(args) -> int:
         report.update(
             theta_hat_deg=result.theta_deg,
             iterations=result.iterations,
+            start_iterations=result.start_iterations,
             converged=result.converged,
             gradient_fallbacks=result.gradient_fallbacks,
             per_bin_flags={

@@ -385,6 +385,25 @@ def test_search_grows_steps_on_a_convex_approach_then_brackets(start, max_step):
     assert np.all(np.abs(moves[:-1]) > tol)
 
 
+def skewed_bump(p):
+    """``(d1, d2)`` of a bump at 0 twice as wide on its left as on its
+    right: from the left its curvature is -1/4, ten times below d2 = -2.5,
+    so Newton steps cover a tenth of the way and |d1| falls slowly."""
+    d1 = -(p / 4.0) * math.exp(-p * p / 8.0) if p < 0.0 else -p * math.exp(-0.5 * p * p)
+    return d1, -2.5
+
+
+@pytest.mark.parametrize("start", [-4.0, -6.0, -8.0])
+def test_search_takes_secant_steps_where_newton_steps_fall_short(start):
+    # Newton steps alone stop at max_iters, 1e-4 short of the peak
+    param, iterations, converged, fallbacks = capon_ice._safeguarded_newton(
+        start, skewed_bump, 1.0, 10.0, lambda p: p, 100
+    )
+    assert converged and fallbacks == 0
+    assert abs(param) <= 1e-8
+    assert iterations <= 40
+
+
 def test_search_stop_scales_with_the_range():
     # over a 1e6 times wider range the search stops at a 1e6 times longer step
     (fine, fine_iters, _, _), _, _ = bump_search(0.3)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -216,6 +217,20 @@ def test_extract_reports_the_single_precision_search(tmp_path, broadband_wavs):
     res = capon_ive.run_ive(tensor, fx.geom, theta_ini)
     assert report["theta_hat_deg"] == float(f"{res.theta_deg:.9g}")
     assert report["iterations"] == res.iterations
+
+
+def test_extract_reports_and_logs_both_searches(tmp_path, broadband_wavs, caplog):
+    # the climb to the Capon-spectrum peak, then the search from there
+    caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
+    mix_path, _, fx = broadband_wavs
+    report = extract_report(tmp_path, mix_path, fx.thetas_deg[0] + 5.0)
+    messages = [r.getMessage() for r in caplog.records if r.name == "blindcapon.capon_ice"]
+    stops = [m for m in messages if m.startswith("stop: ")]
+    assert len(stops) == 2
+    assert f"after {report['start_iterations']} iterations" in stops[0]
+    assert f"after {report['iterations']} iterations" in stops[1]
+    steps = sum(m.startswith("param ") for m in messages)
+    assert steps == report["start_iterations"] + report["iterations"]
 
 
 def write_float64_wav(path, sample_rate, signal):
