@@ -5,7 +5,7 @@ scalar ``lam`` on the one-problem case of :class:`_MpdrStack`, the kernel
 that the broadband search also uses.  Each iteration rebuilds the steering
 vectors, MPDR weights and extracted signals, then steps the parameter by
 the bracketed scalar search of :func:`_safeguarded_newton`: Newton steps,
-grown or replaced by secant steps where they fall short, until the first
+corrected by secant steps or grown where they fall short, until the first
 derivative changes sign, then secant or bisection steps.
 """
 
@@ -184,20 +184,24 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
 
     Until ``d1`` has taken both signs, the step is the Newton step
     ``-d1/d2`` when ``d2`` is negative (a maximum), and an ascent step of
-    ``0.1 * max_step`` otherwise (a fallback).  On a convex approach the
-    at-solution ``d2`` makes those steps far too short: once ``|d1|`` has
-    not fallen for ``_STALLS_BEFORE_GROWTH`` consecutive iterations, each
-    step is at least twice the previous one.  Where ``d2`` overstates the
-    curvature on a concave approach, ``|d1|`` falls by a steady ratio:
-    once it has fallen to between half and all of its last value for
-    ``_STALLS_BEFORE_GROWTH`` consecutive iterations, and the secant slope
-    ``s`` of ``d1`` through the last two iterates satisfies ``d2 < s < 0``,
-    the step is the secant step ``-d1/s``, at most the longer of the Newton
-    step and twice the previous step.  Steps are capped at ``max_step``.
-    Once ``d1`` has taken both signs, ``lo`` (``d1 > 0``) and ``hi``
-    (``d1 < 0``) bracket a maximum, and the step is the secant through the
-    last two iterates when it lands strictly inside the bracket, the
-    bisection otherwise.
+    ``0.1 * max_step`` otherwise (a fallback).  The at-solution ``d2`` is
+    off the true curvature, so Newton steps alone shrink ``|d1|`` by a
+    fixed ratio per step; the secant slope ``s`` of ``d1`` through the last
+    two iterates corrects them.  When ``|d1|`` fell on the last step and
+    ``s`` agrees with ``d2`` within a factor of two (``2 d2 < s < d2/2``),
+    the step is the secant step ``-d1/s``.  Where ``d2`` overstates the
+    curvature further, ``|d1|`` falls slowly: once it has fallen to between
+    half and all of its last value for ``_STALLS_BEFORE_GROWTH``
+    consecutive iterations, the secant step is taken whenever
+    ``d2 < s < 0``, for as long as ``|d1|`` keeps falling.  A secant step
+    is at most the longer of the Newton step and twice the previous step.
+    On a convex approach the at-solution ``d2`` makes the steps far too
+    short: once ``|d1|`` has not fallen for ``_STALLS_BEFORE_GROWTH``
+    consecutive iterations, each step is at least twice the previous one.
+    Steps are capped at ``max_step``.  Once ``d1`` has taken both signs,
+    ``lo`` (``d1 > 0``) and ``hi`` (``d1 < 0``) bracket a maximum, and the
+    step is the secant through the last two iterates when it lands strictly
+    inside the bracket, the bisection otherwise.
 
     The bracket lives in unwrapped coordinates; ``project`` maps a parameter
     into the admissible region (a wrap, a clip or a guard that raises) only
@@ -207,8 +211,9 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     on the edge of a clipped range).  At most ``max_iters`` iterations are
     taken; ``max_iters < 1`` raises :class:`DomainError` and non-finite
     derivatives raise :class:`Diverged`.  Each iteration (param, d1, d2,
-    step) and each stop (reason, iterations, param, fallbacks) is logged at
-    DEBUG level.
+    step and the rule that chose it: ``newton``, ``secant``, ``growth``,
+    ``ascent``, ``bracket-secant`` or ``bisection``) and each stop (reason,
+    iterations, param, fallbacks) is logged at DEBUG level.
 
     Returns ``(param, iterations, converged, fallbacks)``.
     """
@@ -219,6 +224,7 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     lo = hi = prev = None           # prev: (unwrapped, d1) of the last iterate
     step = 0.0
     stalls = slow = fallbacks = iterations = 0
+    armed = False
     reason = "max_iters"
     for iterations in range(1, max_iters + 1):
         d1, d2 = derivatives(param)
@@ -229,32 +235,35 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
         elif d1 < 0.0:
             hi = unwrapped
         if lo is not None and hi is not None:
-            target = 0.5 * (lo + hi)
+            target, rule = 0.5 * (lo + hi), "bisection"
             if d1 != prev[1]:
                 secant = unwrapped - d1 * (unwrapped - prev[0]) / (d1 - prev[1])
                 if lo < secant < hi:
-                    target = secant
+                    target, rule = secant, "bracket-secant"
             step = target - unwrapped
         else:
             if d2 < 0.0:
-                newton = -d1 / d2
+                newton, rule = -d1 / d2, "newton"
             else:
                 # wrong curvature (c1 >= 0 mid-iteration): safeguarded ascent step
-                newton = math.copysign(0.1 * max_step, d1)
+                newton, rule = math.copysign(0.1 * max_step, d1), "ascent"
                 fallbacks += 1
             # |d1| over its last value: >= 1 stalls, [0.5, 1) falls slowly
             ratio = 0.0 if prev is None else abs(d1) / abs(prev[1]) if prev[1] else math.inf
+            falling = 0.0 < ratio < 1.0
             stalls = stalls + 1 if ratio >= 1.0 else 0
             slow = slow + 1 if 0.5 <= ratio < 1.0 else 0
+            # a slow descent arms the secant, and |d1| falling keeps it armed
+            armed = slow >= _STALLS_BEFORE_GROWTH or (armed and falling)
             longest = max(abs(newton), 2.0 * abs(step))
             if stalls >= _STALLS_BEFORE_GROWTH:
-                newton = math.copysign(longest, newton)
-            elif slow >= _STALLS_BEFORE_GROWTH:
+                newton, rule = math.copysign(longest, newton), "growth"
+            elif falling:
                 slope = (d1 - prev[1]) / (unwrapped - prev[0])
-                if d2 < slope < 0.0:
-                    newton = math.copysign(min(abs(d1 / slope), longest), d1)
+                if (armed and d2 < slope < 0.0) or 2.0 * d2 < slope < 0.5 * d2:
+                    newton, rule = math.copysign(min(abs(d1 / slope), longest), d1), "secant"
             step = min(max(newton, -max_step), max_step)
-        logger.debug("param %.12g d1 %.6g d2 %.6g step %.6g", param, d1, d2, step)
+        logger.debug("param %.12g d1 %.6g d2 %.6g step %.6g rule %s", param, d1, d2, step, rule)
         new_param = project(param + step)
         # the move in unwrapped coordinates: a wrap shifts by whole ranges
         moved = math.remainder(new_param - param, scale)

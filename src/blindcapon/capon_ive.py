@@ -329,12 +329,13 @@ def run_ive(
     physical range ``|tau| <= spacing/c``.  The search has converged when a
     step or the bracket falls to 1e-9 of that range, ``2 spacing/c``, or
     when it rests on an end of the range.  Bins below ``fmin_hz`` and the
-    Nyquist bin are excluded.  When the loudest bin's power lies outside
+    Nyquist bin are excluded.  When a bin's power lies outside
     ``[sqrt(tiny), sqrt(max)]`` of the tensor's precision (single precision
-    audio near 1e-19 of full scale), both searches run on the tensor scaled
-    by the power of two that brings that power near 1, which is exact; the
-    result is on the input's scale.  A non-finite start raises
-    :class:`DomainError`.
+    audio near 1e-19 of full scale, or bins that span more than that
+    range), both searches run on the tensor with each bin scaled by the
+    power of two that brings its power near 1.  The scaling is exact and
+    the contrast is invariant to it; the result is on the input's scale.
+    A non-finite start raises :class:`DomainError`.
     """
     if not np.isfinite(theta_ini_deg):
         raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
@@ -342,10 +343,13 @@ def run_ive(
     searched = tensor
     # the search squares the snapshots in their own precision
     info = np.finfo(tensor.data.real.dtype)
-    loudest = np.max(np.real(np.diagonal(covariances, axis1=-2, axis2=-1)))
-    if not np.sqrt(info.tiny) <= loudest <= np.sqrt(info.max):
-        scale = info.dtype.type(2.0 ** -(np.frexp(loudest)[1] // 2))
-        searched = StftTensor(tensor.data * scale, tensor.sample_rate, tensor.fft_len, tensor.hop)
+    power = np.max(np.real(np.diagonal(covariances, axis1=-2, axis2=-1)), axis=-1)
+    # silent bins aside, each bin's power must lie in [sqrt(tiny), sqrt(max)]
+    if np.any((power > 0.0) & ((power < np.sqrt(info.tiny)) | (power > np.sqrt(info.max)))):
+        scales = np.ldexp(info.dtype.type(1.0), -(np.frexp(power)[1] // 2))
+        searched = StftTensor(
+            tensor.data * scales[:, None, None], tensor.sample_rate, tensor.fft_len, tensor.hop
+        )
         covariances = _covariances(searched.data)
     kernel, bins, flagged = _bin_stack(searched, geom, fmin_hz, covariances=covariances)
     start, start_iterations = _capon_peak(

@@ -293,8 +293,9 @@ def write_csv(records: Iterable[TrialRecord], path):
 
 
 def aggregate(records: Sequence[TrialRecord], d: int, N: int, kappa_bar: float):
-    """Per (grid point, method) success rate and mean successful-trial SIR,
-    with the reference bounds for ``kappa_bar`` attached.
+    """Per (grid point, method) success rate, mean successful-trial SIR and
+    the mean and largest iteration count over all trials, with the
+    reference bounds for ``kappa_bar`` attached.
 
     ``kappa_bar`` is the exact value of the source law
     (:data:`SOURCE_LAWS`); at 1 the bounds are null (not identifiable).
@@ -309,6 +310,7 @@ def aggregate(records: Sequence[TrialRecord], d: int, N: int, kappa_bar: float):
         methods_out = {}
         for method, recs in sorted(by_point[gv].items()):
             sirs = np.array([r.sir_out_db for r in recs if r.success])
+            iterations = [r.iterations for r in recs]
             isrs = 10.0 ** (-sirs / 10.0)
             n_s = int(sirs.size)
             methods_out[method] = {
@@ -318,6 +320,8 @@ def aggregate(records: Sequence[TrialRecord], d: int, N: int, kappa_bar: float):
                 "mean_sir_db": float(np.mean(sirs)) if n_s else None,
                 "mean_isr": float(np.mean(isrs)) if n_s else None,
                 "isr_stderr": float(np.std(isrs, ddof=1) / np.sqrt(n_s)) if n_s > 1 else None,
+                "mean_iterations": sum(iterations) / len(recs),
+                "max_iterations": max(iterations),
             }
         points.append({"grid_value": float(gv), "methods": methods_out})
     return {

@@ -404,6 +404,66 @@ def test_search_takes_secant_steps_where_newton_steps_fall_short(start):
     assert iterations <= 40
 
 
+def sharper_on_the_right(factor):
+    """``derivatives`` of a concave peak at 0 that is twice as sharp on its
+    right as on its left, ``d1 = -sinh(p)`` for ``p <= 0`` and
+    ``-sinh(2p)/2`` beyond, with ``d2`` ``factor`` times the true curvature
+    ``-cosh(p)`` or ``-cosh(2p)``."""
+
+    def derivatives(p):
+        c = 2.0 if p > 0.0 else 1.0
+        return -math.sinh(c * p) / c, -factor * math.cosh(c * p)
+
+    return derivatives
+
+
+# the iterations before the secant correction, for the same cases:
+# (1.03, -1) 7, (1.03, 1) 8, (3.5, -1) 29, (3.5, 1) 33
+@pytest.mark.parametrize(
+    "factor, start, most",
+    [(1.03, -1.0, 6), (1.03, 1.0, 7), (3.5, -1.0, 10), (3.5, 1.0, 10)],
+)
+def test_search_corrects_a_constant_curvature_error_with_secant_steps(factor, start, most):
+    # d2 is `factor` times the true curvature: a few per cent off, as near
+    # the answers of the narrowband sweeps, or several times, as on a weak
+    # broadband target.  Newton steps alone shrink |d1| by 1 - 1/factor per
+    # step, secant steps superlinearly
+    param, iterations, converged, fallbacks = capon_ice._safeguarded_newton(
+        start, sharper_on_the_right(factor), 1.0, 10.0, lambda p: p, 100
+    )
+    assert converged and fallbacks == 0
+    assert abs(param) <= 1e-12
+    assert iterations <= most
+
+
+def test_search_logs_the_rule_of_each_step(caplog):
+    caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
+    rules = set()
+
+    def search(start, derivatives, max_step):
+        caplog.clear()
+        out = capon_ice._safeguarded_newton(start, derivatives, max_step, 10.0, lambda p: p, 100)
+        steps = [r.getMessage() for r in caplog.records if r.getMessage().startswith("param ")]
+        assert len(steps) == out[1]
+        found = [m.rsplit(" rule ", 1)[1] for m in steps]
+        rules.update(found)
+        return found
+
+    # too-short Newton steps on a convex approach grow, then the bracket
+    # closes by secant and, from 5 with steps of 3, by bisection
+    assert search(4.0, lambda p: (-p * math.exp(-0.5 * p * p), -2.5), 1.0)[:4] == [
+        "newton", "newton", "newton", "growth"]
+    assert "bisection" in search(5.0, lambda p: (-p * math.exp(-0.5 * p * p), -2.5), 3.0)
+    # a curvature 3.5 times too strong: three Newton steps that shrink |d1|
+    # slowly arm the secant, which stays on while |d1| falls
+    assert search(1.0, sharper_on_the_right(3.5), 1.0) == ["newton"] * 3 + ["secant"] * 6
+    # a curvature 3 % too strong: secant steps from the second iteration
+    assert search(1.0, sharper_on_the_right(1.03), 1.0)[:2] == ["newton", "secant"]
+    # the wrong sign of curvature: ascent steps
+    assert search(-1.0, lambda p: (-p, 1.0), 1.0)[0] == "ascent"
+    assert rules == {"newton", "secant", "growth", "ascent", "bracket-secant", "bisection"}
+
+
 def test_search_stop_scales_with_the_range():
     # over a 1e6 times wider range the search stops at a 1e6 times longer step
     (fine, fine_iters, _, _), _, _ = bump_search(0.3)
@@ -465,6 +525,42 @@ def test_run_solves_once_per_iteration_and_once_at_the_answer(monkeypatch):
     res = capon_ice.run(x, model, 0.55)
     assert res.converged and res.iterations > 3
     assert len(calls) == res.iterations + 1
+
+
+@pytest.mark.parametrize("case", ["secant", "moved start"])
+def test_run_counts_every_kernel_evaluation(case, monkeypatch, caplog):
+    # test_run_solves_once_per_iteration_and_once_at_the_answer on a search
+    # that takes secant steps, and on one whose self-cancelling start is
+    # moved first: one kernel state and one MPDR solve per counted
+    # iteration plus the solve of the final weights, and the move evaluates
+    # no kernel (as the broadband
+    # test_run_ive_forms_one_covariance_stack_and_one_solve_per_iteration)
+    calls = {"state": 0, "mpdr_weights": 0}
+    state, solve = capon_ice._MpdrStack.state, capon_ice.mpdr_weights
+
+    def counted_state(self, param):
+        calls["state"] += 1
+        return state(self, param)
+
+    def counted_solve(*args, **kwargs):
+        calls["mpdr_weights"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(capon_ice._MpdrStack, "state", counted_state)
+    monkeypatch.setattr(capon_ice, "mpdr_weights", counted_solve)
+    caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
+    if case == "secant":
+        x, _, _, model = random_mixture(RNG(63), 5, 500, 0.7, isir_db=10.0)
+        start = 0.6
+    else:
+        model = core.ula(5)
+        x, start = lone_source_instance(RNG(606), model, 0.8), 0.9
+    res = capon_ice.run(x, model, start)
+    assert res.converged and res.iterations > 2
+    assert calls == {"state": res.iterations, "mpdr_weights": res.iterations + 1}
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(m.endswith(" rule secant") for m in messages)
+    assert any("cancels its source" in m for m in messages) == (case == "moved start")
 
 
 def test_run_restart_at_fixed_point_stays_put():

@@ -1,6 +1,8 @@
 """STFT round trip, the delay convention, the joint-parameter search and
 SRP-PHAT on the anechoic two-source fixture."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -276,18 +278,29 @@ def test_silent_bin_is_dropped_by_the_search_and_passed_by_beamform(small_tensor
     np.testing.assert_allclose(extracted[others], ref_extracted[others], rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("scale", [1e-16, 1e-20])
-def test_run_ive_is_scale_invariant_per_bin(small_tensor, scale):
+@pytest.mark.parametrize(
+    "scale, dtype, tol",
+    [(1e-16, np.complex128, 1e-9), (1e-20, np.complex128, 1e-9),
+     (1e-16, np.complex64, 1e-6), (1e-20, np.complex64, 1e-6)],
+    ids=["1e-16", "1e-20", "1e-16-complex64", "1e-20-complex64"],
+)
+def test_run_ive_is_scale_invariant_per_bin(small_tensor, scale, dtype, tol):
     # the joint nonlinearity normalizes each bin by its own power: quiet
-    # bins are neither silent nor dropped
+    # bins are neither silent nor dropped.  In single precision the bins'
+    # powers span more than float32's range, and each bin is searched at
+    # its own power-of-two scale; theta moves by the rounding of the scaled
+    # samples to float32
     tensor, geom = small_tensor
+    tensor = capon_ive.StftTensor(
+        tensor.data.astype(dtype), tensor.sample_rate, tensor.fft_len, tensor.hop
+    )
     data = tensor.data.copy()
     data[100:] *= scale
     quiet = capon_ive.StftTensor(data, tensor.sample_rate, tensor.fft_len, tensor.hop)
     ref = capon_ive.run_ive(tensor, geom, 80.0)
     res = capon_ive.run_ive(quiet, geom, 80.0)
     assert res.flagged_bins.size == 0 and res.iterations == ref.iterations
-    assert res.theta_deg == pytest.approx(ref.theta_deg, abs=1e-9)
+    assert res.theta_deg == pytest.approx(ref.theta_deg, abs=tol)
 
 
 def test_run_ive_forms_one_covariance_stack_and_one_solve_per_iteration(
@@ -371,25 +384,37 @@ def test_run_ive_reaches_the_source_nearer_its_start(seed, theta_ini, theta_sour
     assert res.iterations <= 8
 
 
-@pytest.fixture(scope="module")
-def weak_target(broadband_fixture):
-    """The fixture's scene with the 63.43-degree target 20 dB below the
-    competitor, as a complex64 tensor."""
-    fx = broadband_fixture
+@functools.cache
+def weak_target(seed):
+    """Scene ``seed`` with the 63.43-degree target 20 dB below the
+    competitor, as a complex64 tensor, and its geometry."""
+    fx = build_broadband_fixture(seed=seed)
     sources = fx.sources * np.array([[0.1], [1.0]])
     mix = capon_ive.anechoic_phase_mix(sources, fx.thetas_deg, fx.geom, fx.sample_rate)
     mix = mix + 10.0 ** (-30.0 / 20.0) * RNG(2025).standard_normal(mix.shape)
     return single_precision(fx, mix), fx.geom
 
 
-@pytest.mark.parametrize("offset", [5.0, -5.0, 2.0])
-def test_run_ive_keeps_a_target_20_db_below_the_competitor(weak_target, offset):
+# the fixture's scene, then the three extract-ive benchmark scenes of seed 71
+WEAK_TARGET_CASES = [(2024, offset) for offset in (5.0, -5.0, 2.0)] + [
+    (seed, offset) for seed in (71, 4204695409, 558023170) for offset in (5.0, -5.0, 2.0)
+]
+
+
+@pytest.mark.parametrize(
+    "seed, offset", WEAK_TARGET_CASES,
+    ids=[str(o) if s == 2024 else f"{s}-{o}" for s, o in WEAK_TARGET_CASES],
+)
+def test_run_ive_keeps_a_target_20_db_below_the_competitor(seed, offset):
     # the climb to the Capon-spectrum peak must not hand the search to the
-    # louder source
-    tensor, geom = weak_target
+    # louder source.  From the weak target's peak d2 overstates the
+    # contrast's curvature about 3.75 times: Newton steps alone took 22-30
+    # iterations on these scenes, secant steps take 7
+    tensor, geom = weak_target(seed)
     res = capon_ive.run_ive(tensor, geom, 63.43 + offset)
     assert res.converged
     assert abs(res.theta_deg - 63.43) < 0.05
+    assert res.iterations <= 10
 
 
 def test_capon_peak_derivatives_match_finite_differences(small_tensor, monkeypatch):

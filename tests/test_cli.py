@@ -48,6 +48,18 @@ def test_simulate_row_count_and_manifest(tmp_path):
     assert agg["kappa_bar"] == 2
     assert agg["kappa_bar_stderr"] == 0
     assert agg["crib_capon"] == bounds.crib_report(2, 5, 200).crib_capon
+    # each point's iteration statistics are those of its sweep.csv rows
+    header = rows[0]
+    for point in agg["points"]:
+        for method, stats in point["methods"].items():
+            iterations = [
+                int(r[header.index("iterations")]) for r in rows[1:]
+                if float(r[header.index("lambda_star")]) == point["grid_value"]
+                and r[header.index("method")] == method
+            ]
+            assert len(iterations) == 3
+            assert stats["mean_iterations"] == pytest.approx(sum(iterations) / 3, rel=1e-8)
+            assert stats["max_iterations"] == max(iterations)
     manifest = read_json(tmp_path / "simulate.manifest.json")
     assert manifest["master_seed"] == 7
     assert len(manifest["outputs"]) == 2

@@ -267,7 +267,7 @@ PINNED_ROWS = [
     (float("nan"), 15.442228586125847, True, 9, True),
     (0.7090740784281211, 23.452006465030312, True, 6, True),
     (float("nan"), 17.150005227445572, True, 6, True),
-    (0.6939705648250576, 21.75855211286808, True, 7, True),
+    (0.6939705648250576, 21.75855211286808, True, 6, True),
     (float("nan"), 14.182996303069537, True, 7, True),
     (0.7099878494654757, 25.097291280106013, True, 6, True),
     (float("nan"), 21.157321574554384, True, 6, True),
@@ -321,3 +321,9 @@ def test_aggregate_structure():
         m = point["methods"][method]
         assert m["trials"] == 4
         assert 0.0 <= m["success_rate"] <= 1.0
+        # the iteration counts of all trials, failed ones included
+        iterations = [r.iterations for r in recs if r.method == method]
+        assert m["mean_iterations"] == sum(iterations) / 4
+        assert m["max_iterations"] == max(iterations)
+    assert point["methods"]["caponice"]["max_iterations"] > 0
+    assert point["methods"]["ini"]["max_iterations"] == 0
