@@ -86,6 +86,10 @@ def _sqrt_hann(fft_len: int) -> np.ndarray:
     return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / fft_len))
 
 
+# frames windowed and transformed at a time by stft; 16 to 128 run alike
+_STFT_BLOCK = 64
+
+
 def stft(signal: np.ndarray, fft_len: int, hop: int, sample_rate: float) -> StftTensor:
     """Multichannel STFT with a square-root Hann window.
 
@@ -97,7 +101,11 @@ def stft(signal: np.ndarray, fft_len: int, hop: int, sample_rate: float) -> Stft
 
     float32 samples give a complex64 tensor, any other samples (int16
     included) a complex128 one.  The FFTs run in double precision either
-    way; only the stored result is rounded.
+    way; only the stored result is rounded.  Each channel's frames stream
+    through one reused block, windowed there and transformed into the
+    tensor: beyond the tensor, the memory is that block and one padded
+    channel.  Each frame's FFT is independent of its block, so the tensor
+    is bit-identical to one transform of all the frames.
     """
     if fft_len < 2:
         raise DomainError(f"FFT length must be >= 2, got {fft_len}")
@@ -114,10 +122,15 @@ def stft(signal: np.ndarray, fft_len: int, hop: int, sample_rate: float) -> Stft
     pad = np.zeros(fft_len)
     n_frames = (length + fft_len) // hop + 1
     out = np.empty((fft_len // 2 + 1, d, n_frames), dtype=dtype)
+    windowed = np.empty((_STFT_BLOCK, fft_len))
     for ch in range(d):
         padded = np.concatenate([pad, signal[ch], pad], dtype=float)
         frames = np.lib.stride_tricks.sliding_window_view(padded, fft_len)[::hop]
-        out[:, ch, :] = np.fft.rfft(frames * win, axis=1).T
+        for start in range(0, n_frames, _STFT_BLOCK):
+            block = np.multiply(
+                frames[start: start + _STFT_BLOCK], win, out=windowed[: n_frames - start]
+            )
+            out[:, ch, start: start + len(block)] = np.fft.rfft(block, axis=1).T
     return StftTensor(out, sample_rate, fft_len, hop)
 
 
@@ -333,7 +346,9 @@ def run_ive(
     ``[sqrt(tiny), sqrt(max)]`` of the tensor's precision (single precision
     audio near 1e-19 of full scale, or bins that span more than that
     range), both searches run on the tensor with each bin scaled by the
-    power of two that brings its power near 1.  The scaling is exact and
+    power of two that brings its power near 1; a bin below ``sqrt(tiny)``
+    takes its level from its largest sample instead, as the squares behind
+    its power may have underflowed.  The scaling is exact and
     the contrast is invariant to it; the result is on the input's scale.
     A non-finite start raises :class:`DomainError`.
     """
@@ -344,8 +359,13 @@ def run_ive(
     # the search squares the snapshots in their own precision
     info = np.finfo(tensor.data.real.dtype)
     power = np.max(np.real(np.diagonal(covariances, axis1=-2, axis2=-1)), axis=-1)
+    # a bin this quiet may have had its squares underflow: its largest
+    # sample, squared in double, gives its level (zero for a silent bin)
+    low = power < np.sqrt(info.tiny)
+    if low.any():
+        power[low] = np.max(np.abs(tensor.data[low]), axis=(1, 2)).astype(float) ** 2
     # silent bins aside, each bin's power must lie in [sqrt(tiny), sqrt(max)]
-    if np.any((power > 0.0) & ((power < np.sqrt(info.tiny)) | (power > np.sqrt(info.max)))):
+    if np.any((power > 0.0) & (low | (power > np.sqrt(info.max)))):
         scales = np.ldexp(info.dtype.type(1.0), -(np.frexp(power)[1] // 2))
         searched = StftTensor(
             tensor.data * scales[:, None, None], tensor.sample_rate, tensor.fft_len, tensor.hop
@@ -489,12 +509,15 @@ def read_wav(path):
         buf = fh.read()
     if buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
         raise DomainError(f"{path} is not a RIFF/WAVE file")
+    # chunks are views of the file's bytes: the data chunk is not copied
+    # before numpy reads it
+    chunks = memoryview(buf)
     pos, fmt = 12, b""
     while True:
         if pos + 8 > len(buf):
             raise DomainError(f"{path} has no data chunk")
         chunk_id, size = struct.unpack_from("<4sI", buf, pos)
-        body = buf[pos + 8: pos + 8 + size]
+        body = chunks[pos + 8: pos + 8 + size]
         if chunk_id == b"data":
             break
         if chunk_id == b"fmt ":

@@ -176,11 +176,11 @@ def cmd_extract(args) -> int:
     geom = capon_ive.ArrayGeometry(spacing_m=args.spacing_m, d=mix.shape[0])
     # the STFT is single precision: scaling by the power of two that puts
     # the peak in [0.5, 1) is exact, and keeps float32 away from its range
-    # limits at any input level
-    _, exponent = np.frexp(np.max(np.abs(mix), initial=0.0))
-    tensor = capon_ive.stft(
-        np.ldexp(mix, -exponent).astype(np.float32), args.fft, args.hop, rate
-    )
+    # limits at any input level.  Neither the peak nor the float32 samples,
+    # rounded as they are stored in C-contiguous rows, take a double copy
+    _, exponent = np.frexp(max(np.max(mix, initial=0.0), -np.min(mix, initial=0.0)))
+    samples = np.ldexp(mix, -exponent, out=np.empty(mix.shape, np.float32), casting="same_kind")
+    tensor = capon_ive.stft(samples, args.fft, args.hop, rate)
 
     report = {"method": args.method, "theta_ini_deg": args.theta_ini}
     if args.method == "ive":

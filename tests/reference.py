@@ -8,8 +8,9 @@ derivatives, so these live here as the independent oracle for the
 finite-difference and statistics checks.  The derivatives themselves are
 here too, in the per-problem form that includes the gradient in ``w``
 (:func:`_mpdr_derivatives`), as the oracle of the solvers' kernel, and so
-are the draws of the Monte Carlo sources and the SRP-PHAT search as it ran
-on scipy's Nelder-Mead (:func:`srp_phat_nelder_mead`).
+are the draws of the Monte Carlo sources, the SRP-PHAT search as it ran
+on scipy's Nelder-Mead (:func:`srp_phat_nelder_mead`) and the STFT as one
+transform of all of a channel's frames (:func:`stft_one_shot`).
 
 Nonlinearities follow the conjugating score convention: for a circular
 Gaussian source the score is ``phi(s) = conj(s)``, and the normalizer
@@ -389,3 +390,21 @@ def srp_phat_nelder_mead(tensor, geom, theta_ini_deg, fmin_hz=100.0) -> float:
         options={"xatol": 1e-4, "fatol": 1e-10, "maxiter": 200},
     )
     return float(np.clip(res.x[0], 0.0, 180.0))
+
+
+def stft_one_shot(signal, fft_len, hop) -> np.ndarray:
+    """The ``(K, d, n_frames)`` data of ``capon_ive.stft``, each channel's
+    frames windowed in one array and transformed by one ``rfft`` in double
+    precision, then transposed into the tensor in its dtype."""
+    signal = np.atleast_2d(np.asarray(signal))
+    dtype = np.complex64 if signal.dtype == np.float32 else complex
+    d, length = signal.shape
+    win = capon_ive._sqrt_hann(fft_len)
+    pad = np.zeros(fft_len)
+    n_frames = (length + fft_len) // hop + 1
+    out = np.empty((fft_len // 2 + 1, d, n_frames), dtype=dtype)
+    for ch in range(d):
+        padded = np.concatenate([pad, signal[ch], pad], dtype=float)
+        frames = np.lib.stride_tricks.sliding_window_view(padded, fft_len)[::hop]
+        out[:, ch, :] = np.fft.rfft(frames * win, axis=1).T
+    return out

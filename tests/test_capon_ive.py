@@ -2,6 +2,7 @@
 SRP-PHAT on the anechoic two-source fixture."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,39 @@ def test_stft_of_int16_samples_is_double_precision():
     t = capon_ive.stft(sig, 512, 96, 16000)
     assert t.data.dtype == np.complex128
     assert np.array_equal(t.data, capon_ive.stft(sig.astype(float), 512, 96, 16000).data)
+
+
+BLOCK = capon_ive._STFT_BLOCK
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+@pytest.mark.parametrize(
+    "hop, n_frames",
+    [(128, 2 * BLOCK), (128, 2 * BLOCK + 3), (96, BLOCK + 36), (128, BLOCK // 2 + 1)],
+    ids=["whole-blocks", "partial-block", "hop-not-dividing-fft", "shorter-than-a-block"],
+)
+def test_stft_is_the_one_shot_stft_bit_for_bit(hop, n_frames, dtype):
+    # each frame's FFT is independent of the block it runs in, and the
+    # complex64 rounding happens as the block is stored
+    fft_len = 512
+    sig = (1000.0 * RNG(5).standard_normal((3, (n_frames - 1) * hop - fft_len))).astype(dtype)
+    t = capon_ive.stft(sig, fft_len, hop, 16000)
+    ref = reference.stft_one_shot(sig, fft_len, hop)
+    assert t.n_frames == n_frames and t.data.dtype == ref.dtype
+    assert np.array_equal(t.data, ref)
+
+
+def test_stft_memory_is_the_tensor_plus_one_block_per_channel():
+    # 5 channels of 5 s at 16 kHz: the one-shot STFT peaked 10.7 MB above
+    # the tensor, on its full-length windowed frames and spectrum
+    sig = RNG(6).standard_normal((5, 80000)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        tensor = capon_ive.stft(sig, 1024, 128, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= tensor.data.nbytes + 3e6
 
 
 def test_stft_shape_contract():
@@ -281,15 +315,17 @@ def test_silent_bin_is_dropped_by_the_search_and_passed_by_beamform(small_tensor
 @pytest.mark.parametrize(
     "scale, dtype, tol",
     [(1e-16, np.complex128, 1e-9), (1e-20, np.complex128, 1e-9),
-     (1e-16, np.complex64, 1e-6), (1e-20, np.complex64, 1e-6)],
-    ids=["1e-16", "1e-20", "1e-16-complex64", "1e-20-complex64"],
+     (1e-16, np.complex64, 1e-6), (1e-20, np.complex64, 1e-6),
+     (1e-24, np.complex64, 1e-6)],
+    ids=["1e-16", "1e-20", "1e-16-complex64", "1e-20-complex64", "1e-24-complex64"],
 )
 def test_run_ive_is_scale_invariant_per_bin(small_tensor, scale, dtype, tol):
     # the joint nonlinearity normalizes each bin by its own power: quiet
     # bins are neither silent nor dropped.  In single precision the bins'
     # powers span more than float32's range, and each bin is searched at
     # its own power-of-two scale; theta moves by the rounding of the scaled
-    # samples to float32
+    # samples to float32.  At 1e-24 the quiet bins' squares underflow
+    # float32, and their level comes from their largest sample
     tensor, geom = small_tensor
     tensor = capon_ive.StftTensor(
         tensor.data.astype(dtype), tensor.sample_rate, tensor.fft_len, tensor.hop
