@@ -38,6 +38,11 @@ _STEP_CAP = 0.5
 # for this many consecutive iterations (see `_safeguarded_newton`)
 _STALLS_BEFORE_GROWTH = 3
 
+# before a bracket exists, an at-solution d2 within this share of its last
+# value has a settled bias, and the secant slope of d1 is the curvature to
+# step by (see `_safeguarded_newton`)
+_STEADY_CURVATURE = 0.01
+
 # A start whose MPDR output power keeps less than this share of the
 # delay-and-sum power at the same steering is cancelling the source it is
 # steered near (see `_capon_start`).  Such starts measure <= 2.1e-9 on
@@ -190,11 +195,15 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     two iterates corrects them.  When ``|d1|`` fell on the last step and
     ``s`` agrees with ``d2`` within a factor of two (``2 d2 < s < d2/2``),
     the step is the secant step ``-d1/s``.  Where ``d2`` overstates the
-    curvature further, ``|d1|`` falls slowly: once it has fallen to between
-    half and all of its last value for ``_STALLS_BEFORE_GROWTH``
-    consecutive iterations, the secant step is taken whenever
-    ``d2 < s < 0``, for as long as ``|d1|`` keeps falling.  A secant step
-    is at most the longer of the Newton step and twice the previous step.
+    curvature further, the secant step is taken whenever ``d2 < s < 0``
+    and ``|d1|`` fell, provided the bias of ``d2`` has settled or ``|d1|``
+    falls slowly.  It has settled when the last two ``d2`` agree within
+    ``_STEADY_CURVATURE``: a steady ``d2`` off by a constant factor leaves
+    the secant slope as the measure of the curvature.  ``|d1|`` falls
+    slowly once it has fallen to between half and all of its last value
+    for ``_STALLS_BEFORE_GROWTH`` consecutive iterations, and the secant
+    stays on for as long as it keeps falling.  A secant step is at most
+    the longer of the Newton step and twice the previous step.
     On a convex approach the at-solution ``d2`` makes the steps far too
     short: once ``|d1|`` has not fallen for ``_STALLS_BEFORE_GROWTH``
     consecutive iterations, each step is at least twice the previous one.
@@ -221,7 +230,7 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     tol = _TOL_SCALE * scale
     param = unwrapped = start
-    lo = hi = prev = None           # prev: (unwrapped, d1) of the last iterate
+    lo = hi = prev = None           # prev: (unwrapped, d1, d2) of the last iterate
     step = 0.0
     stalls = slow = fallbacks = iterations = 0
     armed = False
@@ -260,7 +269,8 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
                 newton, rule = math.copysign(longest, newton), "growth"
             elif falling:
                 slope = (d1 - prev[1]) / (unwrapped - prev[0])
-                if (armed and d2 < slope < 0.0) or 2.0 * d2 < slope < 0.5 * d2:
+                steady = abs(d2 - prev[2]) <= _STEADY_CURVATURE * abs(prev[2])
+                if ((armed or steady) and d2 < slope < 0.0) or 2.0 * d2 < slope < 0.5 * d2:
                     newton, rule = math.copysign(min(abs(d1 / slope), longest), d1), "secant"
             step = min(max(newton, -max_step), max_step)
         logger.debug("param %.12g d1 %.6g d2 %.6g step %.6g rule %s", param, d1, d2, step, rule)
@@ -270,7 +280,7 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
         if moved == 0.0:
             reason = "boundary" if abs(step) > tol else "step"
             break
-        prev = (unwrapped, d1)
+        prev = (unwrapped, d1, d2)
         unwrapped += moved
         param = new_param
         if abs(moved) <= tol:
@@ -286,35 +296,57 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     return param, iterations, reason != "max_iters", fallbacks
 
 
-def _steered_powers(m, phases, param):
-    """Per problem ``(P, P', P'')``: the power ``P_k = a_k^H m_k a_k``
-    steered at ``a_k = exp(1j param phases_k)`` for Hermitian ``m``
-    ``(B, d, d)`` and ``phases`` ``(B, d)``, and its derivatives along
-    ``param``: with ``b = 1j phases * a``, ``P' = 2 Re b^H m a`` and
-    ``P'' = 2 Re (b^H m b - (phases^2 * a)^H m a)``; three ``(B,)`` arrays."""
-    a = np.exp(1j * (phases * param))
-    b = 1j * phases * a
-    m_a = np.matvec(m, a)
-    p = np.real(np.vecdot(a, m_a))
-    d1 = 2.0 * np.real(np.vecdot(b, m_a))
-    d2 = 2.0 * np.real(np.vecdot(b, np.matvec(m, b)) - np.vecdot(phases * phases * a, m_a))
-    return p, d1, d2
+def _steered_powers(m, omegas, v):
+    """``powers(param)``: per problem ``(P, P', P'')``, the power
+    ``P_k = Re a_k^H m_k a_k`` steered at ``a_k = exp(1j omegas_k param v)``
+    for ``m`` ``(B, d, d)``, and its derivatives along ``param``; three
+    ``(B,)`` arrays.
+
+    The power is a sum over the lags ``L`` of ``v``, the distinct
+    differences ``v_j - v_i`` (grouped by exact equality, so a ULA has
+    ``d - 1`` positive ones).  With the lag sums ``c_L = sum_{v_j - v_i = L}
+    m_ij``, formed once here, ``h_L = c_L + conj(c_-L)`` and
+    ``t = omegas_k L``,
+
+        P = Re c_0 + Re sum_{L>0} h_L e^(1j t param),
+        P' = -sum_{L>0} t Im(h_L e^(1j t param)),
+        P'' = -sum_{L>0} t^2 Re(h_L e^(1j t param)),
+
+    an evaluation of ``O(B d)`` for a ULA against the ``O(B d^2)`` of the
+    quadratic form."""
+    lags, which = np.unique(v[None, :] - v[:, None], return_inverse=True)
+    sums = m.reshape(len(m), -1) @ (which.reshape(-1, 1) == np.arange(lags.size))
+    positive = lags > 0.0
+    c0 = np.real(sums[:, lags == 0.0]).sum(axis=-1)
+    # the differences are antisymmetric, so lags[::-1] == -lags
+    h = (sums + np.conj(sums[:, ::-1]))[:, positive]
+    t = omegas[:, None] * lags[positive]
+    t2 = t * t
+
+    def powers(param):
+        terms = h * np.exp(1j * (t * param))
+        re, im = terms.real, terms.imag
+        return c0 + re.sum(axis=-1), -np.vecdot(t, im), -np.vecdot(t2, re)
+
+    return powers
 
 
-def _steered_power(m, phases, param):
+def _steered_power(m, omegas, v):
     """:func:`_steered_powers` summed over the problems, as floats."""
-    return tuple(float(t.sum()) for t in _steered_powers(m, phases, param))
+    powers = _steered_powers(m, omegas, v)
+    return lambda param: tuple(float(term.sum()) for term in powers(param))
 
 
-def _capon_spectrum(inverses, phases):
+def _capon_spectrum(inverses, omegas, v):
     """``derivatives(param)`` for :func:`_safeguarded_newton` of the Capon
     spectrum ``-mean_k log(a_k^H C_k^-1 a_k)`` of the stack of inverse
     covariances ``inverses`` ``(B, d, d)``, steered at
-    ``a_k = exp(1j param phases_k)``: per problem ``-log P`` has the
+    ``a_k = exp(1j omegas_k param v)``: per problem ``-log P`` has the
     derivatives ``-P'/P`` and ``(P'/P)^2 - P''/P``."""
+    powers = _steered_powers(inverses, omegas, v)
 
     def derivatives(param):
-        p, d1, d2 = _steered_powers(inverses, phases, param)
+        p, d1, d2 = powers(param)
         slope = d1 / p
         return float(-slope.mean()), float((slope * slope - d2 / p).mean())
 
@@ -342,7 +374,7 @@ def _capon_start(c_x, factor, model, start, project):
     inverse = (factor.conj().T @ factor)[None]          # C^-1 = G^H G
     lo, hi = start - _STEP_CAP, start + _STEP_CAP
     peak, _, _, _ = _safeguarded_newton(
-        start, _capon_spectrum(inverse, model.v[None]), _STEP_CAP, 2.0 * np.pi,
+        start, _capon_spectrum(inverse, np.ones(1), model.v), _STEP_CAP, 2.0 * np.pi,
         lambda lam: min(max(lam, lo), hi), 100,
     )
     moved = project(peak)

@@ -308,7 +308,7 @@ def _capon_peak(kernel, geom, tau, max_iters):
     over the frames."""
     f = kernel.factors
     inverses = np.conj(np.swapaxes(f, -1, -2)) @ f          # C^-1 = G^H G
-    derivatives = _capon_spectrum(inverses, kernel.omegas[:, None] * kernel.v)
+    derivatives = _capon_spectrum(inverses, kernel.omegas, kernel.v)
     peak, iterations, _, _ = _delay_search(geom, tau, kernel.omegas, derivatives, max_iters)
     return peak, iterations
 
@@ -469,16 +469,15 @@ def srp_phat(
     omegas = 2.0 * np.pi * tensor.bin_frequencies()[included]
     xn = tensor.data[included]
     r = _covariances(xn / np.maximum(np.abs(xn), 1e-30))
-    phases = omegas[:, None] * np.arange(geom.d, dtype=float)
+    power = _steered_power(r, omegas, np.arange(geom.d, dtype=float))
     tau, _, _, _ = _delay_search(
-        geom, theta_to_tau(geom, theta_ini_deg), omegas,
-        lambda tau: _steered_power(r, phases, tau)[1:], 100,
+        geom, theta_to_tau(geom, theta_ini_deg), omegas, lambda tau: power(tau)[1:], 100,
     )
     theta = tau_to_theta(geom, tau)
     # the PHAT-normalized diagonal contributes exactly K*d; the off-diagonal
     # mass measures spatial coherence.  No coherence -> flagged stall.
     baseline = included.size * geom.d
-    structure = (_steered_power(r, phases, tau)[0] - baseline) / (baseline * (geom.d - 1))
+    structure = (power(tau)[0] - baseline) / (baseline * (geom.d - 1))
     stalled = structure < 0.01
     if stalled:
         theta = float(theta_ini_deg)

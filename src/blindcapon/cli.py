@@ -8,11 +8,13 @@ bounds   : evaluate the Cramer-Rao-induced ISR bounds (closed form or from
 extract  : broadband extraction from a multichannel WAV file.
 
 Every command that writes files also writes a run manifest recording the
-full flag set, the master seed and package versions; re-running with the
-same flags reproduces outputs bit-identically apart from runtime fields.
+full flag set, the master seed and package versions, and for ``extract``
+the seconds of each stage; re-running with the same flags reproduces
+outputs bit-identically apart from runtime fields.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -65,7 +67,9 @@ def _write_json(payload: dict, path):
         fh.write("\n")
 
 
-def _write_manifest(command, args_ns, seed, outputs, t0, out_dir):
+def _write_manifest(command, args_ns, seed, outputs, t0, out_dir, stage_s=None):
+    """Write ``<command>.manifest.json``; ``stage_s``, the seconds of each
+    stage of the command, is recorded when given."""
     manifest = RunManifest(
         command=command,
         argv=args_ns.argv,
@@ -75,9 +79,20 @@ def _write_manifest(command, args_ns, seed, outputs, t0, out_dir):
         wall_clock_s=time.perf_counter() - t0,
         timestamp_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
+    payload = asdict(manifest)
+    if stage_s is not None:
+        payload["stage_s"] = stage_s
     path = os.path.join(out_dir, f"{command}.manifest.json")
-    _write_json(asdict(manifest), path)
+    _write_json(payload, path)
     return path
+
+
+@contextlib.contextmanager
+def _timed(stage_s, name):
+    """Add the seconds the block takes to ``stage_s[name]``."""
+    start = time.perf_counter()
+    yield
+    stage_s[name] += time.perf_counter() - start
 
 
 def _default_outdir(explicit):
@@ -168,25 +183,31 @@ def cmd_bounds(args) -> int:
 
 def cmd_extract(args) -> int:
     t0 = time.perf_counter()
+    stage_s = dict.fromkeys(("read", "stft", "solve", "istft", "score"), 0.0)
     out_dir = _default_outdir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    rate, mix = capon_ive.read_wav(args.infile)
+    with _timed(stage_s, "read"):
+        rate, mix = capon_ive.read_wav(args.infile)
     if mix.shape[0] < 2:
         raise BlindCaponError("extraction needs at least two channels")
     geom = capon_ive.ArrayGeometry(spacing_m=args.spacing_m, d=mix.shape[0])
-    # the STFT is single precision: scaling by the power of two that puts
-    # the peak in [0.5, 1) is exact, and keeps float32 away from its range
-    # limits at any input level.  Neither the peak nor the float32 samples,
-    # rounded as they are stored in C-contiguous rows, take a double copy
-    _, exponent = np.frexp(max(np.max(mix, initial=0.0), -np.min(mix, initial=0.0)))
-    samples = np.ldexp(mix, -exponent, out=np.empty(mix.shape, np.float32), casting="same_kind")
-    tensor = capon_ive.stft(samples, args.fft, args.hop, rate)
+    with _timed(stage_s, "stft"):
+        # the STFT is single precision: scaling by the power of two that puts
+        # the peak in [0.5, 1) is exact, and keeps float32 away from its range
+        # limits at any input level.  Neither the peak nor the float32 samples,
+        # rounded as they are stored in C-contiguous rows, take a double copy
+        _, exponent = np.frexp(max(np.max(mix, initial=0.0), -np.min(mix, initial=0.0)))
+        samples = np.ldexp(
+            mix, -exponent, out=np.empty(mix.shape, np.float32), casting="same_kind"
+        )
+        tensor = capon_ive.stft(samples, args.fft, args.hop, rate)
 
     report = {"method": args.method, "theta_ini_deg": args.theta_ini}
     if args.method == "ive":
-        result = capon_ive.run_ive(
-            tensor, geom, args.theta_ini, max_iters=args.max_iters, fmin_hz=args.fmin_hz
-        )
+        with _timed(stage_s, "solve"):
+            result = capon_ive.run_ive(
+                tensor, geom, args.theta_ini, max_iters=args.max_iters, fmin_hz=args.fmin_hz
+            )
         extracted_spec = result.extracted
         report.update(
             theta_hat_deg=result.theta_deg,
@@ -201,31 +222,34 @@ def cmd_extract(args) -> int:
             },
         )
     elif args.method == "srpphat+mpdr":
-        srp = capon_ive.srp_phat(tensor, geom, args.theta_ini, fmin_hz=args.fmin_hz)
-        _, extracted_spec = capon_ive.beamform_at(tensor, geom, srp.theta_deg)
+        with _timed(stage_s, "solve"):
+            srp = capon_ive.srp_phat(tensor, geom, args.theta_ini, fmin_hz=args.fmin_hz)
+            _, extracted_spec = capon_ive.beamform_at(tensor, geom, srp.theta_deg)
         report.update(
             theta_hat_deg=srp.theta_deg, srp_stalled=srp.stalled, iterations=0
         )
     else:
         raise DomainError(f"unknown method {args.method!r}")
 
-    y = np.ldexp(capon_ive.istft_mono(extracted_spec, tensor, length=mix.shape[1]), exponent)
+    with _timed(stage_s, "istft"):
+        y = np.ldexp(capon_ive.istft_mono(extracted_spec, tensor, length=mix.shape[1]), exponent)
     wav_path = os.path.join(out_dir, "extracted.wav")
     capon_ive.write_wav(wav_path, rate, y)
     outputs = [wav_path]
 
     if args.refs:
-        refs = []
-        for path in args.refs.split(","):
-            ref_rate, ref = capon_ive.read_wav(path.strip())
-            if ref_rate != rate:
-                raise BlindCaponError(f"reference {path} sample rate mismatch")
-            refs.append(ref[0])
-        n = min(min(r.size for r in refs), y.size)
-        refs = np.vstack([r[:n] for r in refs])
-        improvement, soi, sir_in, sir_out = capon_ive.sir_improvement_db(
-            y[:n], mix[0, :n], refs
-        )
+        with _timed(stage_s, "score"):
+            refs = []
+            for path in args.refs.split(","):
+                ref_rate, ref = capon_ive.read_wav(path.strip())
+                if ref_rate != rate:
+                    raise BlindCaponError(f"reference {path} sample rate mismatch")
+                refs.append(ref[0])
+            n = min(min(r.size for r in refs), y.size)
+            refs = np.vstack([r[:n] for r in refs])
+            improvement, soi, sir_in, sir_out = capon_ive.sir_improvement_db(
+                y[:n], mix[0, :n], refs
+            )
         report.update(
             sir_improvement_db=improvement,
             sir_in_db=sir_in,
@@ -236,7 +260,7 @@ def cmd_extract(args) -> int:
     json_path = os.path.join(out_dir, "extract.json")
     _write_json(report, json_path)
     outputs.append(json_path)
-    _write_manifest("extract", args, 0, outputs, t0, out_dir)
+    _write_manifest("extract", args, 0, outputs, t0, out_dir, stage_s)
     print(f"theta_hat = {report['theta_hat_deg']:.4f} deg -> {wav_path}")
     return 0
 

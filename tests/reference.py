@@ -7,10 +7,12 @@ output statistics) at one parameter: the solvers need only the contrast's
 derivatives, so these live here as the independent oracle for the
 finite-difference and statistics checks.  The derivatives themselves are
 here too, in the per-problem form that includes the gradient in ``w``
-(:func:`_mpdr_derivatives`), as the oracle of the solvers' kernel, and so
-are the draws of the Monte Carlo sources, the SRP-PHAT search as it ran
-on scipy's Nelder-Mead (:func:`srp_phat_nelder_mead`) and the STFT as one
-transform of all of a channel's frames (:func:`stft_one_shot`).
+(:func:`_mpdr_derivatives`), as the oracle of the solvers' kernel, the
+steered power as a quadratic form (:func:`steered_powers`), the oracle of
+its lag sums, and so are the draws of the Monte Carlo sources, the
+SRP-PHAT search as it ran on scipy's Nelder-Mead
+(:func:`srp_phat_nelder_mead`) and the STFT as one transform of all of a
+channel's frames (:func:`stft_one_shot`).
 
 Nonlinearities follow the conjugating score convention: for a circular
 Gaussian source the score is ``phi(s) = conj(s)``, and the normalizer
@@ -309,6 +311,22 @@ def stack_derivatives(x, c, factors, v, omegas, param):
 def kernel_derivatives(kernel, param):
     """:func:`stack_derivatives` of the problems of a ``capon_ice._MpdrStack``."""
     return stack_derivatives(kernel.x, kernel.c, kernel.factors, kernel.v, kernel.omegas, param)
+
+
+def steered_powers(m, omegas, v, param):
+    """Per problem ``(P, P', P'')``: the quadratic form ``P_k = Re a_k^H m_k
+    a_k`` steered at ``a_k = exp(1j omegas_k param v)`` and its derivatives
+    along ``param``, with ``b = da/dparam = 1j phases * a``: ``P' = 2 Re
+    b^H m a`` and ``P'' = 2 Re (b^H m b - (phases^2 * a)^H m a)`` for
+    Hermitian ``m``."""
+    phases = omegas[:, None] * v
+    a = np.exp(1j * (phases * param))
+    b = 1j * phases * a
+    m_a = np.matvec(m, a)
+    p = np.real(np.vecdot(a, m_a))
+    d1 = 2.0 * np.real(np.vecdot(b, m_a))
+    d2 = 2.0 * np.real(np.vecdot(b, np.matvec(m, b)) - np.vecdot(phases * phases * a, m_a))
+    return p, d1, d2
 
 
 def _at_state(x, state):

@@ -211,19 +211,37 @@ def test_steered_power_derivatives_match_finite_differences():
     rng = RNG(52)
     z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     m = z + np.conj(np.swapaxes(z, -1, -2))                     # Hermitian, indefinite
-    phases = rng.uniform(-3.0, 3.0, (3, 4))                      # non-integer
+    omegas = rng.uniform(0.5, 3.0, 3)
+    v = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, 3)])      # non-integer
+    phases = omegas[:, None] * v
     param, h = 0.37, 1e-4
 
     def power(p):
         a = np.exp(1j * phases * p)
         return float(np.real(np.einsum("kd,kde,ke->", a.conj(), m, a)))
 
-    p, d1, d2 = capon_ice._steered_power(m, phases, param)
+    p, d1, d2 = capon_ice._steered_power(m, omegas, v)(param)
     assert p == pytest.approx(power(param), rel=1e-12)
     fd1 = (power(param + h) - power(param - h)) / (2 * h)
     fd2 = (power(param + h) - 2 * power(param) + power(param - h)) / h ** 2
     assert d1 == pytest.approx(fd1, rel=1e-6)
     assert d2 == pytest.approx(fd2, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "v", [core.ula(5).v, np.array([0.0, 0.35, 0.7, 1.4, 2.45])], ids=["ula5", "non-integer"]
+)
+def test_steered_power_lag_sums_match_the_quadratic_form(v):
+    # the non-integer weights repeat the differences 0.35 and 0.7 exactly;
+    # their two 1.05s differ in the last bit and stay two lags
+    rng = RNG(53)
+    z = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+    m = z @ np.conj(np.swapaxes(z, -1, -2))                     # Hermitian, definite
+    omegas = np.linspace(0.3, 3.0, 6)
+    powers = capon_ice._steered_powers(m, omegas, v)
+    for param in (-2.1, 0.0, 0.37, 1.9):
+        for got, want in zip(powers(param), reference.steered_powers(m, omegas, v, param)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +452,42 @@ def test_search_corrects_a_constant_curvature_error_with_secant_steps(factor, st
     assert converged and fallbacks == 0
     assert abs(param) <= 1e-12
     assert iterations <= most
+
+
+def steepened_line(factor, drift=0.0):
+    """``derivatives`` of a peak at 0 with the linear ``d1 = -p``, so the
+    secant slope is the true curvature -1, and ``d2 = -factor (1 + drift
+    p)``: a constant ``factor`` times too steep when ``drift`` is 0."""
+    return lambda p: (-p, -factor * (1.0 + drift * p))
+
+
+# Newton steps armed only by a slow fall of |d1| take 5 and 6 iterations;
+# at 3.75 the first secant step is capped at twice the Newton step before it
+@pytest.mark.parametrize("factor, most", [(2.4, 3), (3.75, 4)])
+def test_search_takes_the_secant_step_once_d2_is_steady(factor, most):
+    # the at-solution d2 of the broadband fixture is 2.4 times too steep
+    # and steady: |d1| falls by 1 - 1/factor per Newton step, and the
+    # second step is the secant step to the answer
+    param, iterations, converged, fallbacks = capon_ice._safeguarded_newton(
+        1.0, steepened_line(factor), 1.0, 10.0, lambda p: p, 100
+    )
+    assert converged and fallbacks == 0
+    assert abs(param) <= 1e-12
+    assert iterations <= most
+
+
+@pytest.mark.parametrize("drift, rules", [
+    (0.1, ["newton"] * 3 + ["secant"]),     # d2 moves by 3.4 %, 2.3 %, 1.5 %
+    (0.0, ["newton", "secant"]),
+])
+def test_search_keeps_newton_steps_while_d2_moves(caplog, drift, rules):
+    # the secant slope is the true curvature here, but a d2 that moves by
+    # more than 1 % per step does not show a settled bias: Newton steps
+    # until three slow falls of |d1| arm the secant
+    caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
+    capon_ice._safeguarded_newton(1.0, steepened_line(2.4, drift), 1.0, 10.0, lambda p: p, 100)
+    steps = [r.getMessage() for r in caplog.records if r.getMessage().startswith("param ")]
+    assert [m.rsplit(" rule ", 1)[1] for m in steps[: len(rules)]] == rules
 
 
 def test_search_logs_the_rule_of_each_step(caplog):

@@ -385,8 +385,9 @@ def test_run_ive_recovers_both_speakers(broadband_fixture):
         assert abs(res.theta_deg - theta_true) < 0.5
         iterations.append(res.iterations)
     # the step rule's iteration counts from 68.43 and 95 degrees, after the
-    # climb to the Capon-spectrum peak
-    assert iterations == [5, 5]
+    # climb to the Capon-spectrum peak: the steady at-solution d2 lets the
+    # secant correct the second step
+    assert iterations == [4, 3]
     assert max(iterations) <= 8
 
 

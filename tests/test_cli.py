@@ -198,6 +198,33 @@ def test_extract_ive_with_refs(tmp_path, broadband_wavs):
     assert (out / "extract.manifest.json").exists()
 
 
+STAGES = {"read", "stft", "solve", "istft", "score"}
+
+
+@pytest.mark.parametrize("method, refs", [("ive", True), ("srpphat+mpdr", False)])
+def test_extract_manifest_records_stage_seconds(tmp_path, broadband_wavs, method, refs):
+    mix_path, ref_paths, fx = broadband_wavs
+    args = ["extract", "--in", str(mix_path), "--theta-ini", str(fx.thetas_deg[0] + 5.0),
+            "--method", method, "--out-dir", str(tmp_path)]
+    if refs:
+        args += ["--refs", ",".join(str(p) for p in ref_paths)]
+    assert cli.main(args) == 0
+    manifest = read_json(tmp_path / "extract.manifest.json")
+    stage_s = manifest["stage_s"]
+    assert set(stage_s) == STAGES
+    assert all(stage_s[name] > 0.0 for name in STAGES - {"score"})
+    # without references nothing is scored
+    assert (stage_s["score"] > 0.0) == refs
+    # the stages are disjoint parts of the command; writing the files is not one
+    assert sum(stage_s.values()) <= manifest["wall_clock_s"] * (1.0 + 1e-8)
+
+
+def test_only_extract_records_stage_seconds(tmp_path):
+    assert cli.main(["bounds", "--kappa-bar", "2", "--d", "5", "--n", "500",
+                     "--out", str(tmp_path / "bounds.json")]) == 0
+    assert "stage_s" not in read_json(tmp_path / "bounds.manifest.json")
+
+
 def test_extract_srpphat_mpdr(tmp_path, broadband_wavs):
     mix_path, ref_paths, fx = broadband_wavs
     out = tmp_path / "srp"
