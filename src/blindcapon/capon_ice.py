@@ -40,8 +40,11 @@ _STALLS_BEFORE_GROWTH = 3
 
 # before a bracket exists, an at-solution d2 within this share of its last
 # value has a settled bias, and the secant slope of d1 is the curvature to
-# step by (see `_safeguarded_newton`)
-_STEADY_CURVATURE = 0.01
+# step by (see `_safeguarded_newton`).  A tenth holds the secant back while
+# a slowly settling d2 is still far off (13 iterations instead of 9 on a
+# test peak with d2 3.5 times too steep); a half lets it step on a d2 still
+# moving, and the d=5 lambda sweep takes 0.8 % more iterations
+_STEADY_CURVATURE = 0.25
 
 # A start whose MPDR output power keeps less than this share of the
 # delay-and-sum power at the same steering is cancelling the source it is
@@ -60,7 +63,7 @@ class CaponResult:
     w: np.ndarray                       # MPDR weights at lam, w^H a = 1
     iterations: int
     converged: bool
-    gradient_fallbacks: int             # Newton steps taken as ascent steps
+    gradient_fallbacks: int             # steps where d2 >= 0: ascent or growth
 
 
 def wrap_angle(lam: float) -> float:
@@ -192,18 +195,13 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     ``0.1 * max_step`` otherwise (a fallback).  The at-solution ``d2`` is
     off the true curvature, so Newton steps alone shrink ``|d1|`` by a
     fixed ratio per step; the secant slope ``s`` of ``d1`` through the last
-    two iterates corrects them.  When ``|d1|`` fell on the last step and
-    ``s`` agrees with ``d2`` within a factor of two (``2 d2 < s < d2/2``),
-    the step is the secant step ``-d1/s``.  Where ``d2`` overstates the
-    curvature further, the secant step is taken whenever ``d2 < s < 0``
-    and ``|d1|`` fell, provided the bias of ``d2`` has settled or ``|d1|``
-    falls slowly.  It has settled when the last two ``d2`` agree within
-    ``_STEADY_CURVATURE``: a steady ``d2`` off by a constant factor leaves
-    the secant slope as the measure of the curvature.  ``|d1|`` falls
-    slowly once it has fallen to between half and all of its last value
-    for ``_STALLS_BEFORE_GROWTH`` consecutive iterations, and the secant
-    stays on for as long as it keeps falling.  A secant step is at most
-    the longer of the Newton step and twice the previous step.
+    two iterates corrects them.  When ``|d1|`` fell on the last step, ``d2``
+    overstates the curvature (``d2 < s < 0``) and the bias of ``d2`` has
+    settled, the step is the secant step ``-d1/s``.  The bias has settled
+    when the last two ``d2`` agree within ``_STEADY_CURVATURE`` of the
+    earlier one: a steady ``d2`` off by a near-constant factor leaves the
+    secant slope as the measure of the curvature.  A secant step is at
+    most the longer of the Newton step and twice the previous step.
     On a convex approach the at-solution ``d2`` makes the steps far too
     short: once ``|d1|`` has not fallen for ``_STALLS_BEFORE_GROWTH``
     consecutive iterations, each step is at least twice the previous one.
@@ -232,8 +230,7 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     param = unwrapped = start
     lo = hi = prev = None           # prev: (unwrapped, d1, d2) of the last iterate
     step = 0.0
-    stalls = slow = fallbacks = iterations = 0
-    armed = False
+    stalls = fallbacks = iterations = 0
     reason = "max_iters"
     for iterations in range(1, max_iters + 1):
         d1, d2 = derivatives(param)
@@ -257,20 +254,16 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
                 # wrong curvature (c1 >= 0 mid-iteration): safeguarded ascent step
                 newton, rule = math.copysign(0.1 * max_step, d1), "ascent"
                 fallbacks += 1
-            # |d1| over its last value: >= 1 stalls, [0.5, 1) falls slowly
+            # |d1| over its last value: >= 1 stalls, (0, 1) falls
             ratio = 0.0 if prev is None else abs(d1) / abs(prev[1]) if prev[1] else math.inf
-            falling = 0.0 < ratio < 1.0
             stalls = stalls + 1 if ratio >= 1.0 else 0
-            slow = slow + 1 if 0.5 <= ratio < 1.0 else 0
-            # a slow descent arms the secant, and |d1| falling keeps it armed
-            armed = slow >= _STALLS_BEFORE_GROWTH or (armed and falling)
             longest = max(abs(newton), 2.0 * abs(step))
             if stalls >= _STALLS_BEFORE_GROWTH:
                 newton, rule = math.copysign(longest, newton), "growth"
-            elif falling:
+            elif 0.0 < ratio < 1.0:
                 slope = (d1 - prev[1]) / (unwrapped - prev[0])
                 steady = abs(d2 - prev[2]) <= _STEADY_CURVATURE * abs(prev[2])
-                if ((armed or steady) and d2 < slope < 0.0) or 2.0 * d2 < slope < 0.5 * d2:
+                if steady and d2 < slope < 0.0:
                     newton, rule = math.copysign(min(abs(d1 / slope), longest), d1), "secant"
             step = min(max(newton, -max_step), max_step)
         logger.debug("param %.12g d1 %.6g d2 %.6g step %.6g rule %s", param, d1, d2, step, rule)
@@ -331,18 +324,14 @@ def _steered_powers(m, omegas, v):
     return powers
 
 
-def _steered_power(m, omegas, v):
-    """:func:`_steered_powers` summed over the problems, as floats."""
-    powers = _steered_powers(m, omegas, v)
-    return lambda param: tuple(float(term.sum()) for term in powers(param))
-
-
-def _capon_spectrum(inverses, omegas, v):
+def _capon_spectrum(factors, omegas, v):
     """``derivatives(param)`` for :func:`_safeguarded_newton` of the Capon
-    spectrum ``-mean_k log(a_k^H C_k^-1 a_k)`` of the stack of inverse
-    covariances ``inverses`` ``(B, d, d)``, steered at
+    spectrum ``-mean_k log(a_k^H C_k^-1 a_k)`` of the stack of covariance
+    factors ``factors`` ``(B, d, d)``, ``C_k^-1 = G_k^H G_k``, steered at
     ``a_k = exp(1j omegas_k param v)``: per problem ``-log P`` has the
-    derivatives ``-P'/P`` and ``(P'/P)^2 - P''/P``."""
+    derivatives ``-P'/P`` and ``(P'/P)^2 - P''/P``.  An evaluation makes no
+    pass over the snapshots."""
+    inverses = np.conj(np.swapaxes(factors, -1, -2)) @ factors
     powers = _steered_powers(inverses, omegas, v)
 
     def derivatives(param):
@@ -371,10 +360,9 @@ def _capon_start(c_x, factor, model, start, project):
     ratio = model.d ** 2 / (np.real(np.vdot(g_a, g_a)) * np.real(np.vdot(a, c_x @ a)))
     if ratio >= _SELF_CANCELLATION:
         return start
-    inverse = (factor.conj().T @ factor)[None]          # C^-1 = G^H G
     lo, hi = start - _STEP_CAP, start + _STEP_CAP
     peak, _, _, _ = _safeguarded_newton(
-        start, _capon_spectrum(inverse, np.ones(1), model.v), _STEP_CAP, 2.0 * np.pi,
+        start, _capon_spectrum(factor[None], np.ones(1), model.v), _STEP_CAP, 2.0 * np.pi,
         lambda lam: min(max(lam, lo), hi), 100,
     )
     moved = project(peak)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capon_ice import (
-    _STEP_CAP, _MpdrStack, _capon_spectrum, _safeguarded_newton, _steered_power,
+    _STEP_CAP, _MpdrStack, _capon_spectrum, _safeguarded_newton, _steered_powers,
 )
 from .core import COVARIANCE_EPS, covariance_factor, mpdr_weights
 from .errors import DomainError, SingularCovariance
@@ -197,13 +197,14 @@ class IveResult:
     tau_s: float
     iterations: int                     # of the search from the Capon-spectrum peak
     start_iterations: int               # of the climb to that peak
+    start_fallbacks: int                # of the climb, as gradient_fallbacks
     converged: bool
     weights: np.ndarray                 # (K, d) per-bin separating vectors
     extracted: np.ndarray               # (K, n_frames) extracted spectrogram
     included_bins: np.ndarray
     alias_bins: np.ndarray
     flagged_bins: np.ndarray            # bins dropped: their covariance does not factor
-    gradient_fallbacks: int             # Newton steps taken as ascent steps
+    gradient_fallbacks: int             # of the search: steps where d2 >= 0 (ascent or growth)
 
 
 def _included_bins(tensor: StftTensor, fmin_hz: float) -> np.ndarray:
@@ -303,14 +304,13 @@ def _delay_search(geom, tau, omegas, derivatives, max_iters):
 def _capon_peak(kernel, geom, tau, max_iters):
     """The peak of the broadband Capon spectrum
     ``-mean_k log(a_k^H C_k^-1 a_k)`` over the bins of ``kernel`` that
-    :func:`_delay_search` climbs to from ``tau``; returns ``(tau, iterations)``.
-    An evaluation costs ``O(B d^2)`` on the kernel's factors, with no pass
-    over the frames."""
-    f = kernel.factors
-    inverses = np.conj(np.swapaxes(f, -1, -2)) @ f          # C^-1 = G^H G
-    derivatives = _capon_spectrum(inverses, kernel.omegas, kernel.v)
-    peak, iterations, _, _ = _delay_search(geom, tau, kernel.omegas, derivatives, max_iters)
-    return peak, iterations
+    :func:`_delay_search` climbs to from ``tau``; returns
+    ``(tau, iterations, fallbacks)``."""
+    derivatives = _capon_spectrum(kernel.factors, kernel.omegas, kernel.v)
+    peak, iterations, _, fallbacks = _delay_search(
+        geom, tau, kernel.omegas, derivatives, max_iters
+    )
+    return peak, iterations, fallbacks
 
 
 def run_ive(
@@ -372,7 +372,7 @@ def run_ive(
         )
         covariances = _covariances(searched.data)
     kernel, bins, flagged = _bin_stack(searched, geom, fmin_hz, covariances=covariances)
-    start, start_iterations = _capon_peak(
+    start, start_iterations, start_fallbacks = _capon_peak(
         kernel, geom, theta_to_tau(geom, theta_ini_deg), max_iters
     )
     tau, iterations, converged, fallbacks = _delay_search(
@@ -387,6 +387,7 @@ def run_ive(
         tau_s=tau,
         iterations=iterations,
         start_iterations=start_iterations,
+        start_fallbacks=start_fallbacks,
         converged=converged,
         weights=weights,
         extracted=extracted,
@@ -469,15 +470,16 @@ def srp_phat(
     omegas = 2.0 * np.pi * tensor.bin_frequencies()[included]
     xn = tensor.data[included]
     r = _covariances(xn / np.maximum(np.abs(xn), 1e-30))
-    power = _steered_power(r, omegas, np.arange(geom.d, dtype=float))
+    powers = _steered_powers(r, omegas, np.arange(geom.d, dtype=float))
     tau, _, _, _ = _delay_search(
-        geom, theta_to_tau(geom, theta_ini_deg), omegas, lambda tau: power(tau)[1:], 100,
+        geom, theta_to_tau(geom, theta_ini_deg), omegas,
+        lambda tau: tuple(float(term.sum()) for term in powers(tau)[1:]), 100,
     )
     theta = tau_to_theta(geom, tau)
     # the PHAT-normalized diagonal contributes exactly K*d; the off-diagonal
     # mass measures spatial coherence.  No coherence -> flagged stall.
     baseline = included.size * geom.d
-    structure = (power(tau)[0] - baseline) / (baseline * (geom.d - 1))
+    structure = (float(powers(tau)[0].sum()) - baseline) / (baseline * (geom.d - 1))
     stalled = structure < 0.01
     if stalled:
         theta = float(theta_ini_deg)

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,17 +29,6 @@ from . import bounds as bounds_mod
 from . import capon_ive, monte_carlo
 from .core import complex_laplacean, laplacean_score
 from .errors import BlindCaponError, DomainError
-
-
-@dataclass
-class RunManifest:
-    command: str
-    argv: list
-    master_seed: int
-    versions: dict
-    outputs: list
-    wall_clock_s: float
-    timestamp_utc: str = field(default="")
 
 
 def _versions() -> dict:
@@ -70,16 +59,15 @@ def _write_json(payload: dict, path):
 def _write_manifest(command, args_ns, seed, outputs, t0, out_dir, stage_s=None):
     """Write ``<command>.manifest.json``; ``stage_s``, the seconds of each
     stage of the command, is recorded when given."""
-    manifest = RunManifest(
-        command=command,
-        argv=args_ns.argv,
-        master_seed=seed,
-        versions=_versions(),
-        outputs=[str(p) for p in outputs],
-        wall_clock_s=time.perf_counter() - t0,
-        timestamp_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    )
-    payload = asdict(manifest)
+    payload = {
+        "command": command,
+        "argv": args_ns.argv,
+        "master_seed": seed,
+        "versions": _versions(),
+        "outputs": [str(p) for p in outputs],
+        "wall_clock_s": time.perf_counter() - t0,
+        "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
     if stage_s is not None:
         payload["stage_s"] = stage_s
     path = os.path.join(out_dir, f"{command}.manifest.json")
@@ -213,6 +201,7 @@ def cmd_extract(args) -> int:
             theta_hat_deg=result.theta_deg,
             iterations=result.iterations,
             start_iterations=result.start_iterations,
+            start_fallbacks=result.start_fallbacks,
             converged=result.converged,
             gradient_fallbacks=result.gradient_fallbacks,
             per_bin_flags={

@@ -185,6 +185,15 @@ def test_criterion_4_desk_scale_figure(lambda_sweep):
     )
 
 
+def test_criterion_4_caponice_iterations(lambda_sweep):
+    # one secant rule before a bracket forms takes the 4200 searches in
+    # 26726 iterations; with its factor-2 and slow-descent gates they took
+    # 26882, with Newton steps alone 31672
+    _, _, records = lambda_sweep
+    iterations = sum(r.iterations for r in records if r.method == "caponice")
+    assert report(4, iterations < 26882, f"{iterations} CaponICE iterations (< 26882)")
+
+
 def test_criterion_5_equivariance(lambda_sweep):
     _, agg, _ = lambda_sweep
     sirs_lambda = [

@@ -267,6 +267,7 @@ def test_extract_reports_and_logs_both_searches(tmp_path, broadband_wavs, caplog
     stops = [m for m in messages if m.startswith("stop: ")]
     assert len(stops) == 2
     assert f"after {report['start_iterations']} iterations" in stops[0]
+    assert stops[0].endswith(f", {report['start_fallbacks']} fallbacks")
     assert f"after {report['iterations']} iterations" in stops[1]
     steps = sum(m.startswith("param ") for m in messages)
     assert steps == report["start_iterations"] + report["iterations"]
