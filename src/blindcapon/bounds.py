@@ -119,25 +119,34 @@ def crib_capon_from_fim(
     return float(np.real(np.trace(np.asarray(c_z) @ crlb_h))) / sigma2
 
 
+def _score_powers(samples: np.ndarray, score: Callable[[np.ndarray], np.ndarray]):
+    """``|psi(s)|^2`` and ``|s|^2`` of each sample."""
+    samples = np.asarray(samples)
+    return np.abs(score(samples)) ** 2, np.abs(samples) ** 2
+
+
 def empirical_kappa_bar(samples: np.ndarray, score: Callable[[np.ndarray], np.ndarray]) -> float:
     """Estimate ``kappa_bar = E[|psi(s)|^2] * E[|s|^2]`` from i.i.d. samples."""
-    samples = np.asarray(samples)
-    kappa = float(np.mean(np.abs(score(samples)) ** 2))
-    sigma2 = float(np.mean(np.abs(samples) ** 2))
-    return kappa * sigma2
+    a, b = _score_powers(samples, score)
+    return float(np.mean(a)) * float(np.mean(b))
 
 
 def empirical_kappa_bar_stderr(
     samples: np.ndarray, score: Callable[[np.ndarray], np.ndarray]
 ) -> float:
     """Delta-method standard error of :func:`empirical_kappa_bar`."""
-    samples = np.asarray(samples)
-    n = samples.size
-    a = np.abs(score(samples)) ** 2
-    b = np.abs(samples) ** 2
+    return empirical_kappa_bar_with_stderr(samples, score)[1]
+
+
+def empirical_kappa_bar_with_stderr(
+    samples: np.ndarray, score: Callable[[np.ndarray], np.ndarray]
+):
+    """``(empirical_kappa_bar, empirical_kappa_bar_stderr)`` from one
+    evaluation of the score and the powers."""
+    a, b = _score_powers(samples, score)
     ka, sg = np.mean(a), np.mean(b)
     var = np.var(sg * a + ka * b, ddof=1)
-    return float(np.sqrt(var / n))
+    return float(ka) * float(sg), float(np.sqrt(var / a.size))
 
 
 def crib_report(kappa_bar: float, d: int, N: int) -> CribReport:

@@ -170,12 +170,12 @@ def istft(tensor: StftTensor, length: Optional[int] = None) -> np.ndarray:
     return out
 
 
-def istft_mono(spec: np.ndarray, reference: StftTensor, length: Optional[int] = None) -> np.ndarray:
-    """Inverse STFT of a single-channel spectrogram ``(K, n_frames)``."""
-    mono = StftTensor(
-        spec[:, None, :], reference.sample_rate, reference.fft_len, reference.hop
-    )
-    return istft(mono, length)[0]
+def istft_mono(
+    spec: np.ndarray, sample_rate: float, fft_len: int, hop: int, length: Optional[int] = None
+) -> np.ndarray:
+    """Inverse STFT of a single-channel spectrogram ``(K, n_frames)``; it
+    needs only the STFT's parameters, not the multichannel tensor."""
+    return istft(StftTensor(spec[:, None, :], sample_rate, fft_len, hop), length)[0]
 
 
 def theta_to_tau(geom: ArrayGeometry, theta_deg: float) -> float:
@@ -441,6 +441,10 @@ def _beamform(tensor, geom, theta_deg, covariances, loading):
     return weights, extracted
 
 
+# bins PHAT-normalized at a time by srp_phat
+_PHAT_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class SrpPhatResult:
     theta_deg: float
@@ -468,8 +472,13 @@ def srp_phat(
         raise ValueError("geometry channel count does not match the tensor")
     included = _included_bins(tensor, fmin_hz)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()[included]
-    xn = tensor.data[included]
-    r = _covariances(xn / np.maximum(np.abs(xn), 1e-30))
+    x = _take_bins(tensor.data, included)
+    # the PHAT-normalized snapshots exist a block of bins at a time; each
+    # bin's covariance is its own product, so blocking does not change it
+    r = np.empty((included.size, geom.d, geom.d), dtype=complex)
+    for start in range(0, included.size, _PHAT_BLOCK):
+        xn = x[start: start + _PHAT_BLOCK]
+        r[start: start + len(xn)] = _covariances(xn / np.maximum(np.abs(xn), 1e-30))
     powers = _steered_powers(r, omegas, np.arange(geom.d, dtype=float))
     tau, _, _, _ = _delay_search(
         geom, theta_to_tau(geom, theta_ini_deg), omegas,
@@ -549,10 +558,12 @@ def read_wav(path):
 
 def write_wav(path, sample_rate: float, signal: np.ndarray):
     """Write a mono or multichannel float32 WAV: IEEE float ``fmt `` chunk
-    with ``cbSize``, ``fact`` chunk, interleaved samples."""
-    signal = np.asarray(signal, dtype=np.float32)
+    with ``cbSize``, ``fact`` chunk, interleaved samples.  The samples are
+    rounded into one interleaved float32 array (none for contiguous mono
+    float32), which is written through a memoryview."""
+    signal = np.asarray(signal)
     ch = signal.shape[0] if signal.ndim == 2 else 1
-    data = np.ascontiguousarray(signal.T, dtype="<f4").tobytes()
+    data = memoryview(np.ascontiguousarray(signal.T, dtype="<f4").ravel()).cast("B")
     rate = int(sample_rate)
     with open(path, "wb") as fh:
         # RIFF size: "WAVE", fmt (8 + 18), fact (8 + 4) and data (8 + samples)

@@ -150,8 +150,9 @@ def cmd_bounds(args) -> int:
             # the standard error needs two samples; fewer give NaN, not JSON
             raise DomainError(f"--samples must be >= 2, got {args.samples}")
         samples = complex_laplacean(np.random.default_rng(args.seed), args.samples)
-        kappa_bar = bounds_mod.empirical_kappa_bar(samples, laplacean_score)
-        stderr = bounds_mod.empirical_kappa_bar_stderr(samples, laplacean_score)
+        kappa_bar, stderr = bounds_mod.empirical_kappa_bar_with_stderr(
+            samples, laplacean_score
+        )
     else:
         kappa_bar, stderr = args.kappa_bar, None
     report = bounds_mod.crib_report(kappa_bar, args.d, args.n)
@@ -176,9 +177,13 @@ def cmd_extract(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     with _timed(stage_s, "read"):
         rate, mix = capon_ive.read_wav(args.infile)
-    if mix.shape[0] < 2:
+    d, length = mix.shape
+    if d < 2:
         raise BlindCaponError("extraction needs at least two channels")
-    geom = capon_ive.ArrayGeometry(spacing_m=args.spacing_m, d=mix.shape[0])
+    geom = capon_ive.ArrayGeometry(spacing_m=args.spacing_m, d=d)
+    # the mix, its float32 samples and the STFT tensor are each dropped at
+    # their last use; scoring needs only channel 0 of the mix
+    mix0 = mix[0].copy() if args.refs else None
     with _timed(stage_s, "stft"):
         # the STFT is single precision: scaling by the power of two that puts
         # the peak in [0.5, 1) is exact, and keeps float32 away from its range
@@ -188,7 +193,9 @@ def cmd_extract(args) -> int:
         samples = np.ldexp(
             mix, -exponent, out=np.empty(mix.shape, np.float32), casting="same_kind"
         )
+        del mix
         tensor = capon_ive.stft(samples, args.fft, args.hop, rate)
+        del samples
 
     report = {"method": args.method, "theta_ini_deg": args.theta_ini}
     if args.method == "ive":
@@ -210,6 +217,7 @@ def cmd_extract(args) -> int:
                 "covariance_flagged": [int(k) for k in result.flagged_bins],
             },
         )
+        del result
     elif args.method == "srpphat+mpdr":
         with _timed(stage_s, "solve"):
             srp = capon_ive.srp_phat(tensor, geom, args.theta_ini, fmin_hz=args.fmin_hz)
@@ -220,8 +228,10 @@ def cmd_extract(args) -> int:
     else:
         raise DomainError(f"unknown method {args.method!r}")
 
+    del tensor
     with _timed(stage_s, "istft"):
-        y = np.ldexp(capon_ive.istft_mono(extracted_spec, tensor, length=mix.shape[1]), exponent)
+        y = np.ldexp(capon_ive.istft_mono(extracted_spec, rate, args.fft, args.hop, length),
+                     exponent)
     wav_path = os.path.join(out_dir, "extracted.wav")
     capon_ive.write_wav(wav_path, rate, y)
     outputs = [wav_path]
@@ -237,7 +247,7 @@ def cmd_extract(args) -> int:
             n = min(min(r.size for r in refs), y.size)
             refs = np.vstack([r[:n] for r in refs])
             improvement, soi, sir_in, sir_out = capon_ive.sir_improvement_db(
-                y[:n], mix[0, :n], refs
+                y[:n], mix0[:n], refs
             )
         report.update(
             sir_improvement_db=improvement,

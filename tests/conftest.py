@@ -109,15 +109,20 @@ def broadband_fixture():
     return build_broadband_fixture()
 
 
+def write_fixture_wavs(fixture, root):
+    """``fixture`` written out as float32 WAV files in ``root``; returns
+    ``(mix_path, ref_paths, fixture)``."""
+    mix_path = root / "mix.wav"
+    capon_ive.write_wav(mix_path, fixture.sample_rate, fixture.mix)
+    ref_paths = []
+    for i, src in enumerate(fixture.sources):
+        p = root / f"ref{i}.wav"
+        capon_ive.write_wav(p, fixture.sample_rate, src)
+        ref_paths.append(p)
+    return mix_path, ref_paths, fixture
+
+
 @pytest.fixture(scope="session")
 def broadband_wavs(broadband_fixture, tmp_path_factory):
     """The fixture written out as WAV files for CLI-level tests."""
-    root = tmp_path_factory.mktemp("wavs")
-    mix_path = root / "mix.wav"
-    capon_ive.write_wav(mix_path, broadband_fixture.sample_rate, broadband_fixture.mix)
-    ref_paths = []
-    for i, src in enumerate(broadband_fixture.sources):
-        p = root / f"ref{i}.wav"
-        capon_ive.write_wav(p, broadband_fixture.sample_rate, src)
-        ref_paths.append(p)
-    return mix_path, ref_paths, broadband_fixture
+    return write_fixture_wavs(broadband_fixture, tmp_path_factory.mktemp("wavs"))

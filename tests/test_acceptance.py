@@ -277,7 +277,8 @@ def test_criterion_7_broadband_fixture(broadband_fixture):
     for theta_true in fx.thetas_deg:
         res = capon_ive.run_ive(tensor, fx.geom, theta_true + 5.0)
         worst_theta = max(worst_theta, abs(res.theta_deg - theta_true))
-        y = capon_ive.istft_mono(res.extracted, tensor, length=fx.mix.shape[1])
+        y = capon_ive.istft_mono(res.extracted, tensor.sample_rate, tensor.fft_len, tensor.hop,
+                                 length=fx.mix.shape[1])
         improvement, _, _, _ = capon_ive.sir_improvement_db(y, fx.mix[0], fx.sources)
         worst_improvement = min(worst_improvement, improvement)
         srp = capon_ive.srp_phat(tensor, fx.geom, theta_true + 5.0)

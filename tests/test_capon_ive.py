@@ -2,6 +2,7 @@
 SRP-PHAT on the anechoic two-source fixture."""
 
 import functools
+import struct
 import tracemalloc
 
 import numpy as np
@@ -519,7 +520,8 @@ def test_run_ive_improves_sir(broadband_fixture):
     fx = broadband_fixture
     tensor = fx.tensor()
     res = capon_ive.run_ive(tensor, fx.geom, fx.thetas_deg[0] + 5.0)
-    y = capon_ive.istft_mono(res.extracted, tensor, length=fx.mix.shape[1])
+    y = capon_ive.istft_mono(res.extracted, tensor.sample_rate, tensor.fft_len, tensor.hop,
+                             length=fx.mix.shape[1])
     improvement, soi, sir_in, sir_out = capon_ive.sir_improvement_db(
         y, fx.mix[0], fx.sources
     )
@@ -550,7 +552,7 @@ def test_single_source_passthrough():
     assert abs(res.theta_deg - 72.0) < 0.1
     # heavy extraction loading: the lone source must pass through unharmed
     _, extracted = capon_ive.beamform_at(tensor, geom, res.theta_deg, loading=0.03)
-    y = capon_ive.istft_mono(extracted, tensor, length=n)
+    y = capon_ive.istft_mono(extracted, tensor.sample_rate, tensor.fft_len, tensor.hop, n)
     ref = mix[0]
     rel = np.linalg.norm(y - ref) / np.linalg.norm(ref)
     assert rel < 1e-3
@@ -707,6 +709,33 @@ def test_write_wav_is_byte_identical_to_scipy(tmp_path, shape):
     sig32 = sig.astype(np.float32)
     scipy.io.wavfile.write(tmp_path / "scipy.wav", 16000, sig32.T if sig32.ndim == 2 else sig32)
     assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+def struct_wav(sample_rate, signal):
+    """The bytes of a float32 WAV of ``signal``, each sample packed by
+    ``struct``: IEEE float ``fmt `` chunk with ``cbSize`` 0, ``fact`` chunk."""
+    rows = np.atleast_2d(np.asarray(signal, dtype=np.float32))
+    ch, frames = rows.shape
+    samples = struct.pack(f"<{rows.size}f", *rows.T.ravel().tolist())
+    fmt = wav_fmt(3, ch, 32, rate=sample_rate) + struct.pack("<H", 0)
+    return riff_bytes((b"fmt ", fmt), (b"fact", struct.pack("<I", frames)), (b"data", samples))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(40_000,), (1, 40_000), (3, 40_000)],
+                         ids=["mono", "one-row", "3ch"])
+def test_write_wav_writes_one_float32_copy(tmp_path, shape, dtype):
+    sig = (RNG(17).standard_normal(shape) * 0.2).astype(dtype)
+    path = tmp_path / "x.wav"
+    tracemalloc.start()
+    try:
+        capon_ive.write_wav(path, 16000, sig)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == struct_wav(16000, sig)
+    # at most the interleaved float32 samples, none of the copies behind bytes()
+    assert peak <= 1.2 * 4 * sig.size
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import blindcapon
 from blindcapon import bounds, capon_ive, cli, monte_carlo
-from conftest import riff_bytes, wav_fmt
+from conftest import build_broadband_fixture, riff_bytes, wav_fmt, write_fixture_wavs
 
 
 def read_csv(path):
@@ -238,6 +239,34 @@ def test_extract_srpphat_mpdr(tmp_path, broadband_wavs):
     assert abs(report["theta_hat_deg"] - fx.thetas_deg[1]) < 1.0
     # optional-field contract: no refs -> no SIR fields, still success
     assert "sir_improvement_db" not in report
+
+
+@pytest.fixture(scope="module")
+def short_wavs(tmp_path_factory):
+    """A 3 s scene like the broadband fixture, as float32 WAV files."""
+    fx = build_broadband_fixture(duration_s=3.0)
+    return write_fixture_wavs(fx, tmp_path_factory.mktemp("short"))
+
+
+@pytest.mark.parametrize("method", ["ive", "srpphat+mpdr"])
+def test_extract_holds_about_one_stft_tensor(tmp_path, short_wavs, method):
+    # the mix, its float32 samples and the tensor are each dropped at their
+    # last use, so the traced peak is the tensor plus one bin-stack of
+    # outputs (1.5x the tensor), not several copies of it
+    mix_path, ref_paths, fx = short_wavs
+    tensor_bytes = capon_ive.stft(
+        fx.mix.astype(np.float32), fx.fft_len, fx.hop, fx.sample_rate
+    ).data.nbytes
+    args = ["extract", "--in", str(mix_path), "--theta-ini", str(fx.thetas_deg[0] + 5.0),
+            "--refs", ",".join(str(p) for p in ref_paths), "--method", method,
+            "--out-dir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert cli.main(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * tensor_bytes
 
 
 def extract_report(out, mix_path, theta_ini):
