@@ -9,6 +9,7 @@ corrected by secant steps or grown where they fall short, until the first
 derivative changes sign, then secant or bisection steps.
 """
 
+import cmath
 import functools
 import logging
 import math
@@ -46,12 +47,14 @@ _STALLS_BEFORE_GROWTH = 3
 # moving, and the d=5 lambda sweep takes 0.8 % more iterations
 _STEADY_CURVATURE = 0.25
 
-# A start whose MPDR output power keeps less than this share of the
-# delay-and-sum power at the same steering is cancelling the source it is
-# steered near (see `_capon_start`).  Such starts measure <= 2.1e-9 on
-# lone sources over a -100 dB floor; the starts of the d=5 and d=8 Monte
-# Carlo sweeps, with competing sources, measure >= 1.1e-5.
-_SELF_CANCELLATION = 1e-7
+# A start moves to the Capon-spectrum peak that the scalar search climbs to
+# within _START_WINDOW / d of it when that peak lies strictly inside the
+# window and has at least _START_GAIN_DB more Capon power (see
+# `_capon_start`).  A window of pi/(2d) reaches a competitor's peak from a
+# weak source with none of its own; without the gain condition a start on a
+# flat Capon spectrum wanders off a fixed point of the contrast search.
+_START_WINDOW = np.pi / 4.0
+_START_GAIN_DB = 1.0
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +67,7 @@ class CaponResult:
     iterations: int
     converged: bool
     gradient_fallbacks: int             # steps where d2 >= 0: ascent or growth
+    start_iterations: int               # of the Capon-peak climb before the search
 
 
 def wrap_angle(lam: float) -> float:
@@ -234,7 +238,7 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     reason = "max_iters"
     for iterations in range(1, max_iters + 1):
         d1, d2 = derivatives(param)
-        if not (np.isfinite(d1) and np.isfinite(d2)):
+        if not (math.isfinite(d1) and math.isfinite(d2)):
             raise Diverged(f"non-finite derivatives at parameter {param}")
         if d1 > 0.0:
             lo = unwrapped
@@ -342,35 +346,84 @@ def _capon_spectrum(factors, omegas, v):
     return derivatives
 
 
-def _capon_start(c_x, factor, model, start, project):
-    """Move a self-cancelling start to the Capon-spectrum peak nearby.
+@functools.lru_cache(maxsize=16)
+def _capon_rows(v_bytes):
+    """``(weights, phases)`` for :func:`_capon_powers` and the steering
+    weights with bytes ``v_bytes``, read-only as the cache shares them: for
+    a Hermitian ``m``, ``(m.ravel() @ weights).reshape(3, -1)`` holds the
+    rows ``(h_L, 1j L h_L, -L^2 h_L)`` over lag 0 and the positive lags
+    ``L`` of :func:`_steered_powers`, with ``h_0 = c_0`` and
+    ``h_L = c_L + conj(c_-L) = 2 c_L``; ``phases`` is ``1j L``."""
+    v = np.frombuffer(v_bytes)
+    lags, which = np.unique(v[None, :] - v[:, None], return_inverse=True)
+    kept = np.flatnonzero(lags >= 0.0)                  # lag 0 first
+    lags = lags[kept]
+    columns = (which.reshape(-1, 1) == kept) * np.where(lags > 0.0, 2.0, 1.0)
+    weights = np.concatenate([columns, columns * (1j * lags), columns * -(lags * lags)], axis=1)
+    phases = 1j * lags
+    weights.flags.writeable = phases.flags.writeable = False
+    return weights, phases
 
-    At a start close to, but not on, a dominant source the MPDR weights
-    null that source and the output is the noise floor, where the
-    contrast is flat and the Newton search walks away.  The ratio of the
-    Capon power ``1 / (a^H C^-1 a)`` to the delay-and-sum power
-    ``a^H C a / d^2`` detects this; below ``_SELF_CANCELLATION`` the start
-    is replaced by the maximizer of the Capon spectrum, ``-log(a^H C^-1 a)``,
-    that :func:`_safeguarded_newton` finds from the start within
-    ``[start - _STEP_CAP, start + _STEP_CAP]``.  Any other start is returned
-    unchanged.
+
+def _capon_powers(factor, v):
+    """``powers(lam)``: ``(P, P', P'')`` as floats, the one-problem power
+    ``P = a^H C^-1 a`` at ``a = exp(1j lam v)``, ``C^-1 = G^H G`` for the
+    covariance factor ``factor``, and its derivatives along ``lam``.
+
+    The same sum over lags as :func:`_steered_powers`, its rows formed once
+    by one product with :func:`_capon_rows`; over the few lags of a small
+    array, scalar complex arithmetic evaluates it faster than numpy calls
+    on arrays of that size."""
+    weights, phases = _capon_rows(v.tobytes())
+    rows = (np.conj(factor.T) @ factor).reshape(-1) @ weights
+    terms = list(zip(phases.tolist(), *rows.reshape(3, -1).tolist()))
+
+    def powers(lam):
+        p = d1 = d2 = 0j
+        for phase, r0, r1, r2 in terms:
+            e = cmath.exp(phase * lam)
+            p += r0 * e
+            d1 += r1 * e
+            d2 += r2 * e
+        return p.real, d1.real, d2.real
+
+    return powers
+
+
+def _capon_start(factor, model, start, project, max_iters):
+    """The start of the contrast search from ``start``; returns
+    ``(start, iterations)``.
+
+    Near a strong source the MPDR weights at the start partly cancel it
+    (self-cancellation under steering mismatch), and the contrast search
+    from there can walk to another source.  The Capon spectrum
+    ``-log(a^H C^-1 a)`` still peaks at the source, so the scalar search
+    :func:`_safeguarded_newton` first climbs it from ``start``, clipped to
+    ``start +- pi/(4d)``, in at most ``max_iters`` iterations.  The start
+    moves to the peak only if the peak lies strictly inside that window and
+    its Capon power ``1 / (a^H C^-1 a)`` is at least 1 dB above the
+    start's; otherwise ``start`` is returned bit for bit.  The climb's
+    iterations and one line on the decision are logged at DEBUG level.
     """
-    a = core.steering(model, start)
-    g_a = factor @ a                                    # a^H C^-1 a = |G a|^2
-    ratio = model.d ** 2 / (np.real(np.vdot(g_a, g_a)) * np.real(np.vdot(a, c_x @ a)))
-    if ratio >= _SELF_CANCELLATION:
-        return start
-    lo, hi = start - _STEP_CAP, start + _STEP_CAP
-    peak, _, _, _ = _safeguarded_newton(
-        start, _capon_spectrum(factor[None], np.ones(1), model.v), _STEP_CAP, 2.0 * np.pi,
-        lambda lam: min(max(lam, lo), hi), 100,
+    powers = _capon_powers(factor, model.v)
+
+    def derivatives(lam):
+        p, d1, d2 = powers(lam)
+        slope = d1 / p
+        return -slope, slope * slope - d2 / p
+
+    half = _START_WINDOW / model.d
+    lo, hi = start - half, start + half
+    peak, iterations, _, _ = _safeguarded_newton(
+        start, derivatives, _STEP_CAP, 2.0 * np.pi, lambda lam: min(max(lam, lo), hi), max_iters,
     )
-    moved = project(peak)
+    gain_db = 10.0 * math.log10(powers(start)[0] / powers(peak)[0])
+    moved = lo < peak < hi and gain_db >= _START_GAIN_DB
     logger.debug(
-        "start %.6g cancels its source (Capon/delay-and-sum power %.3g); "
-        "moved to the Capon-spectrum peak %.10g", start, ratio, moved,
+        "start %.10g %s; the Capon-spectrum peak is %.10g, %+.3g dB",
+        start, "moved" if moved else "kept", peak, gain_db,
     )
-    return moved
+    return (project(peak) if moved else start), iterations
 
 
 def _runaway_guard(lambda_ini: float, lam: float) -> float:
@@ -390,11 +443,12 @@ def run(
     """Bracketed Newton search over ``lam`` from ``lambda_ini`` (radians),
     at most ``max_iters`` iterations, with the rational nonlinearity.
 
-    A start at which the MPDR weights cancel the source they are steered
-    near (a lone source over a quiet floor, a little way from the start) is
-    first moved to the Capon-spectrum peak within 0.5 of it; every other
-    start is used as given (see :func:`_capon_start`).  Each iteration
-    rebuilds ``a(lam)``, ``w(lam)`` and ``s`` on the one-problem
+    The search starts at the Capon-spectrum peak that a climb from
+    ``lambda_ini`` reaches within ``pi/(4d)`` of it, if that peak has at
+    least 1 dB more Capon power, and at ``lambda_ini`` otherwise (see
+    :func:`_capon_start`); ``start_iterations`` counts the climb's
+    iterations, of ``O(d)`` each, and ``iterations`` the search's.  Each
+    iteration rebuilds ``a(lam)``, ``w(lam)`` and ``s`` on the one-problem
     :class:`_MpdrStack`, evaluates the first derivative and the
     approximate second derivative, then updates ``lam`` by at most 0.5:
     Newton steps until the first derivative changes sign, secant or
@@ -418,7 +472,7 @@ def run(
     else:
         start = float(lambda_ini)
         project = functools.partial(_runaway_guard, lambda_ini)
-    start = _capon_start(*covariance, model, start, project)
+    start, start_iterations = _capon_start(covariance[1], model, start, project, max_iters)
     lam, iterations, converged, fallbacks = _safeguarded_newton(
         start, kernel.joint_derivatives, _STEP_CAP, 2.0 * np.pi, project, max_iters,
     )
@@ -431,4 +485,5 @@ def run(
         iterations=iterations,
         converged=converged,
         gradient_fallbacks=fallbacks,
+        start_iterations=start_iterations,
     )

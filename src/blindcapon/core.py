@@ -113,9 +113,13 @@ def laplacean_score(s: np.ndarray) -> np.ndarray:
     """True score of :func:`complex_laplacean`: ``sign(Re s) - i sign(Im s)``.
 
     Its squared modulus is 2 everywhere, so kappa_bar = 2 exactly for the
-    unit-variance law.
+    unit-variance law.  The signs are written straight into the real and
+    imaginary parts of one complex array, so no full-size temporary exists.
     """
-    return np.sign(np.real(s)) - 1j * np.sign(np.imag(s))
+    out = np.empty(np.shape(s), dtype=complex)
+    np.sign(np.real(s), out=out.real)
+    np.negative(np.sign(np.imag(s), out=out.imag), out=out.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Core types, steering, covariance, MPDR weights and sample statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -266,6 +268,25 @@ def test_laplacean_unit_variance_and_score():
     np.testing.assert_allclose(np.abs(psi) ** 2, 2.0, atol=1e-12)
     # score property E[s psi(s)] = 1
     assert abs(np.mean(s * psi) - 1.0) < 0.01
+
+
+def test_laplacean_score_is_the_sign_formula_in_one_array():
+    # the signs, zeros and non-finite parts included, element for element
+    s = core.complex_laplacean(RNG(101), (3, 1000))
+    s[0, :4] = [0.0, 1j, -2.0, complex(np.nan, -1.0)]
+    want = np.sign(np.real(s)) - 1j * np.sign(np.imag(s))
+    got = core.laplacean_score(s)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    # the output is the only full-size array: no temporaries of its size
+    s = core.complex_laplacean(RNG(102), 1_000_000)
+    tracemalloc.start()
+    try:
+        out = core.laplacean_score(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * out.nbytes
 
 
 @pytest.mark.parametrize("shape", [(8, 5000), (3, 7), (64,)])
