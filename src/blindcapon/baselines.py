@@ -84,7 +84,7 @@ def fastica_one_unit(
     if not np.any(w_ini):
         raise ValueError("w_ini must be nonzero")
     if covariance is None:
-        c_x = sample_covariance(x)
+        c_x = sample_covariance(x.data)
         covariance = (c_x, covariance_factor(c_x))
     c_x, factor = covariance
     xt = factor @ x.data
@@ -115,6 +115,17 @@ def fastica_one_unit(
     )
 
 
+def _eigenvectors(c_x: np.ndarray, num_sources: int):
+    """``(d, vecs)``: the size of ``c_x`` and its eigenvectors in ascending
+    order of eigenvalue; :class:`RankDeficient` unless
+    ``1 <= num_sources < d``."""
+    c_x = np.asarray(c_x, dtype=complex)
+    d = c_x.shape[0]
+    if not 1 <= num_sources < d:
+        raise RankDeficient(f"need 1 <= num_sources < d, got {num_sources} vs d={d}")
+    return d, np.linalg.eigh(c_x)[1]
+
+
 def root_music(c_x: np.ndarray, num_sources: int) -> DoaEstimate:
     """Root MUSIC for a ULA: roots of the noise-subspace polynomial.
 
@@ -122,11 +133,7 @@ def root_music(c_x: np.ndarray, num_sources: int) -> DoaEstimate:
     conjugate-reciprocal pairs; the ``num_sources`` roots inside the unit
     circle closest to it give the candidate angles.
     """
-    c_x = np.asarray(c_x, dtype=complex)
-    d = c_x.shape[0]
-    if not 1 <= num_sources < d:
-        raise RankDeficient(f"need 1 <= num_sources < d, got {num_sources} vs d={d}")
-    _, vecs = np.linalg.eigh(c_x)
+    d, vecs = _eigenvectors(c_x, num_sources)
     noise = vecs[:, : d - num_sources]
     m = noise @ noise.conj().T
     # c_k = sum of the k-th diagonal of M, k = -(d-1) .. d-1
@@ -149,11 +156,7 @@ def tls_esprit(c_x: np.ndarray, num_sources: int) -> DoaEstimate:
     two maximally overlapping (d-1)-element subarrays; candidate angles are
     the angles of the rotation eigenvalues.
     """
-    c_x = np.asarray(c_x, dtype=complex)
-    d = c_x.shape[0]
-    if not 1 <= num_sources < d:
-        raise RankDeficient(f"need 1 <= num_sources < d, got {num_sources} vs d={d}")
-    _, vecs = np.linalg.eigh(c_x)
+    d, vecs = _eigenvectors(c_x, num_sources)
     u_s = vecs[:, d - num_sources:]
     u1, u2 = u_s[:-1], u_s[1:]
     stacked = np.hstack([u1, u2])

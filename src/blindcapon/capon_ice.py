@@ -464,7 +464,7 @@ def run(
     if not math.isfinite(lambda_ini):
         raise DomainError(f"lambda_ini must be finite, got {lambda_ini}")
     if covariance is None:
-        c_x = sample_covariance(x)
+        c_x = sample_covariance(x.data)
         covariance = (c_x, covariance_factor(c_x))
     kernel = _one_problem(x, model, *covariance)
     if model.is_integer:

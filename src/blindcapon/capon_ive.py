@@ -19,9 +19,10 @@ import numpy as np
 from .capon_ice import (
     _STEP_CAP, _MpdrStack, _capon_spectrum, _safeguarded_newton, _steered_powers,
 )
-from .core import COVARIANCE_EPS, covariance_factor, mpdr_weights
+from .core import (
+    COVARIANCE_EPS, SIR_CAP_DB, covariance_factor, mpdr_weights, sample_covariance,
+)
 from .errors import DomainError, SingularCovariance
-from .monte_carlo import SIR_CAP_DB
 
 
 @dataclass(frozen=True)
@@ -226,17 +227,6 @@ def _take_bins(data: np.ndarray, bins: np.ndarray) -> np.ndarray:
     return data[bins]
 
 
-def _covariances(x: np.ndarray) -> np.ndarray:
-    """Sample covariance of each ``(d, frames)`` matrix of the stack ``x``,
-    as :func:`core.sample_covariance` forms one, with no conjugated copy
-    of ``x``.  The products are summed in ``x``'s precision; the
-    covariances are complex128."""
-    # vecdot conjugates its first argument: c[k, i, j] = mean_t x_ki conj(x_kj)
-    c = np.vecdot(x[:, None, :, :], x[:, :, None, :]).astype(complex, copy=False)
-    c /= x.shape[-1]
-    return 0.5 * (c + np.conj(np.swapaxes(c, -1, -2)))
-
-
 def _loaded_factors(c: np.ndarray, eps: float):
     """:func:`covariance_factor` of each matrix of the stack ``c`` at the
     relative loading ``eps``; returns ``(factors, ok)``, ``ok[k]`` false
@@ -261,9 +251,9 @@ def _bin_stack(tensor, geom, fmin_hz, bins=None, covariances=None):
     """The included bins of a tensor as one :class:`capon_ice._MpdrStack`
     steered by the delay, its snapshots a view of the tensor; returns
     ``(kernel, bins, flagged)``, ``bins`` being the bins of the stack.
-    ``covariances`` is the :func:`_covariances` stack of all the tensor's
-    bins, computed when omitted.  A bin whose covariance does not factor
-    at the solver loading is flagged and dropped.
+    ``covariances`` is the :func:`core.sample_covariance` stack of all the
+    tensor's bins, computed when omitted.  A bin whose covariance does not
+    factor at the solver loading is flagged and dropped.
     """
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
@@ -271,7 +261,7 @@ def _bin_stack(tensor, geom, fmin_hz, bins=None, covariances=None):
         bins = _included_bins(tensor, fmin_hz)
     bins = np.asarray(bins, dtype=int)
     if covariances is None:
-        covariances = _covariances(tensor.data)
+        covariances = sample_covariance(tensor.data)
     x = _take_bins(tensor.data, bins)
     c = _take_bins(covariances, bins)
     factors, ok = _loaded_factors(c, COVARIANCE_EPS)
@@ -354,7 +344,7 @@ def run_ive(
     """
     if not np.isfinite(theta_ini_deg):
         raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
-    covariances = _covariances(tensor.data)
+    covariances = sample_covariance(tensor.data)
     searched = tensor
     # the search squares the snapshots in their own precision
     info = np.finfo(tensor.data.real.dtype)
@@ -370,7 +360,7 @@ def run_ive(
         searched = StftTensor(
             tensor.data * scales[:, None, None], tensor.sample_rate, tensor.fft_len, tensor.hop
         )
-        covariances = _covariances(searched.data)
+        covariances = sample_covariance(searched.data)
     kernel, bins, flagged = _bin_stack(searched, geom, fmin_hz, covariances=covariances)
     start, start_iterations, start_fallbacks = _capon_peak(
         kernel, geom, theta_to_tau(geom, theta_ini_deg), max_iters
@@ -421,12 +411,12 @@ def beamform_at(
     """
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
-    return _beamform(tensor, geom, theta_deg, _covariances(tensor.data), loading)
+    return _beamform(tensor, geom, theta_deg, sample_covariance(tensor.data), loading)
 
 
 def _beamform(tensor, geom, theta_deg, covariances, loading):
-    """:func:`beamform_at` given the :func:`_covariances` stack of all the
-    tensor's bins."""
+    """:func:`beamform_at` given the :func:`core.sample_covariance` stack of
+    all the tensor's bins."""
     k_all, d, _ = tensor.data.shape
     tau = theta_to_tau(geom, theta_deg)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()
@@ -478,7 +468,7 @@ def srp_phat(
     r = np.empty((included.size, geom.d, geom.d), dtype=complex)
     for start in range(0, included.size, _PHAT_BLOCK):
         xn = x[start: start + _PHAT_BLOCK]
-        r[start: start + len(xn)] = _covariances(xn / np.maximum(np.abs(xn), 1e-30))
+        r[start: start + len(xn)] = sample_covariance(xn / np.maximum(np.abs(xn), 1e-30))
     powers = _steered_powers(r, omegas, np.arange(geom.d, dtype=float))
     tau, _, _, _ = _delay_search(
         geom, theta_to_tau(geom, theta_ini_deg), omegas,

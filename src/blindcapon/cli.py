@@ -360,10 +360,7 @@ def main(argv=None) -> int:
         parser.error("bounds needs --kappa-bar or --estimate-kappa")
     try:
         return args.func(args)
-    except BlindCaponError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BlindCaponError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

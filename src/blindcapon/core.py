@@ -17,6 +17,8 @@ import numpy as np
 from .errors import SingularCovariance
 
 COVARIANCE_EPS = 1e-10
+# output SIRs are clipped to +-SIR_CAP_DB
+SIR_CAP_DB = 150.0
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +133,17 @@ def steering(model: SteeringModel, lam: float) -> np.ndarray:
     return np.exp(1j * lam * model.v)
 
 
-def sample_covariance(x: SnapshotMatrix) -> np.ndarray:
-    """Sample covariance ``(1/N) sum_n x(n) x(n)^H`` (Hermitian PSD)."""
-    data = x.data
-    c = data @ data.conj().T / x.N
-    return 0.5 * (c + c.conj().T)
+def sample_covariance(x: np.ndarray) -> np.ndarray:
+    """Sample covariance ``(1/N) sum_n x(n) x(n)^H`` of each ``(d, N)``
+    matrix of the snapshots ``x`` ``(..., d, N)``: one matrix (a
+    :class:`SnapshotMatrix`'s ``data``) or a stack of them (the bins of an
+    STFT tensor).  The products are summed in ``x``'s precision with no
+    conjugated copy of ``x``; the covariances are complex128 and exactly
+    Hermitian."""
+    # vecdot conjugates its first argument: c[..., i, j] = mean_n x_i conj(x_j)
+    c = np.vecdot(x[..., None, :, :], x[..., :, None, :]).astype(complex, copy=False)
+    c /= x.shape[-1]
+    return 0.5 * (c + np.conj(np.swapaxes(c, -1, -2)))
 
 
 def regularized(c: np.ndarray, eps: float = COVARIANCE_EPS) -> np.ndarray:

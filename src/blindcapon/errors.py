@@ -21,10 +21,6 @@ class DomainError(BlindCaponError, ValueError):
     """Parameter outside its mathematically valid domain."""
 
 
-class SingularFim(BlindCaponError):
-    """Fisher information matrix is singular (non-identifiable model)."""
-
-
 class RankDeficient(BlindCaponError):
     """Subspace method cannot proceed because of a rank deficiency."""
 

@@ -16,11 +16,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import baselines, bounds, capon_ice, core
-from .core import SnapshotMatrix, complex_gaussian, complex_laplacean
+from .core import SIR_CAP_DB, SnapshotMatrix, complex_gaussian, complex_laplacean
 from .errors import BlindCaponError, DomainError
 
 SUCCESS_SIR_DB = 3.0
-SIR_CAP_DB = 150.0
 DEFAULT_COMPETITOR = 0.25
 CSV_HEADER = (
     "grid_param,method,trial,seed,lambda_star,isir_db,lambda_hat,"
@@ -137,28 +136,30 @@ def trial_seed_sequence(master_seed: int, grid_index: int, trial_index: int):
 def _run_method(method, x, model, lam_ini, covariance):
     """Execute one method; returns (lambda_hat, w, iterations, converged).
 
-    ``covariance()`` gives the trial's sample covariance and its
-    :func:`core.covariance_factor`, which every method uses."""
+    ``covariance`` is the trial's sample covariance and its
+    :func:`core.covariance_factor`, which every method uses, or the
+    exception that forming them raised, raised again here."""
+    if method not in KNOWN_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if isinstance(covariance, Exception):
+        raise covariance
+    c_x, factor = covariance
+
+    def mpdr(lam):
+        return core.mpdr_weights(factor, core.steering(model, lam))[0]
+
     if method == "caponice":
-        res = capon_ice.run(x, model, lam_ini, covariance=covariance())
+        res = capon_ice.run(x, model, lam_ini, covariance=covariance)
         return res.lam, res.w, res.iterations, res.converged
     if method == "fastica":
-        c_x, factor = covariance()
-        w_ini, _ = core.mpdr_weights(factor, core.steering(model, lam_ini))
-        res = baselines.fastica_one_unit(x, w_ini, (c_x, factor))
+        res = baselines.fastica_one_unit(x, mpdr(lam_ini), covariance)
         return float("nan"), res.w, res.iterations, res.converged
     if method in ("musicmpdr", "espritmpdr"):
-        c_x, factor = covariance()
         estimator = baselines.root_music if method == "musicmpdr" else baselines.tls_esprit
         cands = estimator(c_x, STRUCTURED_SOURCES).candidates
         lam_hat = float(cands[np.argmin(np.abs(cands - lam_ini))])
-        w, _ = core.mpdr_weights(factor, core.steering(model, lam_hat))
-        return lam_hat, w, 0, True
-    if method == "ini":
-        _, factor = covariance()
-        w, _ = core.mpdr_weights(factor, core.steering(model, lam_ini))
-        return lam_ini, w, 0, True
-    raise ValueError(f"unknown method {method!r}")
+        return lam_hat, mpdr(lam_hat), 0, True
+    return lam_ini, mpdr(lam_ini), 0, True
 
 
 def run_trial(
@@ -171,8 +172,8 @@ def run_trial(
 ):
     """Run all methods on one mixture.
 
-    The methods share one sample covariance and one factor of it, computed
-    when the first of them runs; a failure to compute them is raised again
+    The methods share one sample covariance and one factor of it, formed
+    before the first of them runs; a failure to form them is raised again
     for each method.  A method that raises a package error or
     a linear-algebra error, the shared factor's included, is recorded as a
     failed row (lambda_hat nan, -150 dB, not converged, the exception's
@@ -181,18 +182,11 @@ def run_trial(
     model = core.ula(spec.d)
     rng_ini = np.random.default_rng(ini_seed)
     lam_ini = spec.lambda_star + rng_ini.uniform(-ini_radius, ini_radius)
-    shared = []
-
-    def covariance():
-        if not shared:
-            try:
-                c_x = core.sample_covariance(x)
-                shared.append((c_x, core.covariance_factor(c_x)))
-            except (BlindCaponError, np.linalg.LinAlgError) as exc:
-                shared.append(exc)
-        if isinstance(shared[0], Exception):
-            raise shared[0]
-        return shared[0]
+    try:
+        c_x = core.sample_covariance(x.data)
+        covariance = (c_x, core.covariance_factor(c_x))
+    except (BlindCaponError, np.linalg.LinAlgError) as exc:
+        covariance = exc
 
     records = []
     for method in methods:

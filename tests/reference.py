@@ -11,8 +11,10 @@ here too, in the per-problem form that includes the gradient in ``w``
 steered power as a quadratic form (:func:`steered_powers`), the oracle of
 its lag sums, and so are the draws of the Monte Carlo sources, the
 SRP-PHAT search as it ran on scipy's Nelder-Mead
-(:func:`srp_phat_nelder_mead`) and the STFT as one transform of all of a
-channel's frames (:func:`stft_one_shot`).
+(:func:`srp_phat_nelder_mead`), the STFT as one transform of all of a
+channel's frames (:func:`stft_one_shot`) and the numeric derivation of the
+structured bound from the Fisher information matrix (:func:`fim`,
+:func:`crib_capon_from_fim`), the oracle of ``bounds.crib_capon``.
 
 Nonlinearities follow the conjugating score convention: for a circular
 Gaussian source the score is ``phi(s) = conj(s)``, and the normalizer
@@ -24,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from blindcapon import capon_ive, monte_carlo
+from blindcapon import bounds, capon_ive, monte_carlo
 from blindcapon.core import (
     SnapshotMatrix,
     SteeringModel,
@@ -35,7 +37,7 @@ from blindcapon.core import (
     sample_covariance,
     steering,
 )
-from blindcapon.errors import DegenerateSignal, ScoreDegenerate
+from blindcapon.errors import BlindCaponError, DegenerateSignal, ScoreDegenerate
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ def extraction_state(
     """Build the consistent state (a, w, s, statistics) at ``lam``."""
     a = steering(model, lam)
     if factor is None:
-        factor = covariance_factor(sample_covariance(x))
+        factor = covariance_factor(sample_covariance(x.data))
     w, sigma2_solve = mpdr_weights(factor, a)
     s = w.conj() @ x.data
     stats = soi_statistics(s, phi)
@@ -208,7 +210,7 @@ def blocking_matrix(a: np.ndarray) -> np.ndarray:
 
 def background_covariance(x: SnapshotMatrix, a: np.ndarray) -> np.ndarray:
     """Sample covariance of the background signals ``z = B x``."""
-    return sample_covariance(SnapshotMatrix(blocking_matrix(a) @ x.data))
+    return sample_covariance(blocking_matrix(a) @ x.data)
 
 
 def contrast(
@@ -331,7 +333,7 @@ def steered_powers(m, omegas, v, param):
 
 def _at_state(x, state):
     """:func:`stack_derivatives` of the narrowband problem of ``x`` at ``state.lam``."""
-    c_x = sample_covariance(x)
+    c_x = sample_covariance(x.data)
     return stack_derivatives(
         x.data[None], c_x[None], covariance_factor(c_x)[None], state.model.v, np.ones(1),
         state.lam,
@@ -426,3 +428,55 @@ def stft_one_shot(signal, fft_len, hop) -> np.ndarray:
         frames = np.lib.stride_tricks.sliding_window_view(padded, fft_len)[::hop]
         out[:, ch, :] = np.fft.rfft(frames * win, axis=1).T
     return out
+
+
+class SingularFim(BlindCaponError):
+    """Fisher information matrix is singular (non-identifiable model)."""
+
+
+def fim(kappa: float, sigma2: float, c_z: np.ndarray, v_tilde: np.ndarray) -> np.ndarray:
+    """Fisher information matrix for the parameter vector [h^T, h^H, lam]^T.
+
+    Block structure (z circular, Hermitian overall):
+
+        [ kappa C_z      0          -i v~ ]
+        [ 0          kappa C_z*      i v~ ]
+        [ i v~^T     -i v~^T    2 sigma2 v~^T C_z^-1 v~ ]
+    """
+    c_z = np.asarray(c_z, dtype=complex)
+    v_tilde = np.asarray(v_tilde, dtype=float)
+    dm1 = c_z.shape[0]
+    if c_z.shape != (dm1, dm1) or v_tilde.shape != (dm1,):
+        raise ValueError("C_z must be (d-1)x(d-1) and v_tilde length d-1")
+    if not np.allclose(c_z, c_z.conj().T):
+        raise ValueError("C_z must be Hermitian")
+    if kappa * sigma2 <= 1.0 + bounds._KAPPA_TOL:
+        raise SingularFim(
+            f"kappa*sigma2 = {kappa * sigma2} <= 1: lambda row is dependent"
+        )
+    t = float(np.real(v_tilde @ np.linalg.solve(c_z, v_tilde)))
+    f = np.zeros((2 * dm1 + 1, 2 * dm1 + 1), dtype=complex)
+    f[:dm1, :dm1] = kappa * c_z
+    f[dm1:2 * dm1, dm1:2 * dm1] = kappa * c_z.conj()
+    f[:dm1, -1] = -1j * v_tilde
+    f[dm1:2 * dm1, -1] = 1j * v_tilde
+    f[-1, :dm1] = 1j * v_tilde
+    f[-1, dm1:2 * dm1] = -1j * v_tilde
+    f[-1, -1] = 2.0 * sigma2 * t
+    return f
+
+
+def crib_capon_from_fim(
+    kappa: float, sigma2: float, c_z: np.ndarray, v_tilde: np.ndarray, N: int
+) -> float:
+    """Numeric derivation route of the structured bound.
+
+    Inverts the full FIM, extracts the upper-left CRLB block of ``h`` from
+    ``N^-1 F^-1`` and pushes it through the ISR relation
+    ``E[ISR] >= tr(C_z CRLB(h)) / sigma2``.
+    """
+    f = fim(kappa, sigma2, c_z, v_tilde)
+    dm1 = np.asarray(c_z).shape[0]
+    f_inv = np.linalg.inv(f)
+    crlb_h = f_inv[:dm1, :dm1] / N
+    return float(np.real(np.trace(np.asarray(c_z) @ crlb_h))) / sigma2

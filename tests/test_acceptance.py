@@ -85,13 +85,13 @@ def test_criterion_2_fim_route_equivalence():
         sigma2 = float(0.2 + 2.0 * rng.random())
         kappa_bar = float(1.05 + 5.0 * rng.random())
         n = int(rng.integers(50, 2000))
-        numeric = bounds.crib_capon_from_fim(kappa_bar / sigma2, sigma2, c_z, v_t, n)
+        numeric = reference.crib_capon_from_fim(kappa_bar / sigma2, sigma2, c_z, v_t, n)
         closed = bounds.crib_capon(kappa_bar, d, n)
         worst = max(worst, abs(numeric - closed) / closed)
         # invariance probe at fixed (kappa_bar, d, N)
         if d == fixed["d"]:
             variants.append(
-                bounds.crib_capon_from_fim(
+                reference.crib_capon_from_fim(
                     fixed["kappa_bar"] / sigma2, sigma2, c_z, v_t, fixed["n"]
                 )
             )
@@ -307,7 +307,7 @@ def test_criterion_7_broadband_fixture(broadband_fixture):
 def test_criterion_8_properties():
     # distortionless after every iteration: rebuild each visited state
     x, _, _, model = random_mixture(RNG(108), 5, 500, 0.6, competitor=COMPETITOR)
-    factor = core.covariance_factor(core.sample_covariance(x))
+    factor = core.covariance_factor(core.sample_covariance(x.data))
     res = capon_ice.run(x, model, 0.65)
     worst_dl = abs(np.vdot(res.w, res.a) - 1.0)
     for lam in np.linspace(-1, 1, 7):

@@ -24,7 +24,7 @@ def two_source_snapshots(rng, lams, d, n, snr_db):
         x += np.outer(core.steering(model, lam), core.complex_gaussian(rng, n))
     noise_amp = 10.0 ** (-snr_db / 20.0)
     x += noise_amp * (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2)
-    return core.sample_covariance(core.SnapshotMatrix(x))
+    return core.sample_covariance(core.SnapshotMatrix(x).data)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,7 @@ def test_fastica_extracts_nongaussian_source():
     x, a, powers, model = random_mixture(
         rng, d, n, 0.5, laws=["laplacean"] + ["gaussian"] * (d - 1)
     )
-    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x)), core.steering(model, 0.55))
+    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x.data)), core.steering(model, 0.55))
     res = baselines.fastica_one_unit(x, w_ini)
     assert res.converged
     gains = np.abs(res.w.conj() @ a) ** 2 * powers
@@ -50,7 +50,7 @@ def test_fastica_gaussian_only_is_flagged_not_raised():
     rng = RNG(11)
     d, n = 4, 5000
     x, a, powers, model = random_mixture(rng, d, n, 0.3, laws=["gaussian"] * d)
-    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x)), core.steering(model, 0.3))
+    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x.data)), core.steering(model, 0.3))
     res = baselines.fastica_one_unit(x, w_ini, max_iters=50)
     gains = np.abs(res.w.conj() @ a) ** 2 * powers
     sir_db = 10 * np.log10(gains[0] / (np.sum(gains) - gains[0]))
@@ -60,7 +60,7 @@ def test_fastica_gaussian_only_is_flagged_not_raised():
 def test_fastica_output_satisfies_orthogonal_constraint():
     rng = RNG(12)
     x, _, _, model = random_mixture(rng, 5, 8000, 0.7)
-    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x)), core.steering(model, 0.72))
+    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x.data)), core.steering(model, 0.72))
     res = baselines.fastica_one_unit(x, w_ini)
     z = reference.blocking_matrix(res.a) @ x.data
     s = res.s
@@ -72,7 +72,7 @@ def test_fastica_output_satisfies_orthogonal_constraint():
 def test_fastica_distortionless_convention():
     rng = RNG(13)
     x, _, _, model = random_mixture(rng, 4, 4000, -0.2)
-    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x)), core.steering(model, -0.18))
+    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x.data)), core.steering(model, -0.18))
     res = baselines.fastica_one_unit(x, w_ini)
     assert abs(np.vdot(res.w, res.a) - 1.0) < 1e-10
 
@@ -118,7 +118,7 @@ def test_fastica_matches_eigh_whitened_oracle(d, law, seed):
     # (1e-6 after 30 iterations), so the comparison stops at 20.
     rng = RNG(seed)
     x, _, _, model = random_mixture(rng, d, 1000, 0.5, competitor=0.25, laws=[law] * d)
-    c_x = core.sample_covariance(x)
+    c_x = core.sample_covariance(x.data)
     factor = core.covariance_factor(c_x)
     w_ini, _ = core.mpdr_weights(factor, core.steering(model, 0.5 + rng.uniform(-0.1, 0.1)))
     w_ref, iterations, converged = eigh_whitened_fastica(x, core.regularized(c_x), w_ini, 20)

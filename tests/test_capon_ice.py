@@ -46,7 +46,7 @@ def first_derivative_via_grad_a(x, state):
     """Equivalent form ``-2 Im{ grad_a^H (a * v) }`` of the first
     derivative, with ``grad_a = sigma^2 C_x^-1 grad_w``."""
     av = state.a * state.model.v
-    loaded = core.regularized(core.sample_covariance(x))
+    loaded = core.regularized(core.sample_covariance(x.data))
     grad_a = state.stats.sigma2 * scipy.linalg.solve(
         loaded, reference.grad_w(x, state), assume_a="her"
     )
@@ -94,7 +94,7 @@ def exact_gaussian_derivatives(x, model, lam):
     of the output, phi(u) = conj(u), whose normalizer nu is 1 and whose c1
     is 0."""
     state = reference.extraction_state(x, model, lam, reference.gaussian_score())
-    c_x = core.sample_covariance(x)
+    c_x = core.sample_covariance(x.data)
     u = state.s / np.sqrt(state.stats.sigma2)
     return reference._mpdr_derivatives(
         x.data, c_x, core.covariance_factor(c_x), state.a, model.v, state.w,
@@ -251,7 +251,7 @@ def test_capon_powers_match_the_quadratic_form(v):
     # the narrowband climb's scalar sum over lags against the quadratic
     # form a^H C^-1 a of the covariance factor and its derivatives
     x, _, _, _ = random_mixture(RNG(54), 5, 500, 0.4)
-    factor = core.covariance_factor(core.sample_covariance(x))
+    factor = core.covariance_factor(core.sample_covariance(x.data))
     inverse = np.conj(factor.T) @ factor
     powers = capon_ice._capon_powers(factor, v)
     for lam in (-2.1, 0.0, 0.37, 1.9):
@@ -363,7 +363,7 @@ def test_capon_start_moves_to_a_stronger_peak_in_its_window(caplog):
     lone = lone_source_instance(RNG(606), model, 0.8)
     for x, start in ((dominant, 0.6), (lone, 0.9)):
         caplog.clear()
-        factor = core.covariance_factor(core.sample_covariance(x))
+        factor = core.covariance_factor(core.sample_covariance(x.data))
         moved, iterations = capon_ice._capon_start(factor, model, start, capon_ice.wrap_angle, 100)
         assert 0.0 < abs(moved - start) < half
         assert capon_power_db(factor, model, moved) >= capon_power_db(factor, model, start) + 1.0
@@ -383,7 +383,7 @@ def test_capon_start_on_a_capon_peak_is_kept_bit_for_bit(caplog):
     caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
     model = core.ula(5)
     x, _, _, _ = random_mixture(RNG(63), 5, 500, 0.7, isir_db=20.0, competitor=0.25)
-    factor = core.covariance_factor(core.sample_covariance(x))
+    factor = core.covariance_factor(core.sample_covariance(x.data))
     peak, _ = capon_ice._capon_start(factor, model, 0.6, capon_ice.wrap_angle, 100)
     caplog.clear()
     kept, iterations = capon_ice._capon_start(factor, model, peak, capon_ice.wrap_angle, 100)
@@ -397,7 +397,7 @@ def test_capon_start_does_not_take_a_peak_outside_its_window(caplog):
     # climb ends on the edge of the window, many dB up, and is not taken
     model = core.ula(5)
     x = lone_source_instance(RNG(606), model, 0.8)
-    factor = core.covariance_factor(core.sample_covariance(x))
+    factor = core.covariance_factor(core.sample_covariance(x.data))
     edge = 1.1 - np.pi / (4 * model.d)
     assert capon_power_db(factor, model, edge) >= capon_power_db(factor, model, 1.1) + 1.0
     kept, _ = capon_ice._capon_start(factor, model, 1.1, capon_ice.wrap_angle, 100)
@@ -730,7 +730,7 @@ def test_solvers_compute_no_statistics_or_eigendecomposition(monkeypatch):
     x, _, _, model = random_mixture(RNG(64), 5, 500, 0.5)
     res = capon_ice.run(x, model, 0.55)
     assert res.converged and res.iterations > 1
-    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x)),
+    w_ini, _ = core.mpdr_weights(core.covariance_factor(core.sample_covariance(x.data)),
                                  core.steering(model, 0.55))
     ica = baselines.fastica_one_unit(x, w_ini)
     assert ica.converged and ica.iterations > 1

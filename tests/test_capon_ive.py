@@ -223,7 +223,7 @@ def test_kernel_derivatives_match_oracle(small_tensor):
     # includes grad_w, narrowband and on every bin of the stack
     for seed, d in ((80, 3), (81, 5), (82, 8)):
         x, _, _, model = random_mixture(RNG(seed), d, 1000, 0.4, competitor=-0.5)
-        c_x = core.sample_covariance(x)
+        c_x = core.sample_covariance(x.data)
         kernel = capon_ice._one_problem(x, model, c_x, core.covariance_factor(c_x))
         for lam in (-2.0, -0.5, 0.3, 0.45, 1.2, 3.0):
             d1, d2 = kernel.derivatives(kernel.state(lam))
@@ -262,7 +262,7 @@ def test_stacked_kernel_matches_per_bin_loop(small_tensor, theta):
     per_bin = []
     for k in kept:
         xk = tensor.data[k]
-        ck = core.sample_covariance(core.SnapshotMatrix(xk))
+        ck = core.sample_covariance(core.SnapshotMatrix(xk).data)
         fac = core.covariance_factor(ck)
         a = np.exp(1j * omegas[k] * tau * v)
         w, sig2_solve = core.mpdr_weights(fac, a)
@@ -346,7 +346,7 @@ def test_run_ive_forms_one_covariance_stack_and_one_solve_per_iteration(
     # counted wherever run_ive, its kernel and its beamformer bind them: the
     # bin covariances feed both the search and the final weights, and the
     # search solves once per iteration, never at the point it stops on
-    calls = {"_covariances": 0, "mpdr_weights": 0}
+    calls = {"sample_covariance": 0, "mpdr_weights": 0}
 
     def counted(name, fn):
         def count(*args, **kwargs):
@@ -354,13 +354,15 @@ def test_run_ive_forms_one_covariance_stack_and_one_solve_per_iteration(
             return fn(*args, **kwargs)
         return count
 
-    monkeypatch.setattr(capon_ive, "_covariances", counted("_covariances", capon_ive._covariances))
+    monkeypatch.setattr(
+        capon_ive, "sample_covariance", counted("sample_covariance", core.sample_covariance)
+    )
     for module in (capon_ice, capon_ive):
         monkeypatch.setattr(module, "mpdr_weights", counted("mpdr_weights", core.mpdr_weights))
     tensor, geom = small_tensor
     res = capon_ive.run_ive(tensor, geom, 80.0)
     assert res.converged and res.iterations > 3
-    assert calls == {"_covariances": 1, "mpdr_weights": res.iterations + 1}
+    assert calls == {"sample_covariance": 1, "mpdr_weights": res.iterations + 1}
 
 
 def test_non_finite_start_is_a_domain_error(small_tensor):

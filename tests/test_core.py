@@ -64,20 +64,20 @@ def test_steering_model_validation():
 def test_covariance_rank_one():
     x = core.SnapshotMatrix(np.array([[1.0], [1.0j]])[:, [0, 0]][:, :1].repeat(2, axis=1))
     # two identical snapshots [1, i]; covariance equals the outer product
-    c = core.sample_covariance(x)
+    c = core.sample_covariance(x.data)
     np.testing.assert_allclose(c, np.array([[1.0, -1.0j], [1.0j, 1.0]]), atol=1e-15)
 
 
 def test_covariance_identity_columns():
     x = core.SnapshotMatrix(np.eye(2, dtype=complex))
-    np.testing.assert_allclose(core.sample_covariance(x), 0.5 * np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(core.sample_covariance(x.data), 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_covariance_matches_bruteforce():
     rng = RNG(3)
     d, n = 4, 1000
     data = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-    c = core.sample_covariance(core.SnapshotMatrix(data))
+    c = core.sample_covariance(core.SnapshotMatrix(data).data)
     brute = np.zeros((d, d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -85,6 +85,19 @@ def test_covariance_matches_bruteforce():
     np.testing.assert_allclose(c, brute, atol=1e-12)
     np.testing.assert_allclose(c, c.conj().T, atol=1e-14)
     assert np.min(np.linalg.eigvalsh(c)) > -1e-12
+
+
+def test_covariance_stack_matches_per_matrix_calls():
+    # one call on a (B, d, N) stack is B calls, bit for bit; each matrix is
+    # exactly Hermitian, and single-precision snapshots give complex128
+    rng = RNG(4)
+    x = rng.standard_normal((6, 4, 300)) + 1j * rng.standard_normal((6, 4, 300))
+    for data in (x, x.astype(np.complex64)):
+        c = core.sample_covariance(data)
+        assert c.dtype == np.complex128 and c.shape == (6, 4, 4)
+        for k in range(len(data)):
+            assert np.array_equal(c[k], core.sample_covariance(data[k]))
+        assert np.array_equal(c, np.conj(np.swapaxes(c, -1, -2)))
 
 
 def test_snapshot_matrix_needs_enough_samples():
