@@ -293,66 +293,15 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     return param, iterations, reason != "max_iters", fallbacks
 
 
-def _steered_powers(m, omegas, v):
-    """``powers(param)``: per problem ``(P, P', P'')``, the power
-    ``P_k = Re a_k^H m_k a_k`` steered at ``a_k = exp(1j omegas_k param v)``
-    for ``m`` ``(B, d, d)``, and its derivatives along ``param``; three
-    ``(B,)`` arrays.
-
-    The power is a sum over the lags ``L`` of ``v``, the distinct
-    differences ``v_j - v_i`` (grouped by exact equality, so a ULA has
-    ``d - 1`` positive ones).  With the lag sums ``c_L = sum_{v_j - v_i = L}
-    m_ij``, formed once here, ``h_L = c_L + conj(c_-L)`` and
-    ``t = omegas_k L``,
-
-        P = Re c_0 + Re sum_{L>0} h_L e^(1j t param),
-        P' = -sum_{L>0} t Im(h_L e^(1j t param)),
-        P'' = -sum_{L>0} t^2 Re(h_L e^(1j t param)),
-
-    an evaluation of ``O(B d)`` for a ULA against the ``O(B d^2)`` of the
-    quadratic form."""
-    lags, which = np.unique(v[None, :] - v[:, None], return_inverse=True)
-    sums = m.reshape(len(m), -1) @ (which.reshape(-1, 1) == np.arange(lags.size))
-    positive = lags > 0.0
-    c0 = np.real(sums[:, lags == 0.0]).sum(axis=-1)
-    # the differences are antisymmetric, so lags[::-1] == -lags
-    h = (sums + np.conj(sums[:, ::-1]))[:, positive]
-    t = omegas[:, None] * lags[positive]
-    t2 = t * t
-
-    def powers(param):
-        terms = h * np.exp(1j * (t * param))
-        re, im = terms.real, terms.imag
-        return c0 + re.sum(axis=-1), -np.vecdot(t, im), -np.vecdot(t2, re)
-
-    return powers
-
-
-def _capon_spectrum(factors, omegas, v):
-    """``derivatives(param)`` for :func:`_safeguarded_newton` of the Capon
-    spectrum ``-mean_k log(a_k^H C_k^-1 a_k)`` of the stack of covariance
-    factors ``factors`` ``(B, d, d)``, ``C_k^-1 = G_k^H G_k``, steered at
-    ``a_k = exp(1j omegas_k param v)``: per problem ``-log P`` has the
-    derivatives ``-P'/P`` and ``(P'/P)^2 - P''/P``.  An evaluation makes no
-    pass over the snapshots."""
-    inverses = np.conj(np.swapaxes(factors, -1, -2)) @ factors
-    powers = _steered_powers(inverses, omegas, v)
-
-    def derivatives(param):
-        p, d1, d2 = powers(param)
-        slope = d1 / p
-        return float(-slope.mean()), float((slope * slope - d2 / p).mean())
-
-    return derivatives
-
-
 @functools.lru_cache(maxsize=16)
-def _capon_rows(v_bytes):
-    """``(weights, phases)`` for :func:`_capon_powers` and the steering
-    weights with bytes ``v_bytes``, read-only as the cache shares them: for
-    a Hermitian ``m``, ``(m.ravel() @ weights).reshape(3, -1)`` holds the
-    rows ``(h_L, 1j L h_L, -L^2 h_L)`` over lag 0 and the positive lags
-    ``L`` of :func:`_steered_powers`, with ``h_0 = c_0`` and
+def _lag_weights(v_bytes):
+    """``(weights, phases)``, read-only as the cache shares them, for the
+    steering weights with bytes ``v_bytes``: for a Hermitian ``m``
+    ``(d, d)``, ``m.ravel() @ weights`` holds the rows
+    ``(h_L, 1j L h_L, -L^2 h_L)`` over lag 0 and the positive lags ``L`` of
+    ``v``, its distinct differences ``v_j - v_i`` (grouped by exact
+    equality, so a ULA has ``d - 1`` positive ones), with the lag sums
+    ``c_L = sum_{v_j - v_i = L} m_ij``, ``h_0 = c_0`` and
     ``h_L = c_L + conj(c_-L) = 2 c_L``; ``phases`` is ``1j L``."""
     v = np.frombuffer(v_bytes)
     lags, which = np.unique(v[None, :] - v[:, None], return_inverse=True)
@@ -365,54 +314,88 @@ def _capon_rows(v_bytes):
     return weights, phases
 
 
-def _capon_powers(factor, v):
-    """``powers(lam)``: ``(P, P', P'')`` as floats, the one-problem power
-    ``P = a^H C^-1 a`` at ``a = exp(1j lam v)``, ``C^-1 = G^H G`` for the
-    covariance factor ``factor``, and its derivatives along ``lam``.
+def _steered_powers(m, omegas, v):
+    """``powers(param)``: per problem ``(P, P', P'')``, the power
+    ``P_k = Re a_k^H m_k a_k`` steered at ``a_k = exp(1j omegas_k param v)``
+    for a Hermitian ``m`` ``(B, d, d)``, and its derivatives along ``param``.
 
-    The same sum over lags as :func:`_steered_powers`, its rows formed once
-    by one product with :func:`_capon_rows`; over the few lags of a small
-    array, scalar complex arithmetic evaluates it faster than numpy calls
-    on arrays of that size."""
-    weights, phases = _capon_rows(v.tobytes())
-    rows = (np.conj(factor.T) @ factor).reshape(-1) @ weights
-    terms = list(zip(phases.tolist(), *rows.reshape(3, -1).tolist()))
+    With the rows ``(h_L, 1j L h_L, -L^2 h_L)`` over the lags of
+    :func:`_lag_weights`, formed once here, and ``u = omegas_k param``,
 
-    def powers(lam):
-        p = d1 = d2 = 0j
-        for phase, r0, r1, r2 in terms:
-            e = cmath.exp(phase * lam)
-            p += r0 * e
-            d1 += r1 * e
-            d2 += r2 * e
-        return p.real, d1.real, d2.real
+        P = Re sum_L h_L e^(1j L u),
+        P' = omegas_k Re sum_L 1j L h_L e^(1j L u),
+        P'' = -omegas_k^2 Re sum_L L^2 h_L e^(1j L u),
+
+    an evaluation of ``O(B d)`` for a ULA against the ``O(B d^2)`` of the
+    quadratic form.  A stack gives three ``(B,)`` arrays.  One problem gives
+    three floats, summed by scalar complex arithmetic, which over a few
+    lags is faster than numpy calls."""
+    weights, phases = _lag_weights(v.tobytes())
+    rows = (m.reshape(len(m), -1) @ weights).reshape(len(m), 3, -1)
+    if len(m) == 1:
+        omega = float(omegas[0])
+        terms = list(zip(phases.tolist(), *rows[0].tolist()))
+
+        def powers(param):
+            u = omega * param
+            p = d1 = d2 = 0j
+            for phase, r0, r1, r2 in terms:
+                e = cmath.exp(phase * u)
+                p += r0 * e
+                d1 += r1 * e
+                d2 += r2 * e
+            return p.real, omega * d1.real, omega * omega * d2.real
+
+        return powers
+
+    scales = omegas ** np.arange(3.0)[:, None]
+
+    def powers(param):
+        e = np.exp(np.multiply.outer(omegas * param, phases))
+        return tuple(np.real(rows @ e[:, :, None])[:, :, 0].T * scales)
 
     return powers
 
 
-def _capon_start(factor, model, start, project, max_iters):
-    """The start of the contrast search from ``start``; returns
-    ``(start, iterations)``.
+def _capon_spectrum(kernel):
+    """``(derivatives, powers)`` of the Capon spectrum
+    ``-mean_k log(a_k^H C_k^-1 a_k)`` of the :class:`_MpdrStack` ``kernel``,
+    ``C_k^-1 = G_k^H G_k`` for its covariance factors: ``derivatives(param)``
+    for :func:`_safeguarded_newton` and ``powers``, the
+    :func:`_steered_powers` of the ``C_k^-1``.  Per problem ``-log P`` has
+    the derivatives ``-P'/P`` and ``(P'/P)^2 - P''/P``.  An evaluation
+    makes no pass over the snapshots."""
+    factors = kernel.factors
+    powers = _steered_powers(np.conj(factors.mT) @ factors, kernel.omegas, kernel.v)
+    # one problem evaluates to floats
+    mean = float if len(factors) == 1 else lambda values: float(np.mean(values))
+
+    def derivatives(param):
+        p, d1, d2 = powers(param)
+        slope = d1 / p
+        return mean(-slope), mean(slope * slope - d2 / p)
+
+    return derivatives, powers
+
+
+def _capon_start(kernel, start, project, max_iters):
+    """The start of the contrast search from ``start`` on the one-problem
+    :class:`_MpdrStack` ``kernel``; returns ``(start, iterations)``.
 
     Near a strong source the MPDR weights at the start partly cancel it
     (self-cancellation under steering mismatch), and the contrast search
     from there can walk to another source.  The Capon spectrum
     ``-log(a^H C^-1 a)`` still peaks at the source, so the scalar search
-    :func:`_safeguarded_newton` first climbs it from ``start``, clipped to
-    ``start +- pi/(4d)``, in at most ``max_iters`` iterations.  The start
-    moves to the peak only if the peak lies strictly inside that window and
-    its Capon power ``1 / (a^H C^-1 a)`` is at least 1 dB above the
-    start's; otherwise ``start`` is returned bit for bit.  The climb's
-    iterations and one line on the decision are logged at DEBUG level.
+    :func:`_safeguarded_newton` first climbs it (:func:`_capon_spectrum`)
+    from ``start``, clipped to ``start +- pi/(4d)``, in at most
+    ``max_iters`` iterations.  The start moves to the peak only if the peak
+    lies strictly inside that window and its Capon power
+    ``1 / (a^H C^-1 a)`` is at least 1 dB above the start's; otherwise
+    ``start`` is returned bit for bit.  The climb's iterations and one line
+    on the decision are logged at DEBUG level.
     """
-    powers = _capon_powers(factor, model.v)
-
-    def derivatives(lam):
-        p, d1, d2 = powers(lam)
-        slope = d1 / p
-        return -slope, slope * slope - d2 / p
-
-    half = _START_WINDOW / model.d
+    derivatives, powers = _capon_spectrum(kernel)
+    half = _START_WINDOW / kernel.v.size
     lo, hi = start - half, start + half
     peak, iterations, _, _ = _safeguarded_newton(
         start, derivatives, _STEP_CAP, 2.0 * np.pi, lambda lam: min(max(lam, lo), hi), max_iters,
@@ -446,12 +429,14 @@ def run(
     The search starts at the Capon-spectrum peak that a climb from
     ``lambda_ini`` reaches within ``pi/(4d)`` of it, if that peak has at
     least 1 dB more Capon power, and at ``lambda_ini`` otherwise (see
-    :func:`_capon_start`); ``start_iterations`` counts the climb's
-    iterations, of ``O(d)`` each, and ``iterations`` the search's.  Each
-    iteration rebuilds ``a(lam)``, ``w(lam)`` and ``s`` on the one-problem
-    :class:`_MpdrStack`, evaluates the first derivative and the
-    approximate second derivative, then updates ``lam`` by at most 0.5:
-    Newton steps until the first derivative changes sign, secant or
+    :func:`_capon_start`).  The climb is the one that starts
+    :func:`capon_ive.run_ive`, :func:`_capon_spectrum`, here of the
+    one-problem :class:`_MpdrStack` that the search then runs on;
+    ``start_iterations`` counts its iterations, of ``O(d)`` each, and
+    ``iterations`` the search's.  Each iteration of the search rebuilds
+    ``a(lam)``, ``w(lam)`` and ``s``, evaluates the first derivative and
+    the approximate second derivative, then updates ``lam`` by at most
+    0.5: Newton steps until the first derivative changes sign, secant or
     bisection steps inside the bracket after (see
     :func:`_safeguarded_newton`).  The search has converged when a step or
     the bracket falls to ``2 pi * 1e-9``.  For integer steering weights
@@ -472,7 +457,7 @@ def run(
     else:
         start = float(lambda_ini)
         project = functools.partial(_runaway_guard, lambda_ini)
-    start, start_iterations = _capon_start(covariance[1], model, start, project, max_iters)
+    start, start_iterations = _capon_start(kernel, start, project, max_iters)
     lam, iterations, converged, fallbacks = _safeguarded_newton(
         start, kernel.joint_derivatives, _STEP_CAP, 2.0 * np.pi, project, max_iters,
     )

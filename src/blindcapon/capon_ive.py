@@ -63,7 +63,7 @@ class StftTensor:
         if k != self.fft_len // 2 + 1:
             raise ValueError(f"expected {self.fft_len // 2 + 1} bins, got {k}")
         if frames <= d:
-            raise ValueError("need more frames than channels")
+            raise DomainError(f"need more frames than channels, got {frames} for {d} channels")
         object.__setattr__(self, "data", data)
 
     @property
@@ -97,8 +97,9 @@ def stft(signal: np.ndarray, fft_len: int, hop: int, sample_rate: float) -> Stft
     ``signal`` is ``(channels, samples)``; the signal is zero-padded by one
     window on each side so that, together with the matching synthesis window
     in :func:`istft`, the round trip reconstructs the input exactly.  That
-    needs ``fft_len >= 2`` and ``1 <= hop < fft_len``; other values, or a
-    NaN or infinite sample, raise :class:`DomainError`.
+    needs ``fft_len >= 2`` and ``1 <= hop < fft_len``; other values, a NaN
+    or infinite sample, or no more frames than channels raise
+    :class:`DomainError`.
 
     float32 samples give a complex64 tensor, any other samples (int16
     included) a complex128 one.  The FFTs run in double precision either
@@ -291,18 +292,6 @@ def _delay_search(geom, tau, omegas, derivatives, max_iters):
     )
 
 
-def _capon_peak(kernel, geom, tau, max_iters):
-    """The peak of the broadband Capon spectrum
-    ``-mean_k log(a_k^H C_k^-1 a_k)`` over the bins of ``kernel`` that
-    :func:`_delay_search` climbs to from ``tau``; returns
-    ``(tau, iterations, fallbacks)``."""
-    derivatives = _capon_spectrum(kernel.factors, kernel.omegas, kernel.v)
-    peak, iterations, _, fallbacks = _delay_search(
-        geom, tau, kernel.omegas, derivatives, max_iters
-    )
-    return peak, iterations, fallbacks
-
-
 def run_ive(
     tensor: StftTensor,
     geom: ArrayGeometry,
@@ -316,8 +305,9 @@ def run_ive(
     The search starts at the peak of the broadband Capon spectrum
     ``-mean_k log(a_k^H C_k^-1 a_k)`` that the same scalar search climbs to
     from ``theta_ini_deg``, in at most ``max_iters`` iterations of
-    ``O(bins d^2)`` each on the bins' covariance factors
-    (``start_iterations``); ``iterations`` counts the search from there.
+    ``O(bins d)`` each (``start_iterations``): the climb that also starts
+    the narrowband search, :func:`capon_ice._capon_spectrum` of the bin
+    stack.  ``iterations`` counts the search from there.
     Per iteration each included bin rebuilds its steering vector,
     distortionless weights and normalized source samples; the joint
     rational nonlinearity
@@ -362,8 +352,9 @@ def run_ive(
         )
         covariances = sample_covariance(searched.data)
     kernel, bins, flagged = _bin_stack(searched, geom, fmin_hz, covariances=covariances)
-    start, start_iterations, start_fallbacks = _capon_peak(
-        kernel, geom, theta_to_tau(geom, theta_ini_deg), max_iters
+    derivatives, _ = _capon_spectrum(kernel)
+    start, start_iterations, _, start_fallbacks = _delay_search(
+        geom, theta_to_tau(geom, theta_ini_deg), kernel.omegas, derivatives, max_iters
     )
     tau, iterations, converged, fallbacks = _delay_search(
         geom, start, kernel.omegas, kernel.joint_derivatives, max_iters
@@ -472,13 +463,13 @@ def srp_phat(
     powers = _steered_powers(r, omegas, np.arange(geom.d, dtype=float))
     tau, _, _, _ = _delay_search(
         geom, theta_to_tau(geom, theta_ini_deg), omegas,
-        lambda tau: tuple(float(term.sum()) for term in powers(tau)[1:]), 100,
+        lambda tau: tuple(float(np.sum(term)) for term in powers(tau)[1:]), 100,
     )
     theta = tau_to_theta(geom, tau)
     # the PHAT-normalized diagonal contributes exactly K*d; the off-diagonal
     # mass measures spatial coherence.  No coherence -> flagged stall.
     baseline = included.size * geom.d
-    structure = (float(powers(tau)[0].sum()) - baseline) / (baseline * (geom.d - 1))
+    structure = (float(np.sum(powers(tau)[0])) - baseline) / (baseline * (geom.d - 1))
     stalled = structure < 0.01
     if stalled:
         theta = float(theta_ini_deg)

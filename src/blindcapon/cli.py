@@ -149,6 +149,8 @@ def cmd_bounds(args) -> int:
         if args.samples < 2:
             # the standard error needs two samples; fewer give NaN, not JSON
             raise DomainError(f"--samples must be >= 2, got {args.samples}")
+        if args.seed < 0:
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         samples = complex_laplacean(np.random.default_rng(args.seed), args.samples)
         kappa_bar, stderr = bounds_mod.empirical_kappa_bar_with_stderr(
             samples, laplacean_score

@@ -236,6 +236,8 @@ def run_sweep(
         raise DomainError(f"unknown grid parameter {grid_param!r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if master_seed < 0:
+        raise DomainError(f"master_seed must be >= 0, got {master_seed}")
     if not 0.0 <= ini_radius < math.inf:
         raise DomainError(f"ini_radius must be finite and >= 0, got {ini_radius}")
     for m in methods:

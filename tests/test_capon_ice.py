@@ -248,18 +248,40 @@ def test_steered_power_lag_sums_match_the_quadratic_form(v):
     "v", [core.ula(5).v, np.array([0.0, 0.35, 0.7, 1.4, 2.45])], ids=["ula5", "non-integer"]
 )
 def test_capon_powers_match_the_quadratic_form(v):
-    # the narrowband climb's scalar sum over lags against the quadratic
-    # form a^H C^-1 a of the covariance factor and its derivatives
+    # the narrowband climb's scalar sum over lags, the one-problem
+    # evaluation of the steered powers, against the quadratic form
+    # a^H C^-1 a of the covariance factor and its derivatives
     x, _, _, _ = random_mixture(RNG(54), 5, 500, 0.4)
     factor = core.covariance_factor(core.sample_covariance(x.data))
     inverse = np.conj(factor.T) @ factor
-    powers = capon_ice._capon_powers(factor, v)
+    powers = capon_ice._steered_powers(inverse[None], np.ones(1), v)
     for lam in (-2.1, 0.0, 0.37, 1.9):
         want = [float(w[0]) for w in reference.steered_powers(inverse[None], np.ones(1), v, lam)]
         got = powers(lam)
         assert all(isinstance(g, float) for g in got)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-13 * max(abs(w) for w in want)
+
+
+@pytest.mark.parametrize(
+    "v", [core.ula(5).v, np.array([0.0, 0.35, 0.7, 1.4, 2.45])], ids=["ula5", "non-integer"]
+)
+def test_one_problem_and_stack_evaluations_of_steered_powers_agree(v):
+    # a one-problem stack is evaluated by scalar complex arithmetic, a
+    # larger stack by numpy: both sides of that choice give the same powers
+    # for the same Hermitian matrix, at a frequency other than 1
+    rng = RNG(55)
+    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    m = z @ np.conj(z.T)
+    omega = 1.7
+    one = capon_ice._steered_powers(m[None], np.array([omega]), v)
+    stack = capon_ice._steered_powers(np.stack([m, m]), np.array([omega, omega]), v)
+    for param in (-2.1, 0.0, 0.37, 1.9):
+        got = one(param)
+        want = [w[0] for w in stack(param)]
+        assert all(isinstance(g, float) for g in got)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * max(abs(w) for w in want)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +371,12 @@ def capon_power_db(factor, model, lam):
     return -10.0 * math.log10(np.real(np.vdot(g_a, g_a)))
 
 
+def one_problem(x, model):
+    """The narrowband problem of ``x`` as the one-problem kernel of `run`."""
+    c_x = core.sample_covariance(x.data)
+    return capon_ice._one_problem(x, model, c_x, core.covariance_factor(c_x))
+
+
 def start_decisions(caplog):
     return [r.getMessage() for r in caplog.records if r.getMessage().startswith("start ")]
 
@@ -363,8 +391,9 @@ def test_capon_start_moves_to_a_stronger_peak_in_its_window(caplog):
     lone = lone_source_instance(RNG(606), model, 0.8)
     for x, start in ((dominant, 0.6), (lone, 0.9)):
         caplog.clear()
-        factor = core.covariance_factor(core.sample_covariance(x.data))
-        moved, iterations = capon_ice._capon_start(factor, model, start, capon_ice.wrap_angle, 100)
+        kernel = one_problem(x, model)
+        factor = kernel.factors[0]
+        moved, iterations = capon_ice._capon_start(kernel, start, capon_ice.wrap_angle, 100)
         assert 0.0 < abs(moved - start) < half
         assert capon_power_db(factor, model, moved) >= capon_power_db(factor, model, start) + 1.0
         # a peak: the Capon power falls on both sides
@@ -383,10 +412,10 @@ def test_capon_start_on_a_capon_peak_is_kept_bit_for_bit(caplog):
     caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
     model = core.ula(5)
     x, _, _, _ = random_mixture(RNG(63), 5, 500, 0.7, isir_db=20.0, competitor=0.25)
-    factor = core.covariance_factor(core.sample_covariance(x.data))
-    peak, _ = capon_ice._capon_start(factor, model, 0.6, capon_ice.wrap_angle, 100)
+    kernel = one_problem(x, model)
+    peak, _ = capon_ice._capon_start(kernel, 0.6, capon_ice.wrap_angle, 100)
     caplog.clear()
-    kept, iterations = capon_ice._capon_start(factor, model, peak, capon_ice.wrap_angle, 100)
+    kept, iterations = capon_ice._capon_start(kernel, peak, capon_ice.wrap_angle, 100)
     assert kept == peak and iterations >= 1
     assert len(start_decisions(caplog)) == 1 and " kept;" in start_decisions(caplog)[0]
 
@@ -397,10 +426,11 @@ def test_capon_start_does_not_take_a_peak_outside_its_window(caplog):
     # climb ends on the edge of the window, many dB up, and is not taken
     model = core.ula(5)
     x = lone_source_instance(RNG(606), model, 0.8)
-    factor = core.covariance_factor(core.sample_covariance(x.data))
+    kernel = one_problem(x, model)
+    factor = kernel.factors[0]
     edge = 1.1 - np.pi / (4 * model.d)
     assert capon_power_db(factor, model, edge) >= capon_power_db(factor, model, 1.1) + 1.0
-    kept, _ = capon_ice._capon_start(factor, model, 1.1, capon_ice.wrap_angle, 100)
+    kept, _ = capon_ice._capon_start(kernel, 1.1, capon_ice.wrap_angle, 100)
     assert kept == 1.1
     assert len(start_decisions(caplog)) == 1 and " kept;" in start_decisions(caplog)[0]
 

@@ -606,6 +606,18 @@ def test_srp_phat_stalls_on_white_noise():
     assert res.theta_deg == 70.0
 
 
+def test_broadband_searches_on_a_single_included_bin():
+    # at FFT length 4 only bin 1 lies above 100 Hz and below Nyquist: the
+    # steered powers of a one-bin stack evaluate to floats, and both
+    # broadband searches still run on them
+    geom = capon_ive.ArrayGeometry(spacing_m=0.05, d=5)
+    tensor = capon_ive.stft(RNG(14).standard_normal((5, 4000)), 4, 2, 16000)
+    assert list(capon_ive._included_bins(tensor, 100.0)) == [1]
+    assert capon_ive.srp_phat(tensor, geom, 80.0).stalled
+    res = capon_ive.run_ive(tensor, geom, 80.0)
+    assert np.isfinite(res.theta_deg) and res.start_iterations >= 1
+
+
 # ---------------------------------------------------------------------------
 # WAV io
 # ---------------------------------------------------------------------------

@@ -341,6 +341,18 @@ def test_extract_of_a_silent_mix_fails(tmp_path, capsys, broadband_wavs):
     assert not (out / "extracted.wav").exists()
 
 
+def test_extract_with_more_channels_than_frames_fails(tmp_path, capsys):
+    # 1100 samples at hop 512 give 4 frames, too few for 20 channels
+    path = tmp_path / "wide.wav"
+    capon_ive.write_wav(path, 16000, np.random.default_rng(7).standard_normal((20, 1100)) * 0.1)
+    out = tmp_path / "ive"
+    args = ["extract", "--in", str(path), "--theta-ini", "70", "--hop", "512",
+            "--out-dir", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: need more frames than channels")
+    assert not (out / "extract.json").exists()
+
+
 def test_extract_missing_file_fails(tmp_path):
     args = [
         "extract", "--in", str(tmp_path / "nope.wav"),
@@ -364,9 +376,10 @@ def test_extract_missing_file_fails(tmp_path):
         ["--ini-radius", "-0.1"],
         ["--lambda-grid", "0:1:0"],
         ["--methods", ","],
+        ["--seed", "-3"],
     ],
     ids=["d2", "n-below-d", "unknown-method", "lambda-star-nan", "ini-radius-nan",
-         "ini-radius-negative", "lambda-grid-empty", "no-methods"],
+         "ini-radius-negative", "lambda-grid-empty", "no-methods", "seed-negative"],
 )
 def test_simulate_bad_value_exit_code(tmp_path, capsys, extra):
     out = tmp_path / "out"
@@ -386,6 +399,17 @@ def test_simulate_zero_trials_exit_code(tmp_path, capsys):
     assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "sweep.csv").exists()
+
+
+def test_bounds_negative_seed_exit_code(tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    args = ["bounds", "--estimate-kappa", "laplacean", "--seed", "-1",
+            "--d", "5", "--n", "500", "--out", str(out)]
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_bounds_zero_samples_exit_code(tmp_path, capsys):
