@@ -76,20 +76,6 @@ def wrap_angle(lam: float) -> float:
     return float(out)
 
 
-@dataclass(frozen=True)
-class _StackState:
-    """Steering vectors, MPDR weights and outputs of a stack of problems at
-    one parameter: ``sig2_solve`` is the ``1 / (a^H C^-1 a)`` of each MPDR
-    solve, ``s = w^H x``, ``p = |s|^2`` and ``sig2`` the output powers."""
-
-    a: np.ndarray           # (B, d)
-    w: np.ndarray           # (B, d)
-    sig2_solve: np.ndarray  # (B,)
-    s: np.ndarray           # (B, N)
-    p: np.ndarray           # (B, N)
-    sig2: np.ndarray        # (B,)
-
-
 class _MpdrStack:
     """B MPDR problems steered by one real parameter: the kernel of both
     solvers.
@@ -103,9 +89,10 @@ class _MpdrStack:
 
     which for one problem is the rational ``conj(u) / (1 + |u|^2)``.
     Narrowband CaponICE is the one-problem stack with ``omegas = [1]``; the
-    broadband search stacks STFT bins at their angular frequencies.  An
-    evaluation makes two passes over ``x``: ``s = w^H x`` and the score
-    mean ``x conj(s r)``.
+    broadband search stacks STFT bins at their angular frequencies.  One
+    evaluation, :meth:`derivatives`, is one iteration of either search and
+    makes two passes over ``x``: ``s = w^H x`` and the score mean
+    ``x conj(s r)``.
 
     Those two passes and the ``(B, N)`` arrays ``s``, ``p`` and ``r`` are in
     ``x``'s precision, single for the complex64 STFT of float32 audio.  The
@@ -121,23 +108,10 @@ class _MpdrStack:
         self._d1_weights = omegas / omegas.size
         self._d2_weights = omegas ** 2 / omegas.size
 
-    def state(self, param: float) -> _StackState:
-        """MPDR weights and outputs of all problems at ``param``; an output
-        power at most 1e-30 of ``sig2_solve`` raises :class:`DegenerateSignal`."""
-        a = np.exp(1j * (self._phases * param))
-        w, sig2_solve = mpdr_weights(self.factors, a)
-        w_h = w.conj().astype(self.x.dtype, copy=False)
-        s = np.matmul(w_h[:, None, :], self.x)[:, 0]            # w^H x per problem
-        p = np.abs(s)
-        p *= p
-        sig2 = p.sum(axis=-1, dtype=float) / p.shape[-1]
-        if (sig2 <= 1e-30 * sig2_solve).any():
-            raise DegenerateSignal("extracted signal has zero power")
-        return _StackState(a, w, sig2_solve, s, p, sig2)
-
-    def derivatives(self, st: _StackState):
-        """Per problem ``(d1, d2)`` along its own phase ``omegas[k] * param``:
-        the first derivative
+    def derivatives(self, param: float):
+        """Per problem ``(d1, d2)`` along its own phase ``omegas[k] * param``,
+        from the steering vector ``a``, MPDR weights ``w`` and outputs
+        ``s = w^H x`` at ``param``: the first derivative
 
             d1 = -2 sigma^2 Im{ grad_w^H C^-1 (a * v) },
             grad_w = C w / sigma^2 - mean(phi(u) x / sigma) / nu,
@@ -151,34 +125,44 @@ class _MpdrStack:
         ``nu_k = mean(phi_k u_k)`` and ``rho_k = mean(d phi_k / d conj(u_k))``.
         ``sigma_s^2`` is the solve-consistent ``1 / (a^H C^-1 a)``, so the
         bracket is nonnegative by Cauchy-Schwarz and the sign of ``d2`` is
-        the sign of ``c1``.  Overwrites ``st.s`` with ``s * r``; a ``nu_k``
-        below 1e-12 raises :class:`ScoreDegenerate`.
+        the sign of ``c1``.  An output power ``sigma^2`` at most 1e-30 of
+        ``sigma_s^2`` raises :class:`DegenerateSignal`, a ``nu_k`` below
+        1e-12 :class:`ScoreDegenerate`.
         """
-        frames = st.p.shape[-1]
+        a = np.exp(1j * (self._phases * param))
+        w, sig2_solve = mpdr_weights(self.factors, a)
+        w_h = w.conj().astype(self.x.dtype, copy=False)
+        s = np.matmul(w_h[:, None, :], self.x)[:, 0]            # w^H x per problem
+        p = np.abs(s)
+        p *= p
+        frames = p.shape[-1]
+        sig2 = p.sum(axis=-1, dtype=float) / frames
+        if (sig2 <= 1e-30 * sig2_solve).any():
+            raise DegenerateSignal("extracted signal has zero power")
         # r = 1 / (1 + sum_k |u_k|^2); nu_k = mean(|u_k|^2 r) and
         # rho_k = mean(r - |u_k|^2 r^2), with |u_k|^2 = p_k / sigma_k^2
-        r = 1.0 / (1.0 + (1.0 / st.sig2).astype(st.p.dtype, copy=False) @ st.p)  # (N,)
-        nu = st.p @ r / (frames * st.sig2)
+        r = 1.0 / (1.0 + (1.0 / sig2).astype(p.dtype, copy=False) @ p)  # (N,)
+        nu = p @ r / (frames * sig2)
         if (nu < 1e-12).any():
             raise ScoreDegenerate("nu is numerically zero")
-        rho = (r.sum() - st.p @ (r * r) / st.sig2) / frames
-        c1 = (nu - rho) / (nu * st.sig2)
+        rho = (r.sum() - p @ (r * r) / sig2) / frames
+        c1 = (nu - rho) / (nu * sig2)
         # sigma^2 G grad_w = G (C w - x conj(s r) / (N nu)), C^-1 = G^H G
-        sr = np.multiply(st.s, r, out=st.s)
+        sr = np.multiply(s, r, out=s)
         score = np.vecdot(sr[:, None, :], self.x)                 # x conj(s r)
-        h = np.matvec(self.c, st.w) - score / (frames * nu)[:, None]
-        av = st.a * self.v
+        h = np.matvec(self.c, w) - score / (frames * nu)[:, None]
+        av = a * self.v
         g_av = np.matvec(self.factors, av)
         d1 = -2.0 * np.imag(np.vecdot(np.matvec(self.factors, h), g_av))
-        bracket = st.sig2_solve * np.real(np.vecdot(g_av, g_av)) - np.abs(np.vecdot(st.w, av)) ** 2
-        d2 = 2.0 * c1 * st.sig2 * bracket
+        bracket = sig2_solve * np.real(np.vecdot(g_av, g_av)) - np.abs(np.vecdot(w, av)) ** 2
+        d2 = 2.0 * c1 * sig2 * bracket
         return d1, d2
 
     def joint_derivatives(self, param: float):
         """``(d1, d2)`` along ``param``, at ``param``: the means of the
         per-problem values with chain-rule factors ``omegas`` and
         ``omegas^2``."""
-        d1, d2 = self.derivatives(self.state(param))
+        d1, d2 = self.derivatives(param)
         return float(self._d1_weights @ d1), float(self._d2_weights @ d2)
 
 
@@ -216,7 +200,7 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
 
     The bracket lives in unwrapped coordinates; ``project`` maps a parameter
     into the admissible region (a wrap, a clip or a guard that raises) only
-    to build the state.  The search has converged when a step or the
+    to evaluate the derivatives.  The search has converged when a step or the
     bracket width falls to ``_TOL_SCALE * scale``, ``scale`` being the
     parameter range, or when the projected step does not move (a maximum
     on the edge of a clipped range).  At most ``max_iters`` iterations are

@@ -209,23 +209,16 @@ class IveResult:
     gradient_fallbacks: int             # of the search: steps where d2 >= 0 (ascent or growth)
 
 
-def _included_bins(tensor: StftTensor, fmin_hz: float) -> np.ndarray:
-    """The bins at or above ``fmin_hz``, Nyquist excluded; none raises
+def _included_bins(tensor: StftTensor, fmin_hz: float) -> slice:
+    """The bins at or above ``fmin_hz``, below the Nyquist bin of an even
+    ``fft_len``, as one slice: the bin frequencies increase, so those bins
+    are one run.  None (a NaN ``fmin_hz`` included) raises
     :class:`DomainError`."""
-    mask = tensor.bin_frequencies() >= fmin_hz
-    mask[-1] = False
-    if not mask.any():
+    first = int(np.searchsorted(tensor.bin_frequencies(), fmin_hz))
+    stop = tensor.n_bins - 1 + tensor.fft_len % 2
+    if first >= stop:
         raise DomainError(f"no frequency bins at or above {fmin_hz} Hz below Nyquist")
-    return np.flatnonzero(mask)
-
-
-def _take_bins(data: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """``data[bins]``, as a view of ``data`` when the bins are one
-    increasing run (the included bins are), a copy otherwise."""
-    first = bins[0]
-    if np.array_equal(bins, np.arange(first, first + bins.size)):
-        return data[first: first + bins.size]
-    return data[bins]
+    return slice(first, stop)
 
 
 def _loaded_factors(c: np.ndarray, eps: float):
@@ -248,31 +241,27 @@ def _loaded_factors(c: np.ndarray, eps: float):
     return factors, ok
 
 
-def _bin_stack(tensor, geom, fmin_hz, bins=None, covariances=None):
+def _bin_stack(tensor, geom, fmin_hz, covariances):
     """The included bins of a tensor as one :class:`capon_ice._MpdrStack`
-    steered by the delay, its snapshots a view of the tensor; returns
-    ``(kernel, bins, flagged)``, ``bins`` being the bins of the stack.
-    ``covariances`` is the :func:`core.sample_covariance` stack of all the
-    tensor's bins, computed when omitted.  A bin whose covariance does not
-    factor at the solver loading is flagged and dropped.
+    steered by the delay; returns ``(kernel, bins, flagged)``, ``bins`` being
+    the bins of the stack.  ``covariances`` is the
+    :func:`core.sample_covariance` stack of all the tensor's bins.  The
+    included bins are one slice (:func:`_included_bins`), so the stack's
+    snapshots and covariances are views of the tensor and of
+    ``covariances``.  A bin whose covariance does not factor at the solver
+    loading is flagged and dropped by a boolean mask, which copies.
     """
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
-    if bins is None:
-        bins = _included_bins(tensor, fmin_hz)
-    bins = np.asarray(bins, dtype=int)
-    if covariances is None:
-        covariances = sample_covariance(tensor.data)
-    x = _take_bins(tensor.data, bins)
-    c = _take_bins(covariances, bins)
+    included = _included_bins(tensor, fmin_hz)
+    bins = np.arange(tensor.n_bins)[included]
+    x, c = tensor.data[included], covariances[included]
     factors, ok = _loaded_factors(c, COVARIANCE_EPS)
-    flagged = bins[~ok]
     if not ok.any():
         raise SingularCovariance("every included bin has a singular covariance")
+    flagged = bins[~ok]
     if flagged.size:
-        bins = bins[ok]
-        x = _take_bins(tensor.data, bins)
-        c, factors = c[ok], factors[ok]
+        bins, x, c, factors = bins[ok], x[ok], c[ok], factors[ok]
     omegas = 2.0 * np.pi * tensor.bin_frequencies()[bins]
     kernel = _MpdrStack(x, c, factors, np.arange(geom.d, dtype=float), omegas)
     return kernel, bins, flagged
@@ -322,14 +311,14 @@ def run_ive(
     physical range ``|tau| <= spacing/c``.  The search has converged when a
     step or the bracket falls to 1e-9 of that range, ``2 spacing/c``, or
     when it rests on an end of the range.  Bins below ``fmin_hz`` and the
-    Nyquist bin are excluded.  When a bin's power lies outside
-    ``[sqrt(tiny), sqrt(max)]`` of the tensor's precision (single precision
-    audio near 1e-19 of full scale, or bins that span more than that
-    range), both searches run on the tensor with each bin scaled by the
-    power of two that brings its power near 1; a bin below ``sqrt(tiny)``
-    takes its level from its largest sample instead, as the squares behind
-    its power may have underflowed.  The scaling is exact and
-    the contrast is invariant to it; the result is on the input's scale.
+    Nyquist bin of an even FFT length are excluded.  When a bin's power
+    lies outside ``[sqrt(tiny), sqrt(max)]`` of the tensor's precision
+    (single precision audio near 1e-19 of full scale, or bins that span
+    more than that range), both searches run on the tensor with each bin
+    scaled by the power of two that brings its power near 1; a bin below
+    ``sqrt(tiny)`` takes its level from its largest sample instead, as the
+    squares behind its power may have underflowed.  The scaling is exact
+    and the contrast is invariant to it; the result is on the input's scale.
     A non-finite start raises :class:`DomainError`.
     """
     if not np.isfinite(theta_ini_deg):
@@ -351,7 +340,7 @@ def run_ive(
             tensor.data * scales[:, None, None], tensor.sample_rate, tensor.fft_len, tensor.hop
         )
         covariances = sample_covariance(searched.data)
-    kernel, bins, flagged = _bin_stack(searched, geom, fmin_hz, covariances=covariances)
+    kernel, bins, flagged = _bin_stack(searched, geom, fmin_hz, covariances)
     derivatives, _ = _capon_spectrum(kernel)
     start, start_iterations, _, start_fallbacks = _delay_search(
         geom, theta_to_tau(geom, theta_ini_deg), kernel.omegas, derivatives, max_iters
@@ -453,11 +442,11 @@ def srp_phat(
         raise ValueError("geometry channel count does not match the tensor")
     included = _included_bins(tensor, fmin_hz)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()[included]
-    x = _take_bins(tensor.data, included)
+    x = tensor.data[included]
     # the PHAT-normalized snapshots exist a block of bins at a time; each
     # bin's covariance is its own product, so blocking does not change it
-    r = np.empty((included.size, geom.d, geom.d), dtype=complex)
-    for start in range(0, included.size, _PHAT_BLOCK):
+    r = np.empty((len(x), geom.d, geom.d), dtype=complex)
+    for start in range(0, len(x), _PHAT_BLOCK):
         xn = x[start: start + _PHAT_BLOCK]
         r[start: start + len(xn)] = sample_covariance(xn / np.maximum(np.abs(xn), 1e-30))
     powers = _steered_powers(r, omegas, np.arange(geom.d, dtype=float))
@@ -468,7 +457,7 @@ def srp_phat(
     theta = tau_to_theta(geom, tau)
     # the PHAT-normalized diagonal contributes exactly K*d; the off-diagonal
     # mass measures spatial coherence.  No coherence -> flagged stall.
-    baseline = included.size * geom.d
+    baseline = len(x) * geom.d
     structure = (float(np.sum(powers(tau)[0])) - baseline) / (baseline * (geom.d - 1))
     stalled = structure < 0.01
     if stalled:

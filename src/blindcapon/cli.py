@@ -108,8 +108,6 @@ def cmd_simulate(args) -> int:
         isir_db=args.isir_db,
         source_law=args.source_law,
     )
-    out_dir = _default_outdir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise DomainError(f"--methods names no method, got {args.methods!r}")
@@ -128,6 +126,8 @@ def cmd_simulate(args) -> int:
         master_seed=args.seed,
         ini_radius=args.ini_radius,
     )
+    out_dir = _default_outdir(args.out)
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     json_path = os.path.join(out_dir, "sweep.json")
     monte_carlo.write_csv(records, csv_path)
@@ -175,13 +175,9 @@ def cmd_bounds(args) -> int:
 def cmd_extract(args) -> int:
     t0 = time.perf_counter()
     stage_s = dict.fromkeys(("read", "stft", "solve", "istft", "score"), 0.0)
-    out_dir = _default_outdir(args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     with _timed(stage_s, "read"):
         rate, mix = capon_ive.read_wav(args.infile)
     d, length = mix.shape
-    if d < 2:
-        raise BlindCaponError("extraction needs at least two channels")
     geom = capon_ive.ArrayGeometry(spacing_m=args.spacing_m, d=d)
     # the mix, its float32 samples and the STFT tensor are each dropped at
     # their last use; scoring needs only channel 0 of the mix
@@ -220,24 +216,21 @@ def cmd_extract(args) -> int:
             },
         )
         del result
-    elif args.method == "srpphat+mpdr":
+    else:
         with _timed(stage_s, "solve"):
             srp = capon_ive.srp_phat(tensor, geom, args.theta_ini, fmin_hz=args.fmin_hz)
             _, extracted_spec = capon_ive.beamform_at(tensor, geom, srp.theta_deg)
         report.update(
             theta_hat_deg=srp.theta_deg, srp_stalled=srp.stalled, iterations=0
         )
-    else:
-        raise DomainError(f"unknown method {args.method!r}")
 
     del tensor
     with _timed(stage_s, "istft"):
         y = np.ldexp(capon_ive.istft_mono(extracted_spec, rate, args.fft, args.hop, length),
                      exponent)
-    wav_path = os.path.join(out_dir, "extracted.wav")
-    capon_ive.write_wav(wav_path, rate, y)
-    outputs = [wav_path]
 
+    # scored before anything is written, so that a bad reference leaves no
+    # output behind; the references and channel 0 are dropped before the write
     if args.refs:
         with _timed(stage_s, "score"):
             refs = []
@@ -251,6 +244,7 @@ def cmd_extract(args) -> int:
             improvement, soi, sir_in, sir_out = capon_ive.sir_improvement_db(
                 y[:n], mix0[:n], refs
             )
+            del refs, mix0
         report.update(
             sir_improvement_db=improvement,
             sir_in_db=sir_in,
@@ -258,10 +252,13 @@ def cmd_extract(args) -> int:
             soi_ref_index=soi,
         )
 
+    out_dir = _default_outdir(args.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    wav_path = os.path.join(out_dir, "extracted.wav")
+    capon_ive.write_wav(wav_path, rate, y)
     json_path = os.path.join(out_dir, "extract.json")
     _write_json(report, json_path)
-    outputs.append(json_path)
-    _write_manifest("extract", args, 0, outputs, t0, out_dir, stage_s)
+    _write_manifest("extract", args, 0, [wav_path, json_path], t0, out_dir, stage_s)
     print(f"theta_hat = {report['theta_hat_deg']:.4f} deg -> {wav_path}")
     return 0
 

@@ -678,22 +678,22 @@ def test_run_solves_once_per_iteration_and_once_at_the_answer(monkeypatch):
 def test_run_counts_every_kernel_evaluation(case, monkeypatch, caplog):
     # test_run_solves_once_per_iteration_and_once_at_the_answer on a search
     # from a kept start that takes secant steps, and on one whose start is
-    # moved to the Capon peak first: one kernel state and one MPDR solve per
-    # counted iteration plus the solve of the final weights, and the climb
+    # moved to the Capon peak first: one kernel evaluation and one MPDR solve
+    # per counted iteration plus the solve of the final weights, and the climb
     # evaluates no kernel (as the broadband
     # test_run_ive_forms_one_covariance_stack_and_one_solve_per_iteration)
-    calls = {"state": 0, "mpdr_weights": 0}
-    state, solve = capon_ice._MpdrStack.state, capon_ice.mpdr_weights
+    calls = {"derivatives": 0, "mpdr_weights": 0}
+    derivatives, solve = capon_ice._MpdrStack.derivatives, capon_ice.mpdr_weights
 
-    def counted_state(self, param):
-        calls["state"] += 1
-        return state(self, param)
+    def counted_derivatives(self, param):
+        calls["derivatives"] += 1
+        return derivatives(self, param)
 
     def counted_solve(*args, **kwargs):
         calls["mpdr_weights"] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(capon_ice._MpdrStack, "state", counted_state)
+    monkeypatch.setattr(capon_ice._MpdrStack, "derivatives", counted_derivatives)
     monkeypatch.setattr(capon_ice, "mpdr_weights", counted_solve)
     caplog.set_level(logging.DEBUG, logger="blindcapon.capon_ice")
     if case == "secant":
@@ -704,7 +704,7 @@ def test_run_counts_every_kernel_evaluation(case, monkeypatch, caplog):
         x, start = lone_source_instance(RNG(606), model, 0.8), 0.9
     res = capon_ice.run(x, model, start)
     assert res.converged and res.iterations > 2
-    assert calls == {"state": res.iterations, "mpdr_weights": res.iterations + 1}
+    assert calls == {"derivatives": res.iterations, "mpdr_weights": res.iterations + 1}
     messages = [r.getMessage() for r in caplog.records]
     decision = [i for i, m in enumerate(messages) if m.startswith("start ")]
     assert len(decision) == 1
@@ -782,7 +782,7 @@ def test_zero_power_output_raises():
     kernel = capon_ice._MpdrStack(np.zeros((1, d, 10), dtype=complex), np.zeros((1, d, d)),
                                   np.eye(d)[None], np.arange(d, dtype=float), np.ones(1))
     with pytest.raises(DegenerateSignal):
-        kernel.state(0.3)
+        kernel.derivatives(0.3)
 
 
 def test_run_success_rate_near_truth():

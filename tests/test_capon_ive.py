@@ -169,15 +169,30 @@ def small_tensor():
     return capon_ive.stft(mix, 256, 64, fs), geom
 
 
+def bin_kernel(tensor, geom, bins):
+    """The :class:`capon_ice._MpdrStack` of the chosen ``bins`` of a tensor,
+    steered by the delay at the solver loading."""
+    x = tensor.data[bins]
+    c = core.sample_covariance(x)
+    omegas = 2 * np.pi * tensor.bin_frequencies()[bins]
+    return capon_ice._MpdrStack(x, c, core.covariance_factor(c), np.arange(geom.d, dtype=float),
+                                omegas)
+
+
+def stack_of(tensor, geom, fmin_hz=100.0):
+    """``capon_ive._bin_stack`` of the tensor's included bins."""
+    return capon_ive._bin_stack(tensor, geom, fmin_hz, core.sample_covariance(tensor.data))
+
+
 def test_per_bin_first_derivative_matches_fd(small_tensor):
     tensor, geom = small_tensor
     bins = np.array([20, 40, 60, 80])
     tau = capon_ive.theta_to_tau(geom, 80.0)
-    kernel, kept, _ = capon_ive._bin_stack(tensor, geom, 100.0, bins=bins)
-    d1, _ = kernel.derivatives(kernel.state(tau))
+    kernel = bin_kernel(tensor, geom, bins)
+    d1, _ = kernel.derivatives(tau)
     nu = reference.kernel_derivatives(kernel, tau)[3]
     h = 1e-7
-    for i, k in enumerate(kept):
+    for i, k in enumerate(bins):
         up = oracle_joint_log_pdf(tensor, geom, tau, bins, perturb=(k, h))
         dn = oracle_joint_log_pdf(tensor, geom, tau, bins, perturb=(k, -h))
         fd = (up - dn) / (2 * h)
@@ -189,8 +204,8 @@ def test_tau_chain_rule_matches_fd(small_tensor):
     tensor, geom = small_tensor
     bins = np.array([20, 40, 60, 80])
     tau = capon_ive.theta_to_tau(geom, 80.0)
-    kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0, bins=bins)
-    d1, _ = kernel.derivatives(kernel.state(tau))
+    kernel = bin_kernel(tensor, geom, bins)
+    d1, _ = kernel.derivatives(tau)
     nu = reference.kernel_derivatives(kernel, tau)[3]
     h = 1e-10
     up = oracle_joint_log_pdf(tensor, geom, tau + h, bins)
@@ -208,8 +223,8 @@ def test_one_bin_is_the_narrowband_problem(small_tensor):
     omegas = 2 * np.pi * tensor.bin_frequencies()
     phi = reference.rational_nonlinearity()
     for k in (20, 40, 60, 80):
-        kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0, bins=[k])
-        bin_d1, bin_d2 = kernel.derivatives(kernel.state(tau))
+        kernel = bin_kernel(tensor, geom, [k])
+        bin_d1, bin_d2 = kernel.derivatives(tau)
         x = core.SnapshotMatrix(tensor.data[k])
         state = reference.extraction_state(x, core.ula(geom.d), omegas[k] * tau, phi)
         d1 = reference.first_derivative(x, state)
@@ -226,16 +241,16 @@ def test_kernel_derivatives_match_oracle(small_tensor):
         c_x = core.sample_covariance(x.data)
         kernel = capon_ice._one_problem(x, model, c_x, core.covariance_factor(c_x))
         for lam in (-2.0, -0.5, 0.3, 0.45, 1.2, 3.0):
-            d1, d2 = kernel.derivatives(kernel.state(lam))
+            d1, d2 = kernel.derivatives(lam)
             _, want_d1, want_d2, _ = reference.kernel_derivatives(kernel, lam)
             assert abs(d1[0] - want_d1[0]) <= 1e-9 * abs(want_d1[0]), (d, lam)
             assert abs(d2[0] - want_d2[0]) <= 1e-9 * abs(want_d2[0]), (d, lam)
     tensor, geom = small_tensor
-    kernel, kept, _ = capon_ive._bin_stack(tensor, geom, 100.0)
+    kernel, kept, _ = stack_of(tensor, geom)
     assert kept.size == kernel.x.shape[0] > 100
     for theta in (70.0, 80.0, 105.0):
         tau = capon_ive.theta_to_tau(geom, theta)
-        d1, d2 = kernel.derivatives(kernel.state(tau))
+        d1, d2 = kernel.derivatives(tau)
         _, want_d1, want_d2, _ = reference.kernel_derivatives(kernel, tau)
         # relative to the largest bin: d1 changes sign across the bins
         for got, want in ((d1, want_d1), (d2, want_d2)):
@@ -245,17 +260,21 @@ def test_kernel_derivatives_match_oracle(small_tensor):
 def test_bin_stack_is_a_view_of_the_tensor(small_tensor):
     # a copy of the bins would add a (bins, d, frames) array to peak memory
     tensor, geom = small_tensor
-    kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0)
+    covariances = core.sample_covariance(tensor.data)
+    kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0, covariances)
     assert np.shares_memory(kernel.x, tensor.data)
+    assert np.shares_memory(kernel.c, covariances)
 
 
 @pytest.mark.parametrize("theta", [70.0, 80.0, 105.0])
 def test_stacked_kernel_matches_per_bin_loop(small_tensor, theta):
     tensor, geom = small_tensor
-    kernel, kept, _ = capon_ive._bin_stack(tensor, geom, 100.0)
+    kernel, kept, _ = stack_of(tensor, geom)
     tau = capon_ive.theta_to_tau(geom, theta)
-    st = kernel.state(tau)
-    kernel_d1, kernel_d2 = kernel.derivatives(st)
+    kernel_d1, kernel_d2 = kernel.derivatives(tau)
+    kernel_w, kernel_sig2_solve = core.mpdr_weights(
+        kernel.factors, np.exp(1j * np.outer(kernel.omegas * tau, np.arange(geom.d)))
+    )
     kernel_nu = reference.kernel_derivatives(kernel, tau)[3]
     v = np.arange(geom.d, dtype=float)
     omegas = 2 * np.pi * tensor.bin_frequencies()
@@ -286,8 +305,8 @@ def test_stacked_kernel_matches_per_bin_loop(small_tensor, theta):
         # relative to the largest bin: d1 changes sign across the bins
         return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
-    assert close(st.w, np.array([p[4] for p in per_bin]))
-    assert close(st.sig2_solve, np.array([p[5] for p in per_bin]))
+    assert close(kernel_w, np.array([p[4] for p in per_bin]))
+    assert close(kernel_sig2_solve, np.array([p[5] for p in per_bin]))
     assert close(kernel_nu, nu)
     assert close(kernel_d1, d1)
     assert close(kernel_d2, d2)
@@ -299,10 +318,10 @@ def test_silent_bin_is_dropped_by_the_search_and_passed_by_beamform(small_tensor
     data = tensor.data.copy()
     data[30] = 0.0
     silent = capon_ive.StftTensor(data, tensor.sample_rate, tensor.fft_len, tensor.hop)
-    kernel, kept, flagged = capon_ive._bin_stack(silent, geom, 100.0)
+    kernel, kept, flagged = stack_of(silent, geom)
     assert list(flagged) == [30]
     assert 30 not in kept and kept.size == kernel.x.shape[0] == kernel.factors.shape[0]
-    d1, d2 = kernel.derivatives(kernel.state(capon_ive.theta_to_tau(geom, 80.0)))
+    d1, d2 = kernel.derivatives(capon_ive.theta_to_tau(geom, 80.0))
     assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
     weights, extracted = capon_ive.beamform_at(silent, geom, 80.0)
     assert np.array_equal(weights[30], np.eye(geom.d)[0])
@@ -469,7 +488,7 @@ def test_capon_peak_derivatives_match_finite_differences(small_tensor, monkeypat
 
     monkeypatch.setattr(capon_ive, "_delay_search", record)
     capon_ive.run_ive(tensor, geom, 80.0)
-    kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0)
+    kernel, _, _ = stack_of(tensor, geom)
 
     def spectrum(tau):
         a = np.exp(1j * tau * np.outer(kernel.omegas, np.arange(geom.d)))
@@ -612,10 +631,32 @@ def test_broadband_searches_on_a_single_included_bin():
     # broadband searches still run on them
     geom = capon_ive.ArrayGeometry(spacing_m=0.05, d=5)
     tensor = capon_ive.stft(RNG(14).standard_normal((5, 4000)), 4, 2, 16000)
-    assert list(capon_ive._included_bins(tensor, 100.0)) == [1]
+    assert capon_ive._included_bins(tensor, 100.0) == slice(1, 2)
     assert capon_ive.srp_phat(tensor, geom, 80.0).stalled
     res = capon_ive.run_ive(tensor, geom, 80.0)
     assert np.isfinite(res.theta_deg) and res.start_iterations >= 1
+
+
+@pytest.mark.parametrize("fft_len", [1024, 1023])
+def test_included_bins_are_the_run_of_the_frequency_mask(fft_len):
+    # the bins at or above fmin_hz, as the mask freq >= fmin_hz gives them,
+    # form one slice; only an even FFT has a (real) Nyquist bin to drop, and
+    # at FFT 1023 the top bin sits at 7992 Hz with complex data
+    tensor = capon_ive.stft(RNG(15).standard_normal((2, 4000)), fft_len, 128, 16000)
+    freqs = tensor.bin_frequencies()
+    top = tensor.n_bins - 1 + fft_len % 2
+    assert np.any(tensor.data[top - 1].imag)
+    assert fft_len % 2 or not np.any(tensor.data[-1].imag)
+    bins = np.arange(tensor.n_bins)
+    for fmin_hz in (-np.inf, 0.0, freqs[3], np.nextafter(freqs[3], np.inf), freqs[top - 1]):
+        mask = freqs >= fmin_hz
+        mask[top:] = False
+        assert list(bins[capon_ive._included_bins(tensor, fmin_hz)]) == list(np.flatnonzero(mask))
+    assert capon_ive._included_bins(tensor, -np.inf) == slice(0, top)
+    assert capon_ive._included_bins(tensor, freqs[3]) == slice(3, top)
+    for fmin_hz in (np.nan, np.nextafter(freqs[top - 1], np.inf)):
+        with pytest.raises(DomainError):
+            capon_ive._included_bins(tensor, fmin_hz)
 
 
 # ---------------------------------------------------------------------------

@@ -354,11 +354,33 @@ def test_extract_with_more_channels_than_frames_fails(tmp_path, capsys):
 
 
 def test_extract_missing_file_fails(tmp_path):
+    out = tmp_path / "out"
     args = [
         "extract", "--in", str(tmp_path / "nope.wav"),
-        "--theta-ini", "90", "--out-dir", str(tmp_path),
+        "--theta-ini", "90", "--out-dir", str(out),
     ]
     assert cli.main(args) == 1
+    assert not out.exists()
+
+
+def test_extract_of_a_mono_wav_fails(tmp_path, capsys):
+    path = tmp_path / "mono.wav"
+    capon_ive.write_wav(path, 16000, 0.1 * np.random.default_rng(8).standard_normal(4000))
+    out = tmp_path / "ive"
+    assert cli.main(["extract", "--in", str(path), "--theta-ini", "70", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: need at least two sensors")
+    assert not out.exists()
+
+
+def test_extract_with_a_missing_reference_writes_nothing(tmp_path, capsys, broadband_wavs):
+    # extract scores its output before it writes anything
+    mix_path, ref_paths, fx = broadband_wavs
+    out = tmp_path / "ive"
+    args = ["extract", "--in", str(mix_path), "--theta-ini", str(fx.thetas_deg[0] + 5.0),
+            "--refs", f"{ref_paths[0]},{tmp_path / 'missing.wav'}", "--out-dir", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +411,7 @@ def test_simulate_bad_value_exit_code(tmp_path, capsys, extra):
     ]
     assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
 
 
 def test_simulate_zero_trials_exit_code(tmp_path, capsys):
@@ -398,7 +420,7 @@ def test_simulate_zero_trials_exit_code(tmp_path, capsys):
             "--out", str(out)]
     assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
 
 
 def test_bounds_negative_seed_exit_code(tmp_path, capsys):
@@ -440,7 +462,7 @@ def assert_extract_fails(tmp_path, capsys, broadband_wavs, extra):
     ]
     assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "extracted.wav").exists()
+    assert not out.exists()
 
 
 def test_extract_max_iters_zero_exit_code(tmp_path, capsys, broadband_wavs):
