@@ -5,7 +5,8 @@ covariance that the MPDR solves use, shared by all methods of a trial.
 
 The DOA estimators assume a uniform linear array (integer steering weights
 ``v = [0, 1, ..., d-1]``) so that steering vectors are Vandermonde in
-``exp(1j lam)``.
+``exp(1j lam)``.  They return one candidate angle per assumed source; the
+caller picks among them, e.g. the candidate nearest an initial guess.
 """
 
 from dataclasses import dataclass
@@ -15,29 +16,14 @@ import numpy as np
 from .core import SnapshotMatrix, covariance_factor, sample_covariance
 from .errors import RankDeficient
 
-_TIE_TOL = 1e-9
 # FastICA stops when 1 - |<w_new, w>| falls to this
 _FASTICA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class DoaEstimate:
-    """A DOA estimate with the full candidate set for multi-source scenes.
-
-    ``lambda_hat`` is the preferred estimate; ``candidates`` holds one angle
-    per assumed source so callers can select e.g. the candidate nearest an
-    initial guess.
-    """
-
-    lambda_hat: float
-    candidates: np.ndarray
-
-
-@dataclass(frozen=True)
 class FasticaResult:
     """Outcome of the one-unit fixed-point iteration: the separating vector
-    ``w``, the mixing vector ``a`` (``w^H a = 1``) and the output
-    ``s = w^H x``.
+    ``w`` and the mixing vector ``a`` (``w^H a = 1``).
 
     Non-convergence (e.g. on Gaussian-only mixtures) is reported through
     ``converged`` rather than an exception so that sweep harnesses can score
@@ -46,16 +32,8 @@ class FasticaResult:
 
     a: np.ndarray
     w: np.ndarray
-    s: np.ndarray
     converged: bool
     iterations: int
-
-
-def _pick(candidates: np.ndarray, closeness: np.ndarray) -> float:
-    """Best candidate by ``closeness``; ties within 1e-9 prefer small |lam|."""
-    best = np.min(closeness)
-    tied = np.flatnonzero(closeness <= best + _TIE_TOL)
-    return float(candidates[tied[np.argmin(np.abs(candidates[tied]))]])
 
 
 def fastica_one_unit(
@@ -110,8 +88,7 @@ def fastica_one_unit(
     w = factor.conj().T @ w
     c_w = c_x @ w
     return FasticaResult(
-        a=c_w / np.real(np.vdot(w, c_w)), w=w, s=w.conj() @ x.data,
-        converged=converged, iterations=iterations,
+        a=c_w / np.real(np.vdot(w, c_w)), w=w, converged=converged, iterations=iterations,
     )
 
 
@@ -126,12 +103,12 @@ def _eigenvectors(c_x: np.ndarray, num_sources: int):
     return d, np.linalg.eigh(c_x)[1]
 
 
-def root_music(c_x: np.ndarray, num_sources: int) -> DoaEstimate:
+def root_music(c_x: np.ndarray, num_sources: int) -> np.ndarray:
     """Root MUSIC for a ULA: roots of the noise-subspace polynomial.
 
     The polynomial ``a(1/z)^T M a(z)`` with ``M = E_n E_n^H`` has roots in
-    conjugate-reciprocal pairs; the ``num_sources`` roots inside the unit
-    circle closest to it give the candidate angles.
+    conjugate-reciprocal pairs; the angles of the ``num_sources`` roots
+    inside the unit circle closest to it are returned, closest first.
     """
     d, vecs = _eigenvectors(c_x, num_sources)
     noise = vecs[:, : d - num_sources]
@@ -143,18 +120,15 @@ def root_music(c_x: np.ndarray, num_sources: int) -> DoaEstimate:
     if inside.size == 0:
         raise RankDeficient("no roots strictly inside the unit circle")
     order = np.argsort(1.0 - np.abs(inside))
-    chosen = inside[order[:num_sources]]
-    candidates = np.angle(chosen)
-    closeness = 1.0 - np.abs(chosen)
-    return DoaEstimate(lambda_hat=_pick(candidates, closeness), candidates=candidates)
+    return np.angle(inside[order[:num_sources]])
 
 
-def tls_esprit(c_x: np.ndarray, num_sources: int) -> DoaEstimate:
+def tls_esprit(c_x: np.ndarray, num_sources: int) -> np.ndarray:
     """TLS ESPRIT for a ULA via shift invariance of the signal subspace.
 
     Solves ``U_1 Psi = U_2`` in the total-least-squares sense between the
-    two maximally overlapping (d-1)-element subarrays; candidate angles are
-    the angles of the rotation eigenvalues.
+    two maximally overlapping (d-1)-element subarrays; the angles of the
+    ``num_sources`` rotation eigenvalues are returned.
     """
     d, vecs = _eigenvectors(c_x, num_sources)
     u_s = vecs[:, d - num_sources:]
@@ -169,7 +143,4 @@ def tls_esprit(c_x: np.ndarray, num_sources: int) -> DoaEstimate:
         psi = -v12 @ np.linalg.inv(v22)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient("TLS subblock V22 is singular") from exc
-    rot = np.linalg.eigvals(psi)
-    candidates = np.angle(rot)
-    closeness = np.abs(1.0 - np.abs(rot))
-    return DoaEstimate(lambda_hat=_pick(candidates, closeness), candidates=candidates)
+    return np.angle(np.linalg.eigvals(psi))

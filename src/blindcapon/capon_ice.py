@@ -30,8 +30,8 @@ from .errors import DegenerateSignal, Diverged, DomainError, ScoreDegenerate
 # runaway guard for non-periodic steering weights (see `_runaway_guard`)
 _RUNAWAY_SPAN = 2.0 * np.pi ** 2
 
-# the scalar search stops when a step or the bracket falls to _TOL_SCALE
-# of the parameter range; one step moves ``lam`` by at most _STEP_CAP
+# the scalar search stops when a step falls to _TOL_SCALE of the parameter
+# range; one step moves ``lam`` by at most _STEP_CAP
 _TOL_SCALE = 1e-9
 _STEP_CAP = 0.5
 
@@ -199,14 +199,15 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
     inside the bracket, the bisection otherwise.
 
     The bracket lives in unwrapped coordinates; ``project`` maps a parameter
-    into the admissible region (a wrap, a clip or a guard that raises) only
-    to evaluate the derivatives.  The search has converged when a step or the
-    bracket width falls to ``_TOL_SCALE * scale``, ``scale`` being the
-    parameter range, or when the projected step does not move (a maximum
-    on the edge of a clipped range).  At most ``max_iters`` iterations are
+    into the admissible region (a wrap, a clip or a guard that raises) only to
+    evaluate the derivatives.  The search has converged when a step falls to
+    ``_TOL_SCALE * scale``, ``scale`` being the parameter range, or when the
+    projected step does not move (a maximum on the edge of a clipped range);
+    the bracket width needs no test of its own, since a step inside the
+    bracket is shorter than the bracket.  At most ``max_iters`` iterations are
     taken; ``max_iters < 1`` raises :class:`DomainError` and non-finite
-    derivatives raise :class:`Diverged`.  Each iteration (param, d1, d2,
-    step and the rule that chose it: ``newton``, ``secant``, ``growth``,
+    derivatives raise :class:`Diverged`.  Each iteration (param, d1, d2, step
+    and the rule that chose it: ``newton``, ``secant``, ``growth``,
     ``ascent``, ``bracket-secant`` or ``bisection``) and each stop (reason,
     iterations, param, fallbacks) is logged at DEBUG level.
 
@@ -266,9 +267,6 @@ def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters)
         param = new_param
         if abs(moved) <= tol:
             reason = "step"
-            break
-        if lo is not None and hi is not None and hi - lo <= tol:
-            reason = "bracket"
             break
     logger.debug(
         "stop: %s after %d iterations at param %.12g, %d fallbacks",
@@ -422,8 +420,8 @@ def run(
     the approximate second derivative, then updates ``lam`` by at most
     0.5: Newton steps until the first derivative changes sign, secant or
     bisection steps inside the bracket after (see
-    :func:`_safeguarded_newton`).  The search has converged when a step or
-    the bracket falls to ``2 pi * 1e-9``.  For integer steering weights
+    :func:`_safeguarded_newton`).  The search has converged when a step
+    falls to ``2 pi * 1e-9``.  For integer steering weights
     ``lam`` is wrapped into (-pi, pi] after every update; for non-periodic
     weights the iterate must stay within ``2 pi^2`` of the start or
     :class:`Diverged` is raised.  A non-finite start raises

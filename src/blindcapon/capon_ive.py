@@ -309,9 +309,9 @@ def run_ive(
     (:func:`capon_ice._safeguarded_newton`); steps are capped so the top
     included bin moves at most 0.5 radians, and the delay stays in the
     physical range ``|tau| <= spacing/c``.  The search has converged when a
-    step or the bracket falls to 1e-9 of that range, ``2 spacing/c``, or
-    when it rests on an end of the range.  Bins below ``fmin_hz`` and the
-    Nyquist bin of an even FFT length are excluded.  When a bin's power
+    step falls to 1e-9 of that range, ``2 spacing/c``, or when it rests on
+    an end of the range.  Bins below ``fmin_hz`` and the Nyquist bin of an
+    even FFT length are excluded.  When a bin's power
     lies outside ``[sqrt(tiny), sqrt(max)]`` of the tensor's precision
     (single precision audio near 1e-19 of full scale, or bins that span
     more than that range), both searches run on the tensor with each bin

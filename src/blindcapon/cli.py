@@ -163,12 +163,13 @@ def cmd_bounds(args) -> int:
     if stderr is not None:
         payload["kappa_bar_stderr"] = stderr
         payload["samples"] = args.samples
-    sys.stdout.write(json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n")
+    # written before the report is printed, so that a failed write prints nothing
     if args.out:
+        out_dir = os.path.dirname(args.out) or "."
+        os.makedirs(out_dir, exist_ok=True)
         _write_json(payload, args.out)
-        _write_manifest(
-            "bounds", args, args.seed, [args.out], t0, os.path.dirname(args.out) or "."
-        )
+        _write_manifest("bounds", args, args.seed, [args.out], t0, out_dir)
+    sys.stdout.write(json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -156,7 +156,7 @@ def _run_method(method, x, model, lam_ini, covariance):
         return float("nan"), res.w, res.iterations, res.converged
     if method in ("musicmpdr", "espritmpdr"):
         estimator = baselines.root_music if method == "musicmpdr" else baselines.tls_esprit
-        cands = estimator(c_x, STRUCTURED_SOURCES).candidates
+        cands = estimator(c_x, STRUCTURED_SOURCES)
         lam_hat = float(cands[np.argmin(np.abs(cands - lam_ini))])
         return lam_hat, mpdr(lam_hat), 0, True
     return lam_ini, mpdr(lam_ini), 0, True

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from blindcapon import baselines, capon_ice, core, monte_carlo
-from blindcapon.errors import DegenerateSignal, DomainError
+from blindcapon.errors import DegenerateSignal, Diverged, DomainError
 
 import reference
 from conftest import random_mixture
@@ -482,9 +482,9 @@ def test_search_grows_steps_on_a_convex_approach_then_brackets(start, max_step):
         if lo is not None and hi is not None:
             assert lo < following < hi
     assert lo < param < hi
-    # the search stops at the first step or bracket within 1e-9 * scale
+    # the search stops at the first step within 1e-9 * scale
     tol = 1e-9 * 10.0
-    assert abs(moves[-1]) <= tol or hi - lo <= tol
+    assert abs(moves[-1]) <= tol
     assert np.all(np.abs(moves[:-1]) > tol)
 
 
@@ -614,6 +614,12 @@ def test_search_stop_scales_with_the_range():
     assert abs(fine) <= 1e-8
 
 
+@pytest.mark.parametrize("d1, d2", [(math.nan, -1.0), (1.0, -math.inf)])
+def test_search_raises_on_non_finite_derivatives(d1, d2):
+    with pytest.raises(Diverged, match="non-finite derivatives"):
+        capon_ice._safeguarded_newton(0.3, lambda p: (d1, d2), 1.0, 10.0, lambda p: p, 100)
+
+
 def test_search_stops_on_the_boundary_of_a_clipped_range(caplog):
     # the maximum at 0 lies outside [-3, -1]: d1 > 0 throughout, and the
     # search ends on the edge, where the projected step does not move
@@ -646,7 +652,7 @@ def test_search_logs_each_iteration_and_the_stop(caplog):
     assert len(steps) == res.iterations
     assert all(" d1 " in m and " d2 " in m and " step " in m for m in steps)
     stop = search[-1]
-    assert stop.startswith(("stop: step", "stop: bracket"))
+    assert stop.startswith("stop: step")
     assert f"after {res.iterations} iterations" in stop
     assert f"{res.gradient_fallbacks} fallbacks" in stop
     # the library adds no handler of its own
@@ -775,6 +781,17 @@ def test_run_is_scale_invariant(scale):
     res = capon_ice.run(core.SnapshotMatrix(scale * x.data), model, 0.55)
     assert res.iterations == ref.iterations
     assert res.lam == pytest.approx(ref.lam, abs=1e-12)
+
+
+def test_run_on_non_integer_weights_diverges_beyond_the_runaway_span(monkeypatch):
+    # a contrast that climbs forever: steps of 0.5 pass 2 pi^2 from the
+    # start after 40 iterations on non-periodic weights, and wrap on a ULA
+    monkeypatch.setattr(capon_ice._MpdrStack, "joint_derivatives", lambda self, p: (1.0, -1.0))
+    x, _, _, _ = random_mixture(RNG(61), 5, 500, 0.5)
+    with pytest.raises(Diverged, match="left the admissible region"):
+        capon_ice.run(x, core.SteeringModel(np.array([0.0, 0.7, 1.9, 2.6, 3.4])), 0.5)
+    res = capon_ice.run(x, core.ula(5), 0.5)
+    assert (res.iterations, res.converged) == (100, False)
 
 
 def test_zero_power_output_raises():

@@ -392,6 +392,14 @@ def test_non_finite_start_is_a_domain_error(small_tensor):
         capon_ive.srp_phat(tensor, geom, float("inf"))
 
 
+@pytest.mark.parametrize("solver", ["run_ive", "beamform_at", "srp_phat"])
+def test_geometry_of_another_size_is_a_value_error(small_tensor, solver):
+    tensor, geom = small_tensor
+    wider = capon_ive.ArrayGeometry(spacing_m=geom.spacing_m, d=geom.d + 1)
+    with pytest.raises(ValueError, match="channel count does not match"):
+        getattr(capon_ive, solver)(tensor, wider, 80.0)
+
+
 # ---------------------------------------------------------------------------
 # extraction on the anechoic fixture
 # ---------------------------------------------------------------------------

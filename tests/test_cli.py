@@ -160,6 +160,25 @@ def test_manifest_records_argv_passed_to_main(tmp_path):
     assert read_json(tmp_path / "bounds.manifest.json")["argv"] == args
 
 
+def bounds_to(out):
+    return ["bounds", "--kappa-bar", "2", "--d", "5", "--n", "500", "--out", str(out)]
+
+
+def test_bounds_makes_a_missing_output_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "b.json"
+    assert cli.main(bounds_to(out)) == 0
+    assert read_json(out) == json.loads(capsys.readouterr().out)
+    assert (out.parent / "bounds.manifest.json").exists()
+
+
+def test_bounds_under_a_file_fails_before_printing(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert cli.main(bounds_to(tmp_path / "file" / "b.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_bounds_requires_kappa_source():
     with pytest.raises(SystemExit):
         cli.main(["bounds", "--d", "5", "--n", "500"])
@@ -380,6 +399,18 @@ def test_extract_with_a_missing_reference_writes_nothing(tmp_path, capsys, broad
             "--refs", f"{ref_paths[0]},{tmp_path / 'missing.wav'}", "--out-dir", str(out)]
     assert cli.main(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_extract_with_a_reference_at_another_rate_writes_nothing(tmp_path, capsys, broadband_wavs):
+    mix_path, _, fx = broadband_wavs
+    ref = tmp_path / "ref.wav"
+    capon_ive.write_wav(ref, fx.sample_rate // 2, np.zeros(800))
+    out = tmp_path / "srp"
+    args = ["extract", "--in", str(mix_path), "--theta-ini", str(fx.thetas_deg[0] + 5.0),
+            "--method", "srpphat+mpdr", "--refs", str(ref), "--out-dir", str(out)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: reference {ref} sample rate mismatch")
     assert not out.exists()
 
 
