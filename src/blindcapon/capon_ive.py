@@ -20,7 +20,8 @@ from .capon_ice import (
     _STEP_CAP, _MpdrStack, _capon_spectrum, _safeguarded_newton, _steered_powers,
 )
 from .core import (
-    COVARIANCE_EPS, SIR_CAP_DB, covariance_factor, mpdr_weights, sample_covariance,
+    COVARIANCE_EPS, SIR_CAP_DB, capped_sir_db, covariance_factor, mpdr_weights,
+    sample_covariance,
 )
 from .errors import DomainError, SingularCovariance
 
@@ -95,8 +96,8 @@ def stft(signal: np.ndarray, fft_len: int, hop: int, sample_rate: float) -> Stft
     """Multichannel STFT with a square-root Hann window.
 
     ``signal`` is ``(channels, samples)``; the signal is zero-padded by one
-    window on each side so that, together with the matching synthesis window
-    in :func:`istft`, the round trip reconstructs the input exactly.  That
+    window on each side so that :func:`istft` of the tensor's ``data``, with
+    the matching synthesis window, reconstructs the input exactly.  That
     needs ``fft_len >= 2`` and ``1 <= hop < fft_len``; other values, a NaN
     or infinite sample, or no more frames than channels raise
     :class:`DomainError`.
@@ -137,47 +138,34 @@ def stft(signal: np.ndarray, fft_len: int, hop: int, sample_rate: float) -> Stft
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum of the rows of ``frames`` ``(n_frames, fft_len)``, row ``m``
-    shifted by ``m * hop`` samples."""
-    n_frames, fft_len = frames.shape
+    """Sum over the frame axis of ``frames`` ``(..., n_frames, fft_len)``,
+    frame ``m`` shifted by ``m * hop`` samples."""
+    *lead, n_frames, fft_len = frames.shape
     n_blocks = -(-fft_len // hop)
-    out = np.zeros((n_frames + n_blocks, hop))
+    out = np.zeros((*lead, n_frames + n_blocks, hop))
     # block r of frame m lands on output block m + r; taking r downwards
     # adds up every output sample in frame order, as a loop over frames would
     for r in reversed(range(n_blocks)):
-        block = frames[:, r * hop: (r + 1) * hop]
-        out[r: r + n_frames, : block.shape[1]] += block
-    return out.ravel()[: fft_len + (n_frames - 1) * hop]
+        block = frames[..., r * hop: (r + 1) * hop]
+        out[..., r: r + n_frames, : block.shape[-1]] += block
+    return out.reshape(*lead, -1)[..., : fft_len + (n_frames - 1) * hop]
 
 
-def istft(tensor: StftTensor, length: Optional[int] = None) -> np.ndarray:
+def istft(spec: np.ndarray, fft_len: int, hop: int, length: Optional[int] = None) -> np.ndarray:
     """Overlap-add inverse of :func:`stft` (square-root Hann synthesis).
 
-    The inverse FFTs run in the tensor's precision, single for complex64
-    (faster than in double, and no double copy of the spectrogram); the
-    overlap-add sums in double."""
-    k, d, n_frames = tensor.data.shape
-    fft_len, hop = tensor.fft_len, tensor.hop
+    ``spec`` is ``(K, ..., n_frames)``: one channel's ``(K, n_frames)``
+    gives ``(samples,)`` and a tensor's ``data`` gives ``(d, samples)``.
+    The inverse FFTs run in the spectrogram's precision, single for
+    complex64 (faster than in double, and no double copy of the
+    spectrogram); the overlap-add sums in double."""
     win = _sqrt_hann(fft_len)
-    wsum = _overlap_add(np.broadcast_to(win ** 2, (n_frames, fft_len)), hop)
-    acc = np.empty((d, wsum.size))
-    for ch in range(d):
-        seg = np.fft.irfft(tensor.data[:, ch, :].T, n=fft_len, axis=1)
-        seg *= win
-        acc[ch] = _overlap_add(seg, hop)
-    acc /= np.maximum(wsum, 1e-12)
-    out = acc[:, fft_len:]
-    if length is not None:
-        out = out[:, :length]
-    return out
-
-
-def istft_mono(
-    spec: np.ndarray, sample_rate: float, fft_len: int, hop: int, length: Optional[int] = None
-) -> np.ndarray:
-    """Inverse STFT of a single-channel spectrogram ``(K, n_frames)``; it
-    needs only the STFT's parameters, not the multichannel tensor."""
-    return istft(StftTensor(spec[:, None, :], sample_rate, fft_len, hop), length)[0]
+    seg = np.fft.irfft(np.moveaxis(spec, 0, -1), n=fft_len, axis=-1)
+    seg *= win
+    wsum = _overlap_add(np.broadcast_to(win ** 2, seg.shape[-2:]), hop)
+    out = _overlap_add(seg, hop)
+    out /= np.maximum(wsum, 1e-12)
+    return out[..., fft_len:][..., :length]
 
 
 def theta_to_tau(geom: ArrayGeometry, theta_deg: float) -> float:
@@ -640,16 +628,9 @@ def projected_sir_db(y: np.ndarray, ref: np.ndarray) -> float:
     denom = float(ref @ ref)
     if denom <= 0.0:
         return -SIR_CAP_DB
-    alpha = float(ref @ y) / denom
-    target = alpha * ref
+    target = float(ref @ y) / denom * ref
     resid = y - target
-    p_t = float(target @ target)
-    p_r = float(resid @ resid)
-    if p_r <= 0.0:
-        return SIR_CAP_DB
-    if p_t <= 0.0:
-        return -SIR_CAP_DB
-    return float(np.clip(10.0 * np.log10(p_t / p_r), -SIR_CAP_DB, SIR_CAP_DB))
+    return capped_sir_db(float(target @ target), float(resid @ resid))
 
 
 def sir_improvement_db(y: np.ndarray, mix_channel: np.ndarray, refs: np.ndarray):

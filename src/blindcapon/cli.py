@@ -144,8 +144,6 @@ def cmd_simulate(args) -> int:
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
     if args.estimate_kappa is not None:
-        if args.estimate_kappa != "laplacean":
-            raise DomainError(f"unknown source law {args.estimate_kappa!r}")
         if args.samples < 2:
             # the standard error needs two samples; fewer give NaN, not JSON
             raise DomainError(f"--samples must be >= 2, got {args.samples}")
@@ -227,8 +225,7 @@ def cmd_extract(args) -> int:
 
     del tensor
     with _timed(stage_s, "istft"):
-        y = np.ldexp(capon_ive.istft_mono(extracted_spec, rate, args.fft, args.hop, length),
-                     exponent)
+        y = np.ldexp(capon_ive.istft(extracted_spec, args.fft, args.hop, length), exponent)
 
     # scored before anything is written, so that a bad reference leaves no
     # output behind; the references and channel 0 are dropped before the write
@@ -296,9 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     bnd = sub.add_parser("bounds", help="Cramer-Rao-induced ISR bounds")
-    bnd.add_argument("--kappa-bar", type=float, default=None)
-    bnd.add_argument("--estimate-kappa", default=None, metavar="LAW",
-                     help="estimate kappa_bar empirically (law: laplacean)")
+    kappa = bnd.add_mutually_exclusive_group(required=True)
+    kappa.add_argument("--kappa-bar", type=float)
+    kappa.add_argument("--estimate-kappa", metavar="LAW", choices=("laplacean",),
+                       help="estimate kappa_bar empirically (law: laplacean)")
     bnd.add_argument("--samples", type=int, default=10_000_000)
     bnd.add_argument("--d", type=int, required=True)
     bnd.add_argument("--n", type=int, required=True)
@@ -356,8 +354,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_join_dash_values(argv))
     args.argv = argv
-    if args.command == "bounds" and args.kappa_bar is None and args.estimate_kappa is None:
-        parser.error("bounds needs --kappa-bar or --estimate-kappa")
     try:
         return args.func(args)
     except (BlindCaponError, OSError) as exc:

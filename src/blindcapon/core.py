@@ -21,6 +21,16 @@ COVARIANCE_EPS = 1e-10
 SIR_CAP_DB = 150.0
 
 
+def capped_sir_db(signal: float, interference: float) -> float:
+    """``10 log10(signal / interference)`` clipped to +-SIR_CAP_DB; no signal
+    reads -SIR_CAP_DB, and a signal with no interference +SIR_CAP_DB."""
+    if signal <= 0.0:
+        return -SIR_CAP_DB
+    if interference <= 0.0:
+        return SIR_CAP_DB
+    return float(np.clip(10.0 * np.log10(signal / interference), -SIR_CAP_DB, SIR_CAP_DB))
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------

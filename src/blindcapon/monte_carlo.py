@@ -113,13 +113,7 @@ def output_sir(w: np.ndarray, a: np.ndarray, powers: np.ndarray) -> float:
         10 log10( |w^H a_0|^2 p_0 / sum_{j != 0} |w^H a_j|^2 p_j )
     """
     gains = np.abs(w.conj() @ a) ** 2 * powers
-    soi = gains[0]
-    interference = float(np.sum(gains) - soi)
-    if soi <= 0.0:
-        return -SIR_CAP_DB
-    if interference <= 0.0:
-        return SIR_CAP_DB
-    return float(np.clip(10.0 * np.log10(soi / interference), -SIR_CAP_DB, SIR_CAP_DB))
+    return core.capped_sir_db(gains[0], float(np.sum(gains) - gains[0]))
 
 
 def trial_seed_sequence(master_seed: int, grid_index: int, trial_index: int):

@@ -271,7 +271,7 @@ def test_criterion_7_broadband_fixture(broadband_fixture):
     tensor = fx.tensor()
 
     sig = RNG(107).standard_normal((5, 16000))
-    rt = capon_ive.istft(capon_ive.stft(sig, 1024, 128, 16000), length=16000)
+    rt = capon_ive.istft(capon_ive.stft(sig, 1024, 128, 16000).data, 1024, 128, length=16000)
     roundtrip = float(np.max(np.abs(rt - sig)) / np.max(np.abs(sig)))
 
     worst_theta = 0.0
@@ -280,8 +280,7 @@ def test_criterion_7_broadband_fixture(broadband_fixture):
     for theta_true in fx.thetas_deg:
         res = capon_ive.run_ive(tensor, fx.geom, theta_true + 5.0)
         worst_theta = max(worst_theta, abs(res.theta_deg - theta_true))
-        y = capon_ive.istft_mono(res.extracted, tensor.sample_rate, tensor.fft_len, tensor.hop,
-                                 length=fx.mix.shape[1])
+        y = capon_ive.istft(res.extracted, tensor.fft_len, tensor.hop, length=fx.mix.shape[1])
         improvement, _, _, _ = capon_ive.sir_improvement_db(y, fx.mix[0], fx.sources)
         worst_improvement = min(worst_improvement, improvement)
         srp = capon_ive.srp_phat(tensor, fx.geom, theta_true + 5.0)

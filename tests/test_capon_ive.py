@@ -27,15 +27,18 @@ def test_roundtrip_impulses():
     sig[1, 2000] = -0.5
     sig[2, 3999] = 0.25
     t = capon_ive.stft(sig, 1024, 128, 16000)
-    rec = capon_ive.istft(t, length=4000)
+    rec = capon_ive.istft(t.data, t.fft_len, t.hop, length=4000)
     assert np.max(np.abs(rec - sig)) < 1e-8
 
 
 def test_roundtrip_random_multichannel():
     sig = RNG(1).standard_normal((5, 16000))
     t = capon_ive.stft(sig, 1024, 128, 16000)
-    rec = capon_ive.istft(t, length=16000)
+    rec = capon_ive.istft(t.data, t.fft_len, t.hop, length=16000)
     assert np.max(np.abs(rec - sig)) / np.max(np.abs(sig)) < 1e-8
+    for ch in range(5):
+        mono = capon_ive.istft(t.data[:, ch], t.fft_len, t.hop, length=16000)
+        assert np.array_equal(rec[ch], mono)
 
 
 def test_tone_lands_in_expected_bin():
@@ -549,8 +552,7 @@ def test_run_ive_improves_sir(broadband_fixture):
     fx = broadband_fixture
     tensor = fx.tensor()
     res = capon_ive.run_ive(tensor, fx.geom, fx.thetas_deg[0] + 5.0)
-    y = capon_ive.istft_mono(res.extracted, tensor.sample_rate, tensor.fft_len, tensor.hop,
-                             length=fx.mix.shape[1])
+    y = capon_ive.istft(res.extracted, tensor.fft_len, tensor.hop, length=fx.mix.shape[1])
     improvement, soi, sir_in, sir_out = capon_ive.sir_improvement_db(
         y, fx.mix[0], fx.sources
     )
@@ -581,10 +583,31 @@ def test_single_source_passthrough():
     assert abs(res.theta_deg - 72.0) < 0.1
     # heavy extraction loading: the lone source must pass through unharmed
     _, extracted = capon_ive.beamform_at(tensor, geom, res.theta_deg, loading=0.03)
-    y = capon_ive.istft_mono(extracted, tensor.sample_rate, tensor.fft_len, tensor.hop, n)
+    y = capon_ive.istft(extracted, tensor.fft_len, tensor.hop, n)
     ref = mix[0]
     rel = np.linalg.norm(y - ref) / np.linalg.norm(ref)
     assert rel < 1e-3
+
+
+def test_projected_sir_caps_and_exact_value():
+    rng = RNG(12)
+    ref = rng.standard_normal(1000)
+    ref[500:] = 0.0
+    interferer = 0.1 * rng.standard_normal(1000)
+    interferer[:500] = 0.0
+    silent = np.zeros(1000)
+    assert capon_ive.projected_sir_db(silent, ref) == -core.SIR_CAP_DB
+    assert capon_ive.projected_sir_db(ref, silent) == -core.SIR_CAP_DB
+    assert capon_ive.projected_sir_db(ref, ref) == core.SIR_CAP_DB
+    # disjoint supports: the projection gain is exactly 1 and the residual
+    # exactly the interferer
+    exact = 10.0 * np.log10((ref @ ref) / (interferer @ interferer))
+    assert capon_ive.projected_sir_db(ref + interferer, ref) == exact
+    # a silent output is no improvement over the mix
+    refs = np.vstack([ref, interferer])
+    improvement, _, _, sir_out = capon_ive.sir_improvement_db(silent, ref + interferer, refs)
+    assert sir_out == -core.SIR_CAP_DB
+    assert improvement <= 0.0
 
 
 # ---------------------------------------------------------------------------

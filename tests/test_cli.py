@@ -67,6 +67,18 @@ def test_simulate_row_count_and_manifest(tmp_path):
     assert "numpy" in manifest["versions"]
 
 
+def test_simulate_writes_to_blindcapon_outdir_unless_out_is_given(tmp_path, monkeypatch):
+    env_dir, out_dir = tmp_path / "env", tmp_path / "out"
+    monkeypatch.setenv("BLINDCAPON_OUTDIR", str(env_dir))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(simulate_args(out_dir)) == 0
+    assert (out_dir / "sweep.csv").exists()
+    assert not env_dir.exists()
+    assert cli.main(simulate_args(out_dir)[:-2]) == 0  # the same flags without --out
+    assert (env_dir / "sweep.csv").exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_simulate_deterministic_modulo_runtime(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(simulate_args(out1)) == 0
@@ -179,9 +191,16 @@ def test_bounds_under_a_file_fails_before_printing(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_bounds_requires_kappa_source():
-    with pytest.raises(SystemExit):
-        cli.main(["bounds", "--d", "5", "--n", "500"])
+@pytest.mark.parametrize(
+    "kappa_args",
+    [[], ["--kappa-bar", "2", "--estimate-kappa", "laplacean"], ["--estimate-kappa", "gaussian"]],
+    ids=["neither", "both", "unknown-law"],
+)
+def test_bounds_requires_kappa_source(capsys, kappa_args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", *kappa_args, "--d", "5", "--n", "500"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_bounds_domain_error_exit_code(capsys):
