@@ -237,6 +237,8 @@ def run_sweep(
     for m in methods:
         if m not in KNOWN_METHODS:
             raise DomainError(f"unknown method {m!r}")
+    if len(set(methods)) < len(methods):
+        raise DomainError(f"a method is named twice in {list(methods)}")
     if not methods:
         return []
 

@@ -9,7 +9,8 @@ finite-difference and statistics checks.  The derivatives themselves are
 here too, in the per-problem form that includes the gradient in ``w``
 (:func:`_mpdr_derivatives`), as the oracle of the solvers' kernel, the
 steered power as a quadratic form (:func:`steered_powers`), the oracle of
-its lag sums, and so are the draws of the Monte Carlo sources, the
+its lag sums, and so are the draws of the Monte Carlo sources and of
+numpy's Laplace parts in one array pass (:func:`laplace_parts`), the
 SRP-PHAT search as it ran on scipy's Nelder-Mead
 (:func:`srp_phat_nelder_mead`), the STFT as one transform of all of a
 channel's frames (:func:`stft_one_shot`) and the numeric derivation of the
@@ -371,6 +372,15 @@ def second_derivative_approx(x: SnapshotMatrix, state: ExtractionState) -> float
     sign of ``c1`` (negative for super-Gaussian extracted signals).
     """
     return float(_at_state(x, state)[2][0])
+
+
+def laplace_parts(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
+    """Laplace(0, ``scale``) parts of ``shape`` as numpy's C ``random_laplace``
+    branches on each uniform of ``rng.random``, in one unblocked array pass
+    of ``np.log``; the oracle of ``core.complex_laplacean``'s parts (it does
+    not redraw a zero uniform)."""
+    u = rng.random(shape)
+    return np.where(u >= 0.5, 0.0 - scale * np.log((2.0 - u) - u), 0.0 + scale * np.log(u + u))
 
 
 def draw_sources_loop(rng: np.random.Generator, law: str, d: int, n: int) -> np.ndarray:

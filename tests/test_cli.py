@@ -449,9 +449,11 @@ def test_extract_with_a_reference_at_another_rate_writes_nothing(tmp_path, capsy
         ["--lambda-grid", "0:1:0"],
         ["--methods", ","],
         ["--seed", "-3"],
+        ["--methods", "caponice,caponice"],
     ],
     ids=["d2", "n-below-d", "unknown-method", "lambda-star-nan", "ini-radius-nan",
-         "ini-radius-negative", "lambda-grid-empty", "no-methods", "seed-negative"],
+         "ini-radius-negative", "lambda-grid-empty", "no-methods", "seed-negative",
+         "repeated-method"],
 )
 def test_simulate_bad_value_exit_code(tmp_path, capsys, extra):
     out = tmp_path / "out"

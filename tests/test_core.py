@@ -308,13 +308,55 @@ def test_complex_samples_are_the_pair_formula_bit_for_bit(law, shape):
     # the samplers write the scaled pairs straight into one complex array
     *rows, n = shape
     if law == "laplacean":
+        # the parts are numpy's Laplace branches on whole arrays of uniforms
         got = core.complex_laplacean(RNG(21), shape)
-        pairs = RNG(21).laplace(0.0, 1.0 / np.sqrt(2.0), (*rows, 2, n))
+        pairs = reference.laplace_parts(RNG(21), (*rows, 2, n), 1.0 / np.sqrt(2.0))
     else:
         got = core.complex_gaussian(RNG(21), shape)
         pairs = RNG(21).standard_normal((*rows, 2, n))
     want = (pairs[..., 0, :] + 1j * pairs[..., 1, :]) / np.sqrt(2.0)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(8, 5000), (3, 7), (64,), (1,), (4095,), (4096,), (4097,)])
+def test_complex_laplacean_is_generator_laplace_to_the_last_bits(shape):
+    # 2n uniforms of 4095, 4096 and 4097 samples end just under, on and just
+    # past one draw block
+    *rows, n = shape
+    rng, laplace_rng = RNG(21), RNG(21)
+    got = core.complex_laplacean(rng, shape)
+    parts = reference.laplace_parts(RNG(21), (*rows, 2, n), 1.0 / np.sqrt(2.0))
+    want = (parts[..., 0, :] + 1j * parts[..., 1, :]) / np.sqrt(2.0)
+    assert got.tobytes() == want.tobytes()
+    # numpy's draw with the C library's scalar log: the same uniforms, so the
+    # same generator state after, and the parts within the array log's 2 ULP
+    parts = laplace_rng.laplace(0.0, 1.0 / np.sqrt(2.0), (*rows, 2, n))
+    want = (parts[..., 0, :] + 1j * parts[..., 1, :]) / np.sqrt(2.0)
+    assert rng.bit_generator.state == laplace_rng.bit_generator.state
+    np.testing.assert_array_max_ulp(got.view(float), want.view(float), maxulp=2)
+    assert np.count_nonzero(got.view(float) != want.view(float)) < 0.01 * got.view(float).size
+
+
+def test_complex_laplacean_redraws_a_zero_uniform():
+    # as Generator.laplace does: the zero's sample takes the next uniform
+    class ZeroFirst:
+        def __init__(self):
+            self.rng, self.drawn = RNG(5), 0
+
+        def random(self, out):
+            self.rng.random(out=out)
+            if self.drawn == 0:
+                out[3] = 0.0
+            self.drawn += out.size
+
+    stub = ZeroFirst()
+    got = core.complex_laplacean(stub, (2, 50))
+    assert np.isfinite(got).all()
+    assert stub.drawn == 2 * got.size + 1
+    parts = RNG(5).laplace(0.0, 1.0 / np.sqrt(2.0), 2 * got.size + 1)
+    parts = np.delete(parts, 3).reshape(2, 2, 50)
+    want = (parts[..., 0, :] + 1j * parts[..., 1, :]) / np.sqrt(2.0)
+    np.testing.assert_array_max_ulp(got.view(float), want.view(float), maxulp=2)
 
 
 def test_blocking_matrix_annihilates_steering():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blindcapon import baselines, capon_ice, core, monte_carlo
-from blindcapon.errors import Diverged, SingularCovariance
+from blindcapon.errors import Diverged, DomainError, SingularCovariance
 from blindcapon.monte_carlo import MixtureSpec
 
 import reference
@@ -125,6 +125,12 @@ def test_empty_methods_empty_records():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         monte_carlo.run_sweep(spec(), "lambda_star", [0.1], ["magic"], trials=1)
+
+
+def test_repeated_method_rejected():
+    # one trial must not run and count a method twice
+    with pytest.raises(DomainError):
+        monte_carlo.run_sweep(spec(), "lambda_star", [0.1], ["caponice", "ini", "caponice"], trials=1)
 
 
 def test_sweep_deterministic_and_complete():
