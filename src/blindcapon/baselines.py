@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SnapshotMatrix, covariance_factor, sample_covariance
+from .core import SnapshotMatrix
 from .errors import RankDeficient
 
 # FastICA stops when 1 - |<w_new, w>| falls to this
@@ -39,16 +39,12 @@ class FasticaResult:
 def fastica_one_unit(
     x: SnapshotMatrix,
     w_ini: np.ndarray,
-    covariance=None,
     max_iters: int = 200,
 ) -> FasticaResult:
     """One-unit complex FastICA on data prewhitened by the inverse Cholesky
-    factor ``G`` of the sample covariance ``C_x``: ``x~ = G x``.
-
-    ``covariance`` is ``x``'s pair ``(C_x, G)`` of
-    :func:`core.sample_covariance` and :func:`core.covariance_factor`
-    (which whitens the diagonally loaded ``C_x``), computed when omitted.
-    From ``w = G^-H w_ini``, with ``y = w^H x~`` and
+    factor ``G`` of the sample covariance ``C_x``: ``x~ = G x``, with
+    ``(C_x, G)`` the data's ``x.covariance`` (``G`` whitens the diagonally
+    loaded ``C_x``).  From ``w = G^-H w_ini``, with ``y = w^H x~`` and
     ``g = 1 / (1 + |y|^2)`` (so ``g + |y|^2 g' = g^2``), the update
 
         w <- E[x~ conj(y) g] - E[g^2] w
@@ -61,10 +57,7 @@ def fastica_one_unit(
     w_ini = np.asarray(w_ini, dtype=complex)
     if not np.any(w_ini):
         raise ValueError("w_ini must be nonzero")
-    if covariance is None:
-        c_x = sample_covariance(x.data)
-        covariance = (c_x, covariance_factor(c_x))
-    c_x, factor = covariance
+    c_x, factor = x.covariance
     xt = factor @ x.data
 
     w = np.linalg.solve(factor.conj().T, w_ini)

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import (
-    SnapshotMatrix,
-    SteeringModel,
-    covariance_factor,
-    mpdr_weights,
-    sample_covariance,
-)
+from .core import SnapshotMatrix, SteeringModel, mpdr_weights
 from .errors import DegenerateSignal, Diverged, DomainError, ScoreDegenerate
 
 # runaway guard for non-periodic steering weights (see `_runaway_guard`)
@@ -403,7 +397,6 @@ def run(
     model: SteeringModel,
     lambda_ini: float,
     max_iters: int = 100,
-    covariance=None,
 ) -> CaponResult:
     """Bracketed Newton search over ``lam`` from ``lambda_ini`` (radians),
     at most ``max_iters`` iterations, with the rational nonlinearity.
@@ -425,15 +418,12 @@ def run(
     ``lam`` is wrapped into (-pi, pi] after every update; for non-periodic
     weights the iterate must stay within ``2 pi^2`` of the start or
     :class:`Diverged` is raised.  A non-finite start raises
-    :class:`DomainError`.  ``covariance`` is ``x``'s pair of
-    :func:`core.sample_covariance` and its factor, computed when omitted.
+    :class:`DomainError`.  The search solves with ``x.covariance``.
     """
     if not math.isfinite(lambda_ini):
         raise DomainError(f"lambda_ini must be finite, got {lambda_ini}")
-    if covariance is None:
-        c_x = sample_covariance(x.data)
-        covariance = (c_x, covariance_factor(c_x))
-    kernel = _one_problem(x, model, *covariance)
+    c_x, factor = x.covariance
+    kernel = _one_problem(x, model, c_x, factor)
     if model.is_integer:
         start, project = wrap_angle(lambda_ini), wrap_angle
     else:
@@ -444,7 +434,7 @@ def run(
         start, kernel.joint_derivatives, _STEP_CAP, 2.0 * np.pi, project, max_iters,
     )
     a = core.steering(model, lam)
-    w, _ = mpdr_weights(covariance[1], a)
+    w, _ = mpdr_weights(factor, a)
     return CaponResult(
         lam=lam,
         a=a,

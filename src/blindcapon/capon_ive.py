@@ -10,6 +10,7 @@ nonlinearity, which ties the bins together statistically and removes the
 permutation ambiguity.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -81,6 +82,37 @@ class StftTensor:
 
     def bin_frequencies(self) -> np.ndarray:
         return np.arange(self.n_bins) * self.sample_rate / self.fft_len
+
+    @functools.cached_property
+    def scaled(self):
+        """``(x, c)``: the data as :func:`run_ive`, :func:`srp_phat` and
+        :func:`beamform_at` use it, and the :func:`core.sample_covariance`
+        of each bin of ``x``, formed on first use.
+
+        ``x`` is ``data`` unless a bin's power lies outside ``[sqrt(tiny),
+        sqrt(max)]`` of its precision (single precision audio near 1e-19 of
+        full scale, or bins that span more than that range).  Then ``x`` is
+        a copy with each bin scaled by the power of two that brings its
+        power near 1; a bin below ``sqrt(tiny)`` takes its level from its
+        largest sample instead, as the squares behind its power may have
+        underflowed.  The scaling is exact, and the solvers' results are
+        invariant to it.
+        """
+        x = self.data
+        c = sample_covariance(x)
+        # the solvers square the snapshots in their own precision
+        info = np.finfo(x.real.dtype)
+        power = np.max(np.real(np.diagonal(c, axis1=-2, axis2=-1)), axis=-1)
+        # a bin this quiet may have had its squares underflow: its largest
+        # sample, squared in double, gives its level (zero for a silent bin)
+        low = power < np.sqrt(info.tiny)
+        if low.any():
+            power[low] = np.max(np.abs(x[low]), axis=(1, 2)).astype(float) ** 2
+        # silent bins aside, each bin's power must lie in [sqrt(tiny), sqrt(max)]
+        if np.any((power > 0.0) & (low | (power > np.sqrt(info.max)))):
+            x = x * np.ldexp(info.dtype.type(1.0), -(np.frexp(power)[1] // 2))[:, None, None]
+            c = sample_covariance(x)
+        return x, c
 
 
 def _sqrt_hann(fft_len: int) -> np.ndarray:
@@ -189,8 +221,6 @@ class IveResult:
     start_iterations: int               # of the climb to that peak
     start_fallbacks: int                # of the climb, as gradient_fallbacks
     converged: bool
-    weights: np.ndarray                 # (K, d) per-bin separating vectors
-    extracted: np.ndarray               # (K, n_frames) extracted spectrogram
     included_bins: np.ndarray
     alias_bins: np.ndarray
     flagged_bins: np.ndarray            # bins dropped: their covariance does not factor
@@ -229,21 +259,20 @@ def _loaded_factors(c: np.ndarray, eps: float):
     return factors, ok
 
 
-def _bin_stack(tensor, geom, fmin_hz, covariances):
-    """The included bins of a tensor as one :class:`capon_ice._MpdrStack`
-    steered by the delay; returns ``(kernel, bins, flagged)``, ``bins`` being
-    the bins of the stack.  ``covariances`` is the
-    :func:`core.sample_covariance` stack of all the tensor's bins.  The
+def _bin_stack(tensor, geom, fmin_hz):
+    """The included bins of a tensor's :attr:`StftTensor.scaled` data as
+    one :class:`capon_ice._MpdrStack` steered by the delay; returns
+    ``(kernel, bins, flagged)``, ``bins`` being the bins of the stack.  The
     included bins are one slice (:func:`_included_bins`), so the stack's
-    snapshots and covariances are views of the tensor and of
-    ``covariances``.  A bin whose covariance does not factor at the solver
+    snapshots and covariances are views of that data and its covariances.
+    A bin whose covariance does not factor at the solver
     loading is flagged and dropped by a boolean mask, which copies.
     """
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
     included = _included_bins(tensor, fmin_hz)
     bins = np.arange(tensor.n_bins)[included]
-    x, c = tensor.data[included], covariances[included]
+    x, c = (array[included] for array in tensor.scaled)
     factors, ok = _loaded_factors(c, COVARIANCE_EPS)
     if not ok.any():
         raise SingularCovariance("every included bin has a singular covariance")
@@ -299,45 +328,21 @@ def run_ive(
     physical range ``|tau| <= spacing/c``.  The search has converged when a
     step falls to 1e-9 of that range, ``2 spacing/c``, or when it rests on
     an end of the range.  Bins below ``fmin_hz`` and the Nyquist bin of an
-    even FFT length are excluded.  When a bin's power
-    lies outside ``[sqrt(tiny), sqrt(max)]`` of the tensor's precision
-    (single precision audio near 1e-19 of full scale, or bins that span
-    more than that range), both searches run on the tensor with each bin
-    scaled by the power of two that brings its power near 1; a bin below
-    ``sqrt(tiny)`` takes its level from its largest sample instead, as the
-    squares behind its power may have underflowed.  The scaling is exact
-    and the contrast is invariant to it; the result is on the input's scale.
-    A non-finite start raises :class:`DomainError`.
+    even FFT length are excluded.  Both searches run on the tensor's
+    :attr:`StftTensor.scaled` data, whose quiet bins are scaled by exact
+    powers of two.  The result is the direction alone: :func:`beamform_at`
+    forms the extraction weights there.  A non-finite start raises
+    :class:`DomainError`.
     """
     if not np.isfinite(theta_ini_deg):
         raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
-    covariances = sample_covariance(tensor.data)
-    searched = tensor
-    # the search squares the snapshots in their own precision
-    info = np.finfo(tensor.data.real.dtype)
-    power = np.max(np.real(np.diagonal(covariances, axis1=-2, axis2=-1)), axis=-1)
-    # a bin this quiet may have had its squares underflow: its largest
-    # sample, squared in double, gives its level (zero for a silent bin)
-    low = power < np.sqrt(info.tiny)
-    if low.any():
-        power[low] = np.max(np.abs(tensor.data[low]), axis=(1, 2)).astype(float) ** 2
-    # silent bins aside, each bin's power must lie in [sqrt(tiny), sqrt(max)]
-    if np.any((power > 0.0) & (low | (power > np.sqrt(info.max)))):
-        scales = np.ldexp(info.dtype.type(1.0), -(np.frexp(power)[1] // 2))
-        searched = StftTensor(
-            tensor.data * scales[:, None, None], tensor.sample_rate, tensor.fft_len, tensor.hop
-        )
-        covariances = sample_covariance(searched.data)
-    kernel, bins, flagged = _bin_stack(searched, geom, fmin_hz, covariances)
+    kernel, bins, flagged = _bin_stack(tensor, geom, fmin_hz)
     derivatives, _ = _capon_spectrum(kernel)
     start, start_iterations, _, start_fallbacks = _delay_search(
         geom, theta_to_tau(geom, theta_ini_deg), kernel.omegas, derivatives, max_iters
     )
     tau, iterations, converged, fallbacks = _delay_search(
         geom, start, kernel.omegas, kernel.joint_derivatives, max_iters
-    )
-    weights, extracted = _beamform(
-        tensor, geom, tau_to_theta(geom, tau), covariances, EXTRACTION_LOADING
     )
     alias = np.flatnonzero(np.abs(2.0 * np.pi * tensor.bin_frequencies() * tau) > np.pi)
     return IveResult(
@@ -347,8 +352,6 @@ def run_ive(
         start_iterations=start_iterations,
         start_fallbacks=start_fallbacks,
         converged=converged,
-        weights=weights,
-        extracted=extracted,
         included_bins=bins,
         alias_bins=alias,
         flagged_bins=flagged,
@@ -373,22 +376,19 @@ def beamform_at(
     The default is far heavier than the solver epsilon used during the
     parameter search: a broadband source spreads over each STFT bin, so the
     bin-center steering vector is slightly mismatched and an unloaded MPDR
-    would partially cancel the target (superdirective self-nulling).  Bins
-    whose MPDR problem is singular fall back to passing channel 0 through
-    unchanged.
+    would partially cancel the target (superdirective self-nulling).  The
+    weights solve with the :attr:`StftTensor.scaled` covariances, to whose
+    exact power-of-two scaling they are invariant, and apply to the
+    tensor's own data.  Bins whose MPDR problem is singular fall back to
+    passing channel 0 through unchanged.
     """
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
-    return _beamform(tensor, geom, theta_deg, sample_covariance(tensor.data), loading)
-
-
-def _beamform(tensor, geom, theta_deg, covariances, loading):
-    """:func:`beamform_at` given the :func:`core.sample_covariance` stack of
-    all the tensor's bins."""
     k_all, d, _ = tensor.data.shape
     tau = theta_to_tau(geom, theta_deg)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()
     a = np.exp(1j * np.outer(omegas * tau, np.arange(d, dtype=float)))
+    _, covariances = tensor.scaled
     factors, ok = _loaded_factors(covariances, loading)
     weights = np.zeros((k_all, d), dtype=complex)
     weights[ok], _ = mpdr_weights(factors[ok], a[ok])
@@ -418,9 +418,10 @@ def srp_phat(
     """Steered-response power with phase transform, refined by a local
     search from ``theta_ini_deg``.
 
-    The per-bin cross-spectra are PHAT-normalized elementwise and averaged
-    over frames; the steered power is maximized in the delay by the scalar
-    search of :func:`run_ive`, at most 100 iterations.  If the power there
+    The per-bin cross-spectra of the :attr:`StftTensor.scaled` data are
+    PHAT-normalized elementwise and averaged over frames; the steered power
+    is maximized in the delay by the scalar search of :func:`run_ive`, at
+    most 100 iterations.  If the power there
     shows no spatial structure the initial angle is returned with
     ``stalled=True``.  A non-finite start raises :class:`DomainError`.
     """
@@ -430,7 +431,7 @@ def srp_phat(
         raise ValueError("geometry channel count does not match the tensor")
     included = _included_bins(tensor, fmin_hz)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()[included]
-    x = tensor.data[included]
+    x = tensor.scaled[0][included]
     # the PHAT-normalized snapshots exist a block of bins at a time; each
     # bin's covariance is its own product, so blocking does not change it
     r = np.empty((len(x), geom.d, geom.d), dtype=complex)

@@ -157,7 +157,6 @@ def cmd_bounds(args) -> int:
         kappa_bar, stderr = args.kappa_bar, None
     report = bounds_mod.crib_report(kappa_bar, args.d, args.n)
     payload = asdict(report)
-    payload["identifiable"] = report.identifiable
     if stderr is not None:
         payload["kappa_bar_stderr"] = stderr
         payload["samples"] = args.samples
@@ -195,33 +194,30 @@ def cmd_extract(args) -> int:
         del samples
 
     report = {"method": args.method, "theta_ini_deg": args.theta_ini}
-    if args.method == "ive":
-        with _timed(stage_s, "solve"):
+    with _timed(stage_s, "solve"):
+        if args.method == "ive":
             result = capon_ive.run_ive(
                 tensor, geom, args.theta_ini, max_iters=args.max_iters, fmin_hz=args.fmin_hz
             )
-        extracted_spec = result.extracted
-        report.update(
-            theta_hat_deg=result.theta_deg,
-            iterations=result.iterations,
-            start_iterations=result.start_iterations,
-            start_fallbacks=result.start_fallbacks,
-            converged=result.converged,
-            gradient_fallbacks=result.gradient_fallbacks,
-            per_bin_flags={
-                "included": [int(k) for k in result.included_bins],
-                "aliased": [int(k) for k in result.alias_bins],
-                "covariance_flagged": [int(k) for k in result.flagged_bins],
-            },
-        )
-        del result
-    else:
-        with _timed(stage_s, "solve"):
+            report.update(
+                theta_hat_deg=result.theta_deg,
+                iterations=result.iterations,
+                start_iterations=result.start_iterations,
+                start_fallbacks=result.start_fallbacks,
+                converged=result.converged,
+                gradient_fallbacks=result.gradient_fallbacks,
+                per_bin_flags={
+                    "included": [int(k) for k in result.included_bins],
+                    "aliased": [int(k) for k in result.alias_bins],
+                    "covariance_flagged": [int(k) for k in result.flagged_bins],
+                },
+            )
+        else:
             srp = capon_ive.srp_phat(tensor, geom, args.theta_ini, fmin_hz=args.fmin_hz)
-            _, extracted_spec = capon_ive.beamform_at(tensor, geom, srp.theta_deg)
-        report.update(
-            theta_hat_deg=srp.theta_deg, srp_stalled=srp.stalled, iterations=0
-        )
+            report.update(
+                theta_hat_deg=srp.theta_deg, srp_stalled=srp.stalled, iterations=0
+            )
+        _, extracted_spec = capon_ive.beamform_at(tensor, geom, report["theta_hat_deg"])
 
     del tensor
     with _timed(stage_s, "istft"):

@@ -91,6 +91,23 @@ class SnapshotMatrix:
     def N(self) -> int:
         return self.data.shape[1]
 
+    @property
+    def covariance(self):
+        """``(C, G)``: the :func:`sample_covariance` of the snapshots and its
+        :func:`covariance_factor`, formed on first use and shared by every
+        solver of this data.  A covariance that does not factor raises the
+        same :class:`SingularCovariance` at every use."""
+        if "_covariance" not in self.__dict__:
+            c = sample_covariance(self.data)
+            try:
+                self.__dict__["_covariance"] = (c, covariance_factor(c))
+            except SingularCovariance as exc:
+                self.__dict__["_covariance"] = exc
+        cached = self.__dict__["_covariance"]
+        if isinstance(cached, SingularCovariance):
+            raise cached
+        return cached
+
 
 # ---------------------------------------------------------------------------
 # sources used throughout tests and the simulation harness

@@ -127,26 +127,21 @@ def trial_seed_sequence(master_seed: int, grid_index: int, trial_index: int):
     return seed, ini_ss
 
 
-def _run_method(method, x, model, lam_ini, covariance):
+def _run_method(method, x, model, lam_ini):
     """Execute one method; returns (lambda_hat, w, iterations, converged).
-
-    ``covariance`` is the trial's sample covariance and its
-    :func:`core.covariance_factor`, which every method uses, or the
-    exception that forming them raised, raised again here."""
+    Every method uses the data's one ``x.covariance``."""
     if method not in KNOWN_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if isinstance(covariance, Exception):
-        raise covariance
-    c_x, factor = covariance
+    c_x, factor = x.covariance
 
     def mpdr(lam):
         return core.mpdr_weights(factor, core.steering(model, lam))[0]
 
     if method == "caponice":
-        res = capon_ice.run(x, model, lam_ini, covariance=covariance)
+        res = capon_ice.run(x, model, lam_ini)
         return res.lam, res.w, res.iterations, res.converged
     if method == "fastica":
-        res = baselines.fastica_one_unit(x, mpdr(lam_ini), covariance)
+        res = baselines.fastica_one_unit(x, mpdr(lam_ini))
         return float("nan"), res.w, res.iterations, res.converged
     if method in ("musicmpdr", "espritmpdr"):
         estimator = baselines.root_music if method == "musicmpdr" else baselines.tls_esprit
@@ -166,28 +161,22 @@ def run_trial(
 ):
     """Run all methods on one mixture.
 
-    The methods share one sample covariance and one factor of it, formed
-    before the first of them runs; a failure to form them is raised again
-    for each method.  A method that raises a package error or
-    a linear-algebra error, the shared factor's included, is recorded as a
-    failed row (lambda_hat nan, -150 dB, not converged, the exception's
-    class name as ``error``); any other exception is a bug and propagates."""
+    The methods share the mixture's ``x.covariance``, formed within the
+    first method's ``runtime_s``; a failure to factor it fails each method.
+    A method that raises a package error or a linear-algebra error, the
+    shared factor's included, is recorded as a failed row (lambda_hat nan,
+    -150 dB, not converged, the exception's class name as ``error``); any
+    other exception is a bug and propagates."""
     x, a, powers = generate_mixture(spec)
     model = core.ula(spec.d)
     rng_ini = np.random.default_rng(ini_seed)
     lam_ini = spec.lambda_star + rng_ini.uniform(-ini_radius, ini_radius)
-    try:
-        c_x = core.sample_covariance(x.data)
-        covariance = (c_x, core.covariance_factor(c_x))
-    except (BlindCaponError, np.linalg.LinAlgError) as exc:
-        covariance = exc
-
     records = []
     for method in methods:
         t0 = time.perf_counter()
         error = ""
         try:
-            lam_hat, w, iters, conv = _run_method(method, x, model, lam_ini, covariance)
+            lam_hat, w, iters, conv = _run_method(method, x, model, lam_ini)
             sir = output_sir(w, a, powers)
         except (BlindCaponError, np.linalg.LinAlgError) as exc:
             lam_hat, sir, iters, conv = float("nan"), -SIR_CAP_DB, 0, False

@@ -280,7 +280,8 @@ def test_criterion_7_broadband_fixture(broadband_fixture):
     for theta_true in fx.thetas_deg:
         res = capon_ive.run_ive(tensor, fx.geom, theta_true + 5.0)
         worst_theta = max(worst_theta, abs(res.theta_deg - theta_true))
-        y = capon_ive.istft(res.extracted, tensor.fft_len, tensor.hop, length=fx.mix.shape[1])
+        _, extracted = capon_ive.beamform_at(tensor, fx.geom, res.theta_deg)
+        y = capon_ive.istft(extracted, tensor.fft_len, tensor.hop, length=fx.mix.shape[1])
         improvement, _, _, _ = capon_ive.sir_improvement_db(y, fx.mix[0], fx.sources)
         worst_improvement = min(worst_improvement, improvement)
         srp = capon_ive.srp_phat(tensor, fx.geom, theta_true + 5.0)

@@ -122,13 +122,10 @@ def test_fastica_matches_eigh_whitened_oracle(d, law, seed):
     factor = core.covariance_factor(c_x)
     w_ini, _ = core.mpdr_weights(factor, core.steering(model, 0.5 + rng.uniform(-0.1, 0.1)))
     w_ref, iterations, converged = eigh_whitened_fastica(x, core.regularized(c_x), w_ini, 20)
-    res = baselines.fastica_one_unit(x, w_ini, (c_x, factor), max_iters=20)
+    res = baselines.fastica_one_unit(x, w_ini, max_iters=20)
     assert (res.iterations, res.converged) == (iterations, converged)
     assert converged == (law == "laplacean")
     assert np.linalg.norm(res.w - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
-    # the default computes the same pair
-    again = baselines.fastica_one_unit(x, w_ini, max_iters=20)
-    assert np.array_equal(again.w, res.w)
 
 
 def test_fastica_rejects_zero_init():

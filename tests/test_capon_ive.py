@@ -184,7 +184,7 @@ def bin_kernel(tensor, geom, bins):
 
 def stack_of(tensor, geom, fmin_hz=100.0):
     """``capon_ive._bin_stack`` of the tensor's included bins."""
-    return capon_ive._bin_stack(tensor, geom, fmin_hz, core.sample_covariance(tensor.data))
+    return capon_ive._bin_stack(tensor, geom, fmin_hz)
 
 
 def test_per_bin_first_derivative_matches_fd(small_tensor):
@@ -263,10 +263,9 @@ def test_kernel_derivatives_match_oracle(small_tensor):
 def test_bin_stack_is_a_view_of_the_tensor(small_tensor):
     # a copy of the bins would add a (bins, d, frames) array to peak memory
     tensor, geom = small_tensor
-    covariances = core.sample_covariance(tensor.data)
-    kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0, covariances)
+    kernel, _, _ = capon_ive._bin_stack(tensor, geom, 100.0)
     assert np.shares_memory(kernel.x, tensor.data)
-    assert np.shares_memory(kernel.c, covariances)
+    assert np.shares_memory(kernel.c, tensor.scaled[1])
 
 
 @pytest.mark.parametrize("theta", [70.0, 80.0, 105.0])
@@ -365,9 +364,10 @@ def test_run_ive_is_scale_invariant_per_bin(small_tensor, scale, dtype, tol):
 def test_run_ive_forms_one_covariance_stack_and_one_solve_per_iteration(
     small_tensor, monkeypatch
 ):
-    # counted wherever run_ive, its kernel and its beamformer bind them: the
-    # bin covariances feed both the search and the final weights, and the
-    # search solves once per iteration, never at the point it stops on
+    # counted wherever run_ive, its kernel and the beamformer bind them: the
+    # bin covariances, formed once per tensor, feed both the search and the
+    # final weights, and the search solves once per iteration, never at the
+    # point it stops on.  A new tensor of the fixture's data has formed none
     calls = {"sample_covariance": 0, "mpdr_weights": 0}
 
     def counted(name, fn):
@@ -382,7 +382,9 @@ def test_run_ive_forms_one_covariance_stack_and_one_solve_per_iteration(
     for module in (capon_ice, capon_ive):
         monkeypatch.setattr(module, "mpdr_weights", counted("mpdr_weights", core.mpdr_weights))
     tensor, geom = small_tensor
+    tensor = capon_ive.StftTensor(tensor.data, tensor.sample_rate, tensor.fft_len, tensor.hop)
     res = capon_ive.run_ive(tensor, geom, 80.0)
+    capon_ive.beamform_at(tensor, geom, res.theta_deg)
     assert res.converged and res.iterations > 3
     assert calls == {"sample_covariance": 1, "mpdr_weights": res.iterations + 1}
 
@@ -522,12 +524,45 @@ def test_run_ive_searches_quiet_single_precision_audio(broadband_fixture, scale)
     # the snapshots' squares leave float32's range: the search runs on the
     # tensor scaled by a power of two, and the output keeps the input's scale
     fx = broadband_fixture
-    ref = capon_ive.run_ive(single_precision(fx, fx.mix), fx.geom, 95.0)
-    res = capon_ive.run_ive(single_precision(fx, scale * fx.mix), fx.geom, 95.0)
+    ref_tensor = single_precision(fx, fx.mix)
+    tensor = single_precision(fx, scale * fx.mix)
+    ref = capon_ive.run_ive(ref_tensor, fx.geom, 95.0)
+    res = capon_ive.run_ive(tensor, fx.geom, 95.0)
     assert res.converged and res.flagged_bins.size == 0
     assert res.theta_deg == pytest.approx(ref.theta_deg, abs=1e-5)
-    quiet = res.extracted.astype(complex) / scale
-    assert np.linalg.norm(quiet - ref.extracted) <= 1e-3 * np.linalg.norm(ref.extracted)
+    _, ref_extracted = capon_ive.beamform_at(ref_tensor, fx.geom, ref.theta_deg)
+    _, extracted = capon_ive.beamform_at(tensor, fx.geom, res.theta_deg)
+    quiet = extracted.astype(complex) / scale
+    assert np.linalg.norm(quiet - ref_extracted) <= 1e-3 * np.linalg.norm(ref_extracted)
+
+
+def test_beamform_at_solves_quiet_single_precision_audio(broadband_fixture):
+    # at 2^-80 of full scale the bins' squares underflow float32: the
+    # weights solve on the power-of-two scaled bin covariances that the
+    # search uses, not on channel 0 passed through at nearly every bin
+    fx = broadband_fixture
+    scale = 2.0 ** -80
+    ref_weights, ref_extracted = capon_ive.beamform_at(
+        single_precision(fx, fx.mix), fx.geom, fx.thetas_deg[0]
+    )
+    weights, extracted = capon_ive.beamform_at(
+        single_precision(fx, scale * fx.mix), fx.geom, fx.thetas_deg[0]
+    )
+    np.testing.assert_allclose(weights, ref_weights, rtol=1e-9, atol=0)
+    quiet = extracted.astype(complex) / scale
+    assert np.linalg.norm(quiet - ref_extracted) <= 1e-6 * np.linalg.norm(ref_extracted)
+
+
+def test_srp_phat_searches_quiet_single_precision_audio(broadband_fixture):
+    # at 2^-110 of full scale the samples fall below the PHAT floor: the
+    # search PHAT-normalizes the power-of-two scaled bins instead of
+    # stalling at its start
+    fx = broadband_fixture
+    ref = capon_ive.srp_phat(single_precision(fx, fx.mix), fx.geom, 68.0)
+    res = capon_ive.srp_phat(single_precision(fx, 2.0 ** -110 * fx.mix), fx.geom, 68.0)
+    assert not ref.stalled and not res.stalled
+    assert abs(ref.theta_deg - fx.thetas_deg[0]) < 1.0
+    assert res.theta_deg == pytest.approx(ref.theta_deg, abs=1e-5)
 
 
 def test_run_ive_in_single_precision_matches_double(broadband_fixture):
@@ -545,14 +580,16 @@ def test_run_ive_in_single_precision_matches_double(broadband_fixture):
             assert got.flagged_bins.size == 0
             assert abs(got.iterations - want.iterations) <= 2, theta + offset
             assert got.theta_deg == pytest.approx(want.theta_deg, abs=1e-5)
-            assert got.weights.dtype == np.complex128 and got.extracted.dtype == np.complex64
+            weights, extracted = capon_ive.beamform_at(single, fx.geom, got.theta_deg)
+            assert weights.dtype == np.complex128 and extracted.dtype == np.complex64
 
 
 def test_run_ive_improves_sir(broadband_fixture):
     fx = broadband_fixture
     tensor = fx.tensor()
     res = capon_ive.run_ive(tensor, fx.geom, fx.thetas_deg[0] + 5.0)
-    y = capon_ive.istft(res.extracted, tensor.fft_len, tensor.hop, length=fx.mix.shape[1])
+    _, extracted = capon_ive.beamform_at(tensor, fx.geom, res.theta_deg)
+    y = capon_ive.istft(extracted, tensor.fft_len, tensor.hop, length=fx.mix.shape[1])
     improvement, soi, sir_in, sir_out = capon_ive.sir_improvement_db(
         y, fx.mix[0], fx.sources
     )
@@ -564,11 +601,12 @@ def test_run_ive_distortionless_per_bin(broadband_fixture):
     fx = broadband_fixture
     tensor = fx.tensor()
     res = capon_ive.run_ive(tensor, fx.geom, fx.thetas_deg[1] + 5.0)
+    weights, _ = capon_ive.beamform_at(tensor, fx.geom, res.theta_deg)
     omegas = 2 * np.pi * tensor.bin_frequencies()
     v = np.arange(fx.geom.d, dtype=float)
     for k in res.included_bins[:: max(1, res.included_bins.size // 40)]:
         a_k = np.exp(1j * omegas[k] * res.tau_s * v)
-        assert abs(np.vdot(res.weights[k], a_k) - 1.0) < 1e-8
+        assert abs(np.vdot(weights[k], a_k) - 1.0) < 1e-8
 
 
 def test_single_source_passthrough():
