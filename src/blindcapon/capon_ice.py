@@ -76,8 +76,8 @@ class _MpdrStack:
 
     Problem ``k`` has snapshots ``x[k]`` ``(d, N)``, sample covariance
     ``c[k]`` and :func:`core.covariance_factor` ``factors[k]``, and is
-    steered at ``exp(1j omegas[k] param v)``.  The outputs share the joint
-    rational nonlinearity
+    steered at ``core.steering(model, omegas[k] * param)``; ``v`` is the
+    model's weights.  The outputs share the joint rational nonlinearity
 
         phi_k(u) = conj(u_k) / (1 + sum_j |u_j|^2)
 
@@ -94,10 +94,9 @@ class _MpdrStack:
     output powers and ``(d1, d2)``.
     """
 
-    def __init__(self, x, c, factors, v, omegas):
+    def __init__(self, x, c, factors, model, omegas):
         self.x, self.c, self.factors = x, c, factors
-        self.v, self.omegas = v, omegas
-        self._phases = omegas[:, None] * v          # a = exp(1j param phases)
+        self.model, self.v, self.omegas = model, model.v, omegas
         # chain-rule weights of the means over the problems
         self._d1_weights = omegas / omegas.size
         self._d2_weights = omegas ** 2 / omegas.size
@@ -123,7 +122,7 @@ class _MpdrStack:
         ``sigma_s^2`` raises :class:`DegenerateSignal`, a ``nu_k`` below
         1e-12 :class:`ScoreDegenerate`.
         """
-        a = np.exp(1j * (self._phases * param))
+        a = core.steering(self.model, self.omegas * param)
         w, sig2_solve = mpdr_weights(self.factors, a)
         w_h = w.conj().astype(self.x.dtype, copy=False)
         s = np.matmul(w_h[:, None, :], self.x)[:, 0]            # w^H x per problem
@@ -158,11 +157,6 @@ class _MpdrStack:
         ``omegas^2``."""
         d1, d2 = self.derivatives(param)
         return float(self._d1_weights @ d1), float(self._d2_weights @ d2)
-
-
-def _one_problem(x, model, c_x, factor):
-    """The narrowband problem of ``x`` as a one-problem :class:`_MpdrStack`."""
-    return _MpdrStack(x.data[None], c_x[None], factor[None], model.v, np.ones(1))
 
 
 def _safeguarded_newton(start, derivatives, max_step, scale, project, max_iters):
@@ -423,7 +417,7 @@ def run(
     if not math.isfinite(lambda_ini):
         raise DomainError(f"lambda_ini must be finite, got {lambda_ini}")
     c_x, factor = x.covariance
-    kernel = _one_problem(x, model, c_x, factor)
+    kernel = _MpdrStack(x.data[None], c_x[None], factor[None], model, np.ones(1))
     if model.is_integer:
         start, project = wrap_angle(lambda_ini), wrap_angle
     else:

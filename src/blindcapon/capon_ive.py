@@ -21,8 +21,8 @@ from .capon_ice import (
     _STEP_CAP, _MpdrStack, _capon_spectrum, _safeguarded_newton, _steered_powers,
 )
 from .core import (
-    COVARIANCE_EPS, SIR_CAP_DB, capped_sir_db, covariance_factor, mpdr_weights,
-    sample_covariance,
+    COVARIANCE_EPS, SIR_CAP_DB, SteeringModel, capped_sir_db, covariance_factor, mpdr_weights,
+    sample_covariance, steering, ula,
 )
 from .errors import DomainError, SingularCovariance
 
@@ -40,6 +40,12 @@ class ArrayGeometry:
             raise DomainError(f"spacing must be positive and finite, got {self.spacing_m}")
         if self.d < 2:
             raise DomainError("need at least two sensors")
+
+    @property
+    def model(self) -> SteeringModel:
+        """The sensors' positions in units of ``spacing_m`` as a steering
+        model: bin ``omega`` sees the delay ``tau`` as ``steering(model, omega * tau)``."""
+        return ula(self.d)
 
 
 @dataclass(frozen=True)
@@ -204,8 +210,11 @@ def theta_to_tau(geom: ArrayGeometry, theta_deg: float) -> float:
     """Per-sensor-index delay for a far-field source at ``theta_deg``.
 
     Broadside (90 degrees) maps to zero delay; the cosine convention makes
-    ``tau`` span ``[-spacing/c, spacing/c]`` over 180..0 degrees.
+    ``tau`` span ``[-spacing/c, spacing/c]`` over 180..0 degrees.  A
+    non-finite angle raises :class:`DomainError`.
     """
+    if not np.isfinite(theta_deg):
+        raise DomainError(f"DOA must be finite, got {theta_deg} degrees")
     return geom.spacing_m * np.cos(np.radians(theta_deg)) / geom.c
 
 
@@ -216,7 +225,6 @@ def tau_to_theta(geom: ArrayGeometry, tau_s: float) -> float:
 @dataclass(frozen=True)
 class IveResult:
     theta_deg: float
-    tau_s: float
     iterations: int                     # of the search from the Capon-spectrum peak
     start_iterations: int               # of the climb to that peak
     start_fallbacks: int                # of the climb, as gradient_fallbacks
@@ -280,7 +288,7 @@ def _bin_stack(tensor, geom, fmin_hz):
     if flagged.size:
         bins, x, c, factors = bins[ok], x[ok], c[ok], factors[ok]
     omegas = 2.0 * np.pi * tensor.bin_frequencies()[bins]
-    kernel = _MpdrStack(x, c, factors, np.arange(geom.d, dtype=float), omegas)
+    kernel = _MpdrStack(x, c, factors, geom.model, omegas)
     return kernel, bins, flagged
 
 
@@ -334,12 +342,11 @@ def run_ive(
     forms the extraction weights there.  A non-finite start raises
     :class:`DomainError`.
     """
-    if not np.isfinite(theta_ini_deg):
-        raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
+    tau_ini = theta_to_tau(geom, theta_ini_deg)
     kernel, bins, flagged = _bin_stack(tensor, geom, fmin_hz)
     derivatives, _ = _capon_spectrum(kernel)
     start, start_iterations, _, start_fallbacks = _delay_search(
-        geom, theta_to_tau(geom, theta_ini_deg), kernel.omegas, derivatives, max_iters
+        geom, tau_ini, kernel.omegas, derivatives, max_iters
     )
     tau, iterations, converged, fallbacks = _delay_search(
         geom, start, kernel.omegas, kernel.joint_derivatives, max_iters
@@ -347,7 +354,6 @@ def run_ive(
     alias = np.flatnonzero(np.abs(2.0 * np.pi * tensor.bin_frequencies() * tau) > np.pi)
     return IveResult(
         theta_deg=tau_to_theta(geom, tau),
-        tau_s=tau,
         iterations=iterations,
         start_iterations=start_iterations,
         start_fallbacks=start_fallbacks,
@@ -385,9 +391,8 @@ def beamform_at(
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
     k_all, d, _ = tensor.data.shape
-    tau = theta_to_tau(geom, theta_deg)
     omegas = 2.0 * np.pi * tensor.bin_frequencies()
-    a = np.exp(1j * np.outer(omegas * tau, np.arange(d, dtype=float)))
+    a = steering(geom.model, omegas * theta_to_tau(geom, theta_deg))
     _, covariances = tensor.scaled
     factors, ok = _loaded_factors(covariances, loading)
     weights = np.zeros((k_all, d), dtype=complex)
@@ -425,8 +430,7 @@ def srp_phat(
     shows no spatial structure the initial angle is returned with
     ``stalled=True``.  A non-finite start raises :class:`DomainError`.
     """
-    if not np.isfinite(theta_ini_deg):
-        raise DomainError(f"theta_ini_deg must be finite, got {theta_ini_deg}")
+    tau_ini = theta_to_tau(geom, theta_ini_deg)
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
     included = _included_bins(tensor, fmin_hz)
@@ -438,9 +442,9 @@ def srp_phat(
     for start in range(0, len(x), _PHAT_BLOCK):
         xn = x[start: start + _PHAT_BLOCK]
         r[start: start + len(xn)] = sample_covariance(xn / np.maximum(np.abs(xn), 1e-30))
-    powers = _steered_powers(r, omegas, np.arange(geom.d, dtype=float))
+    powers = _steered_powers(r, omegas, geom.model.v)
     tau, _, _, _ = _delay_search(
-        geom, theta_to_tau(geom, theta_ini_deg), omegas,
+        geom, tau_ini, omegas,
         lambda tau: tuple(float(np.sum(term)) for term in powers(tau)[1:]), 100,
     )
     theta = tau_to_theta(geom, tau)
@@ -610,10 +614,9 @@ def anechoic_phase_mix(
     omega = 2.0 * np.pi * np.fft.rfftfreq(length, 1.0 / sample_rate)
     out = np.zeros((geom.d, length))
     for src, theta in zip(sources, thetas_deg):
-        tau = theta_to_tau(geom, theta)
-        spec = np.fft.rfft(src)
-        for j in range(geom.d):
-            out[j] += np.fft.irfft(spec * np.exp(1j * omega * tau * j), n=length)
+        a = steering(geom.model, omega * theta_to_tau(geom, theta)).T
+        a *= np.fft.rfft(src)
+        out += np.fft.irfft(a, n=length)
     return out
 
 

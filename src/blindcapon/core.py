@@ -184,9 +184,11 @@ def laplacean_score(s: np.ndarray) -> np.ndarray:
 # operations
 # ---------------------------------------------------------------------------
 
-def steering(model: SteeringModel, lam: float) -> np.ndarray:
-    """Steering vector ``exp(1j * lam * v)``; first entry is exactly 1."""
-    return np.exp(1j * lam * model.v)
+def steering(model: SteeringModel, lam) -> np.ndarray:
+    """Steering vector ``exp(1j * lam * v)``, first entry exactly 1: ``(d,)``
+    for a scalar ``lam``, ``(..., d)`` for an array (each row its scalar call's bits)."""
+    phase = np.multiply.outer(1j * lam, model.v)
+    return np.exp(phase, out=phase)
 
 
 def sample_covariance(x: np.ndarray) -> np.ndarray:

@@ -374,7 +374,9 @@ def capon_power_db(factor, model, lam):
 def one_problem(x, model):
     """The narrowband problem of ``x`` as the one-problem kernel of `run`."""
     c_x = core.sample_covariance(x.data)
-    return capon_ice._one_problem(x, model, c_x, core.covariance_factor(c_x))
+    return capon_ice._MpdrStack(
+        x.data[None], c_x[None], core.covariance_factor(c_x)[None], model, np.ones(1)
+    )
 
 
 def start_decisions(caplog):
@@ -797,7 +799,7 @@ def test_run_on_non_integer_weights_diverges_beyond_the_runaway_span(monkeypatch
 def test_zero_power_output_raises():
     d = 3
     kernel = capon_ice._MpdrStack(np.zeros((1, d, 10), dtype=complex), np.zeros((1, d, d)),
-                                  np.eye(d)[None], np.arange(d, dtype=float), np.ones(1))
+                                  np.eye(d)[None], core.ula(d), np.ones(1))
     with pytest.raises(DegenerateSignal):
         kernel.derivatives(0.3)
 

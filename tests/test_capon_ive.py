@@ -178,8 +178,7 @@ def bin_kernel(tensor, geom, bins):
     x = tensor.data[bins]
     c = core.sample_covariance(x)
     omegas = 2 * np.pi * tensor.bin_frequencies()[bins]
-    return capon_ice._MpdrStack(x, c, core.covariance_factor(c), np.arange(geom.d, dtype=float),
-                                omegas)
+    return capon_ice._MpdrStack(x, c, core.covariance_factor(c), geom.model, omegas)
 
 
 def stack_of(tensor, geom, fmin_hz=100.0):
@@ -242,7 +241,9 @@ def test_kernel_derivatives_match_oracle(small_tensor):
     for seed, d in ((80, 3), (81, 5), (82, 8)):
         x, _, _, model = random_mixture(RNG(seed), d, 1000, 0.4, competitor=-0.5)
         c_x = core.sample_covariance(x.data)
-        kernel = capon_ice._one_problem(x, model, c_x, core.covariance_factor(c_x))
+        kernel = capon_ice._MpdrStack(
+            x.data[None], c_x[None], core.covariance_factor(c_x)[None], model, np.ones(1)
+        )
         for lam in (-2.0, -0.5, 0.3, 0.45, 1.2, 3.0):
             d1, d2 = kernel.derivatives(lam)
             _, want_d1, want_d2, _ = reference.kernel_derivatives(kernel, lam)
@@ -395,6 +396,10 @@ def test_non_finite_start_is_a_domain_error(small_tensor):
         capon_ive.run_ive(tensor, geom, float("nan"))
     with pytest.raises(DomainError):
         capon_ive.srp_phat(tensor, geom, float("inf"))
+    with pytest.raises(DomainError):
+        capon_ive.beamform_at(tensor, geom, float("nan"))
+    with pytest.raises(DomainError):
+        capon_ive.anechoic_phase_mix(np.ones((1, 64)), [float("-inf")], geom, 16000.0)
 
 
 @pytest.mark.parametrize("solver", ["run_ive", "beamform_at", "srp_phat"])
@@ -603,9 +608,10 @@ def test_run_ive_distortionless_per_bin(broadband_fixture):
     res = capon_ive.run_ive(tensor, fx.geom, fx.thetas_deg[1] + 5.0)
     weights, _ = capon_ive.beamform_at(tensor, fx.geom, res.theta_deg)
     omegas = 2 * np.pi * tensor.bin_frequencies()
+    tau = capon_ive.theta_to_tau(fx.geom, res.theta_deg)
     v = np.arange(fx.geom.d, dtype=float)
     for k in res.included_bins[:: max(1, res.included_bins.size // 40)]:
-        a_k = np.exp(1j * omegas[k] * res.tau_s * v)
+        a_k = np.exp(1j * omegas[k] * tau * v)
         assert abs(np.vdot(weights[k], a_k) - 1.0) < 1e-8
 
 

@@ -50,6 +50,19 @@ def test_steering_periodicity_integer_weights():
     )
 
 
+@pytest.mark.parametrize(
+    "v", [np.arange(5.0), np.array([0.0, 0.35, 0.7, 1.4, 2.45])], ids=["ula5", "non-integer"]
+)
+def test_steering_of_a_stack_is_the_stacked_scalar_calls(v):
+    # the kernels steer every problem by one call on an array of parameters
+    model = core.SteeringModel(v)
+    lams = RNG(11).uniform(-8.0, 8.0, (4, 3))
+    stacked = core.steering(model, lams)
+    assert stacked.shape == (4, 3, 5)
+    scalar = np.array([[core.steering(model, float(lam)) for lam in row] for row in lams])
+    assert stacked.tobytes() == scalar.tobytes()
+
+
 def test_steering_model_validation():
     with pytest.raises(ValueError):
         core.SteeringModel(np.array([1.0, 2.0]))
