@@ -368,21 +368,16 @@ def run_ive(
 EXTRACTION_LOADING = 3e-3
 
 
-def beamform_at(
-    tensor: StftTensor,
-    geom: ArrayGeometry,
-    theta_deg: float,
-    loading: float = EXTRACTION_LOADING,
-):
+def beamform_at(tensor: StftTensor, geom: ArrayGeometry, theta_deg: float):
     """Per-bin distortionless weights at a fixed DOA, plus the extracted
     spectrogram; returns ``(weights (K, d), extracted (K, n_frames))``.
     The weights are complex128; the spectrogram has the tensor's dtype.
 
-    ``loading`` is the relative diagonal load of the per-bin covariances.
-    The default is far heavier than the solver epsilon used during the
-    parameter search: a broadband source spreads over each STFT bin, so the
-    bin-center steering vector is slightly mismatched and an unloaded MPDR
-    would partially cancel the target (superdirective self-nulling).  The
+    The per-bin covariances take the relative diagonal load
+    ``EXTRACTION_LOADING``, far heavier than the solver epsilon used during
+    the parameter search: a broadband source spreads over each STFT bin, so
+    the bin-center steering vector is slightly mismatched and an unloaded
+    MPDR would partially cancel the target (superdirective self-nulling).  The
     weights solve with the :attr:`StftTensor.scaled` covariances, to whose
     exact power-of-two scaling they are invariant, and apply to the
     tensor's own data.  Bins whose MPDR problem is singular fall back to
@@ -390,12 +385,11 @@ def beamform_at(
     """
     if geom.d != tensor.n_channels:
         raise ValueError("geometry channel count does not match the tensor")
-    k_all, d, _ = tensor.data.shape
     omegas = 2.0 * np.pi * tensor.bin_frequencies()
     a = steering(geom.model, omegas * theta_to_tau(geom, theta_deg))
     _, covariances = tensor.scaled
-    factors, ok = _loaded_factors(covariances, loading)
-    weights = np.zeros((k_all, d), dtype=complex)
+    factors, ok = _loaded_factors(covariances, EXTRACTION_LOADING)
+    weights = np.zeros_like(a)
     weights[ok], _ = mpdr_weights(factors[ok], a[ok])
     weights[~ok, 0] = 1.0
     w_h = weights.conj().astype(tensor.data.dtype, copy=False)
@@ -418,6 +412,7 @@ def srp_phat(
     tensor: StftTensor,
     geom: ArrayGeometry,
     theta_ini_deg: float,
+    max_iters: int = 100,
     fmin_hz: float = 100.0,
 ) -> SrpPhatResult:
     """Steered-response power with phase transform, refined by a local
@@ -426,7 +421,7 @@ def srp_phat(
     The per-bin cross-spectra of the :attr:`StftTensor.scaled` data are
     PHAT-normalized elementwise and averaged over frames; the steered power
     is maximized in the delay by the scalar search of :func:`run_ive`, at
-    most 100 iterations.  If the power there
+    most ``max_iters`` iterations.  If the power there
     shows no spatial structure the initial angle is returned with
     ``stalled=True``.  A non-finite start raises :class:`DomainError`.
     """
@@ -445,7 +440,7 @@ def srp_phat(
     powers = _steered_powers(r, omegas, geom.model.v)
     tau, _, _, _ = _delay_search(
         geom, tau_ini, omegas,
-        lambda tau: tuple(float(np.sum(term)) for term in powers(tau)[1:]), 100,
+        lambda tau: tuple(float(np.sum(term)) for term in powers(tau)[1:]), max_iters,
     )
     theta = tau_to_theta(geom, tau)
     # the PHAT-normalized diagonal contributes exactly K*d; the off-diagonal
@@ -456,6 +451,43 @@ def srp_phat(
     if stalled:
         theta = float(theta_ini_deg)
     return SrpPhatResult(theta_deg=theta, stalled=stalled)
+
+
+EXTRACT_METHODS = ("ive", "srpphat+mpdr")
+
+
+def extract(
+    tensor: StftTensor,
+    geom: ArrayGeometry,
+    theta_ini_deg: float,
+    method: str = "ive",
+    max_iters: int = 100,
+    fmin_hz: float = 100.0,
+):
+    """One extraction step: the direction search of ``method``, one of
+    :data:`EXTRACT_METHODS` (:func:`run_ive` or :func:`srp_phat`), then
+    :func:`beamform_at` there.  Returns ``(fields, extracted)``: the
+    search's report under the names ``extract.json`` gives it, and the
+    extracted spectrogram ``(K, n_frames)`` in the tensor's dtype."""
+    if method == "ive":
+        res = run_ive(tensor, geom, theta_ini_deg, max_iters, fmin_hz)
+        fields = dict(
+            theta_hat_deg=res.theta_deg, iterations=res.iterations,
+            start_iterations=res.start_iterations, start_fallbacks=res.start_fallbacks,
+            converged=res.converged, gradient_fallbacks=res.gradient_fallbacks,
+            per_bin_flags={
+                "included": res.included_bins.tolist(),
+                "aliased": res.alias_bins.tolist(),
+                "covariance_flagged": res.flagged_bins.tolist(),
+            },
+        )
+    elif method == "srpphat+mpdr":
+        srp = srp_phat(tensor, geom, theta_ini_deg, max_iters, fmin_hz)
+        fields = dict(theta_hat_deg=srp.theta_deg, srp_stalled=srp.stalled, iterations=0)
+    else:
+        raise DomainError(f"unknown method {method!r}, expected one of {EXTRACT_METHODS}")
+    _, extracted = beamform_at(tensor, geom, fields["theta_hat_deg"])
+    return fields, extracted
 
 
 # ---------------------------------------------------------------------------

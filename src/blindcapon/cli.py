@@ -84,9 +84,7 @@ def _timed(stage_s, name):
 
 
 def _default_outdir(explicit):
-    if explicit:
-        return explicit
-    return os.environ.get("BLINDCAPON_OUTDIR", ".")
+    return explicit or os.environ.get("BLINDCAPON_OUTDIR", ".")
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -193,31 +191,11 @@ def cmd_extract(args) -> int:
         tensor = capon_ive.stft(samples, args.fft, args.hop, rate)
         del samples
 
-    report = {"method": args.method, "theta_ini_deg": args.theta_ini}
     with _timed(stage_s, "solve"):
-        if args.method == "ive":
-            result = capon_ive.run_ive(
-                tensor, geom, args.theta_ini, max_iters=args.max_iters, fmin_hz=args.fmin_hz
-            )
-            report.update(
-                theta_hat_deg=result.theta_deg,
-                iterations=result.iterations,
-                start_iterations=result.start_iterations,
-                start_fallbacks=result.start_fallbacks,
-                converged=result.converged,
-                gradient_fallbacks=result.gradient_fallbacks,
-                per_bin_flags={
-                    "included": [int(k) for k in result.included_bins],
-                    "aliased": [int(k) for k in result.alias_bins],
-                    "covariance_flagged": [int(k) for k in result.flagged_bins],
-                },
-            )
-        else:
-            srp = capon_ive.srp_phat(tensor, geom, args.theta_ini, fmin_hz=args.fmin_hz)
-            report.update(
-                theta_hat_deg=srp.theta_deg, srp_stalled=srp.stalled, iterations=0
-            )
-        _, extracted_spec = capon_ive.beamform_at(tensor, geom, report["theta_hat_deg"])
+        fields, extracted_spec = capon_ive.extract(
+            tensor, geom, args.theta_ini, args.method, args.max_iters, args.fmin_hz
+        )
+    report = {"method": args.method, "theta_ini_deg": args.theta_ini, **fields}
 
     del tensor
     with _timed(stage_s, "istft"):
@@ -316,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--refs", default=None,
                      help="comma-separated reference WAVs for SIR scoring, each the "
                           "source's image at microphone 0, time-aligned with the mix")
-    ext.add_argument("--method", default="ive", choices=("ive", "srpphat+mpdr"))
+    ext.add_argument("--method", default="ive", choices=capon_ive.EXTRACT_METHODS)
     ext.add_argument("--out-dir", default=None)
     ext.set_defaults(func=cmd_extract)
     return parser

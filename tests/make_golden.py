@@ -15,16 +15,20 @@ then name the rows that changed, and why, in CHANGES.md.  Each file under
   weights from six starts;
 * ``extract.json``: ``extract`` by both methods from two starts on the
   criterion-7 fixture, scored against both sources: the direction, the
-  search's counts, the per-bin flags and the output SIR.
+  search's counts, the per-bin flags and the output SIR;
+* ``bounds.json``: the ``bounds`` report (d=5, N=500) at kappa_bar 1 and
+  2, and from ``--estimate-kappa laplacean --samples 100000`` at seeds 0
+  and 3.
 """
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from blindcapon import capon_ice, capon_ive, core, monte_carlo
+from blindcapon import bounds, capon_ice, capon_ive, core, monte_carlo
 from blindcapon.errors import BlindCaponError
 from blindcapon.monte_carlo import MixtureSpec
 
@@ -54,12 +58,18 @@ RUN_FIELDS = (
     "sir_out_db", "error",
 )
 
-EXTRACT_METHODS = ("ive", "srpphat+mpdr")
 EXTRACT_STARTS = (68.43, 95.0)
 EXTRACT_FIELDS = (
     "method", "theta_ini_deg", "theta_hat_deg", "iterations", "start_iterations",
     "start_fallbacks", "converged", "gradient_fallbacks", "srp_stalled",
     "included_aliased_flagged_bins", "soi_ref_index", "sir_out_db",
+)
+
+BOUNDS_KAPPAS = (1.0, 2.0)
+BOUNDS_SEEDS = (0, 3)
+BOUNDS_FIELDS = (
+    "seed", "kappa_bar", "kappa_bar_stderr", "d", "N", "identifiable", "crib_ice",
+    "crib_capon", "crib_ice_db", "crib_capon_db",
 )
 
 
@@ -103,31 +113,42 @@ def run_rows():
 
 def extract_rows(fixture):
     """What ``extract`` reports from each start by each method, at full
-    precision: the library path of ``extract`` on the fixture's double
-    precision tensor, scored against both sources.  (``extract`` itself
-    runs on float32 samples, whose complex64 passes move theta-hat by up to
-    4e-10 relative and the SIR by up to 8e-7 dB between BLAS kernels, too
-    close to the bounds.)"""
+    precision: ``capon_ive.extract`` on the fixture's double precision
+    tensor, scored against both sources.  (``extract`` itself runs on
+    float32 samples, whose complex64 passes move theta-hat by up to 4e-10
+    relative and the SIR by up to 8e-7 dB between BLAS kernels, too close
+    to the bounds.)"""
     geom, fft_len, hop = fixture.geom, fixture.fft_len, fixture.hop
     tensor = fixture.tensor()
     rows = []
-    for method in EXTRACT_METHODS:
+    for method in capon_ive.EXTRACT_METHODS:
         for theta in EXTRACT_STARTS:
-            if method == "ive":
-                res = capon_ive.run_ive(tensor, geom, theta)
-                theta_hat = res.theta_deg
-                counts = [res.iterations, res.start_iterations, res.start_fallbacks,
-                          res.converged, res.gradient_fallbacks, None,
-                          [res.included_bins.tolist(), res.alias_bins.tolist(),
-                           res.flagged_bins.tolist()]]
-            else:
-                srp = capon_ive.srp_phat(tensor, geom, theta)
-                theta_hat = srp.theta_deg
-                counts = [0, None, None, None, None, srp.stalled, None]
-            _, spec = capon_ive.beamform_at(tensor, geom, theta_hat)
+            fields, spec = capon_ive.extract(tensor, geom, theta, method)
             y = capon_ive.istft(spec, fft_len, hop, length=fixture.mix.shape[1])
             _, soi, _, sir_out = capon_ive.sir_improvement_db(y, fixture.mix[0], fixture.sources)
-            rows.append([method, theta, theta_hat, *counts, soi, sir_out])
+            flags = fields.get("per_bin_flags")
+            rows.append([
+                method, theta, *(fields.get(f) for f in EXTRACT_FIELDS[2:-3]),
+                flags and list(flags.values()), soi, sir_out,
+            ])
+    return rows
+
+
+def bounds_rows():
+    """What ``bounds --d 5 --n 500`` prints, at full precision: at each
+    given kappa_bar (no seed, no standard error), then estimated from
+    100000 Laplacean samples at each seed."""
+    estimates = [(None, kappa, None) for kappa in BOUNDS_KAPPAS]
+    for seed in BOUNDS_SEEDS:
+        samples = core.complex_laplacean(np.random.default_rng(seed), 100_000)
+        estimates.append(
+            (seed, *bounds.empirical_kappa_bar_with_stderr(samples, core.laplacean_score))
+        )
+    rows = []
+    for seed, kappa, stderr in estimates:
+        report = asdict(bounds.crib_report(kappa, 5, 500))
+        report.update(seed=seed, kappa_bar_stderr=stderr)
+        rows.append([report[f] for f in BOUNDS_FIELDS])
     return rows
 
 
@@ -142,6 +163,7 @@ def main():
     tables = {name: (SWEEP_FIELDS, sweep_rows(name)) for name in SWEEPS}
     tables["capon_ice_run"] = RUN_FIELDS, run_rows()
     tables["extract"] = EXTRACT_FIELDS, extract_rows(build_broadband_fixture())
+    tables["bounds"] = BOUNDS_FIELDS, bounds_rows()
     for name, (fields, rows) in tables.items():
         (GOLDEN_DIR / f"{name}.json").write_text(dump(fields, rows))
         print(f"{name}: {len(rows)} rows")

@@ -410,6 +410,12 @@ def test_geometry_of_another_size_is_a_value_error(small_tensor, solver):
         getattr(capon_ive, solver)(tensor, wider, 80.0)
 
 
+def test_extract_rejects_an_unknown_method(small_tensor):
+    tensor, geom = small_tensor
+    with pytest.raises(DomainError, match="unknown method 'music'"):
+        capon_ive.extract(tensor, geom, 80.0, "music")
+
+
 # ---------------------------------------------------------------------------
 # extraction on the anechoic fixture
 # ---------------------------------------------------------------------------
@@ -615,7 +621,7 @@ def test_run_ive_distortionless_per_bin(broadband_fixture):
         assert abs(np.vdot(weights[k], a_k) - 1.0) < 1e-8
 
 
-def test_single_source_passthrough():
+def test_single_source_passthrough(monkeypatch):
     rng = RNG(9)
     fs, n = 16000, 48000
     geom = capon_ive.ArrayGeometry(spacing_m=0.05, d=5)
@@ -626,7 +632,8 @@ def test_single_source_passthrough():
     res = capon_ive.run_ive(tensor, geom, 77.0)
     assert abs(res.theta_deg - 72.0) < 0.1
     # heavy extraction loading: the lone source must pass through unharmed
-    _, extracted = capon_ive.beamform_at(tensor, geom, res.theta_deg, loading=0.03)
+    monkeypatch.setattr(capon_ive, "EXTRACTION_LOADING", 0.03)
+    _, extracted = capon_ive.beamform_at(tensor, geom, res.theta_deg)
     y = capon_ive.istft(extracted, tensor.fft_len, tensor.hop, n)
     ref = mix[0]
     rel = np.linalg.norm(y - ref) / np.linalg.norm(ref)

@@ -290,7 +290,8 @@ def short_wavs(tmp_path_factory):
 def test_extract_holds_about_one_stft_tensor(tmp_path, short_wavs, method):
     # the mix, its float32 samples and the tensor are each dropped at their
     # last use, so the traced peak is the tensor plus one bin-stack of
-    # outputs (1.5x the tensor), not several copies of it
+    # outputs (1.46x and 1.36x the tensor); float32 samples kept alive
+    # through the solve read 1.59x and 1.44x
     mix_path, ref_paths, fx = short_wavs
     tensor_bytes = capon_ive.stft(
         fx.mix.astype(np.float32), fx.fft_len, fx.hop, fx.sample_rate
@@ -304,7 +305,7 @@ def test_extract_holds_about_one_stft_tensor(tmp_path, short_wavs, method):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * tensor_bytes
+    assert peak <= {"ive": 1.52, "srpphat+mpdr": 1.40}[method] * tensor_bytes
 
 
 def extract_report(out, mix_path, theta_ini):
@@ -318,11 +319,14 @@ def test_extract_reports_the_single_precision_search(tmp_path, broadband_wavs):
     # the float32 WAV scaled by a power of two is the float32 mix exactly
     mix_path, _, fx = broadband_wavs
     theta_ini = fx.thetas_deg[0] + 5.0
-    report = extract_report(tmp_path, mix_path, theta_ini)
     tensor = capon_ive.stft(fx.mix.astype(np.float32), fx.fft_len, fx.hop, fx.sample_rate)
-    res = capon_ive.run_ive(tensor, fx.geom, theta_ini)
-    assert report["theta_hat_deg"] == float(f"{res.theta_deg:.9g}")
-    assert report["iterations"] == res.iterations
+    for method in capon_ive.EXTRACT_METHODS:
+        out = tmp_path / method
+        assert cli.main(["extract", "--in", str(mix_path), "--theta-ini", str(theta_ini),
+                         "--method", method, "--out-dir", str(out)]) == 0
+        report = read_json(out / "extract.json")
+        fields, _ = capon_ive.extract(tensor, fx.geom, theta_ini, method)
+        assert {name: report[name] for name in fields} == cli._round_floats(fields)
 
 
 def test_extract_reports_and_logs_both_searches(tmp_path, broadband_wavs, caplog):
@@ -517,8 +521,11 @@ def assert_extract_fails(tmp_path, capsys, broadband_wavs, extra):
     assert not out.exists()
 
 
-def test_extract_max_iters_zero_exit_code(tmp_path, capsys, broadband_wavs):
-    assert_extract_fails(tmp_path, capsys, broadband_wavs, ["--max-iters", "0"])
+@pytest.mark.parametrize("method", capon_ive.EXTRACT_METHODS)
+def test_extract_max_iters_zero_exit_code(tmp_path, capsys, broadband_wavs, method):
+    assert_extract_fails(
+        tmp_path, capsys, broadband_wavs, ["--max-iters", "0", "--method", method]
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 """Golden rows: the per-trial and per-search outputs that
 ``tests/make_golden.py`` wrote, recomputed and compared field by field.
 
-Integers, flags, error names and bin lists match exactly; lambda-hat and
-theta-hat within 1e-9 relative, SIRs within 1e-6 dB absolute (a relative
-test fails near 0 dB).  Those bounds hold across numpy's and OpenBLAS's
-SIMD kernels, whose last bits differ; a change that moves a row beyond
-them regenerates the rows with the script and names them in CHANGES.md.
+Integers, flags, error names and bin lists match exactly; lambda-hat,
+theta-hat, kappa_bar, its standard error and the bounds within 1e-9
+relative, SIRs within 1e-6 dB absolute (a relative test fails near 0 dB).
+Those bounds hold across numpy's and OpenBLAS's SIMD kernels, whose last
+bits differ; a change that moves a row beyond them regenerates the rows
+with the script and names them in CHANGES.md.
 """
 
 import json
@@ -15,7 +16,10 @@ import pytest
 
 import make_golden
 
-RELATIVE = {"lambda_hat", "lam", "theta_hat_deg"}
+RELATIVE = {
+    "lambda_hat", "lam", "theta_hat_deg", "kappa_bar", "kappa_bar_stderr", "crib_ice",
+    "crib_capon", "crib_ice_db", "crib_capon_db",
+}
 ABSOLUTE_DB = {"sir_out_db"}
 
 
@@ -58,3 +62,7 @@ def test_capon_ice_run_rows_match_golden():
 
 def test_extract_rows_match_golden(broadband_fixture):
     check("extract", make_golden.extract_rows(broadband_fixture))
+
+
+def test_bounds_rows_match_golden():
+    check("bounds", make_golden.bounds_rows())

@@ -25,6 +25,6 @@ def test_readme_library_snippets_run(tmp_path, monkeypatch, broadband_fixture, c
     assert len(capsys.readouterr().out.splitlines()) == 2
     scope = {}
     exec(broadband, scope)
-    assert scope["result"].converged
-    assert abs(scope["result"].theta_deg - fx.thetas_deg[1]) < 0.5
+    assert scope["fields"]["converged"]
+    assert abs(scope["fields"]["theta_hat_deg"] - fx.thetas_deg[1]) < 0.5
     assert scope["y"].shape == (fx.mix.shape[1],)
